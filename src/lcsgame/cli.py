@@ -94,7 +94,8 @@ def _cmd_verify(args) -> int:
         side, name = Player.BOB, args.bob
     strat = builtin_strategy(name, doc)
     value = verify_strategy_exhaustive(doc.graph, variant, strat, side,
-                                       max_states=args.max_states)
+                                       max_states=args.max_states,
+                                       time_limit=args.time_limit)
     bound = "guarantees at least" if side is Player.ALICE else "concedes at most"
     print(f"{name} ({side.name.lower()}) {bound} {value}")
     return 0
@@ -108,7 +109,8 @@ def _cmd_qgraph(args) -> int:
         print(f"tree invalid: {check.diagnostic}")
         return 2
     print("tree valid")
-    value = cg_qgraph(doc.graph, tree, max_states=args.max_states)
+    value = cg_qgraph(doc.graph, tree, max_states=args.max_states,
+                      time_limit=args.time_limit)
     print(f"c_g = {value}")
     return 0
 

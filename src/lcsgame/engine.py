@@ -11,6 +11,7 @@ the mover.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Hashable, Union
@@ -132,6 +133,14 @@ class StrategyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Search state budget exhausted before a value was computed."""
+
+
+def _deadline(time_limit: float | None) -> float | None:
+    return None if time_limit is None else time.monotonic() + time_limit
+
+
+def _time_left(deadline: float | None) -> float | None:
+    return None if deadline is None else deadline - time.monotonic()
 
 
 def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
@@ -352,6 +361,7 @@ DEFAULT_VERIFY_BUDGET = 500_000_000
 def verify_strategy_exhaustive(
     g: Graph, variant: GameVariant, fixed: Strategy, fixed_side: Player,
     *, max_states: int = DEFAULT_VERIFY_BUDGET,
+    time_limit: float | None = None,
     objective: Callable[[GameConfig], int] | None = None,
 ) -> int:
     """Guaranteed value of a deterministic strategy against every opposing line.
@@ -359,7 +369,8 @@ def verify_strategy_exhaustive(
     The fixed side's moves are forced; the opponent branches over all legal
     moves.  Returns the minimum final score when the fixed side is Alice and
     the maximum when it is Bob, memoised on (configuration, private state)
-    at adversary decision points.
+    at adversary decision points.  ``time_limit`` (seconds) is checked every
+    2048 expanded states.
     """
     if objective is None:
         objective = lambda cfg: score(g, variant, cfg.red)
@@ -367,6 +378,10 @@ def verify_strategy_exhaustive(
     minimise = fixed_side is Player.ALICE
     memo: dict[Hashable, int] = {}
     expanded = 0
+    deadline = _deadline(time_limit)
+    # one comparison per state: the next state count at which to look at
+    # the state budget or the clock
+    check_at = max_states if deadline is None else min(max_states, 2047)
 
     def run_fixed(cfg: GameConfig, state: Hashable,
                   last_adv: Move | None) -> tuple[GameConfig, Hashable]:
@@ -386,7 +401,7 @@ def verify_strategy_exhaustive(
             last_adv = None
 
     def adv_value(cfg: GameConfig, state: Hashable) -> int:
-        nonlocal expanded
+        nonlocal expanded, check_at
         legal = legal_moves(g, variant, cfg)
         if not legal:
             return objective(cfg)
@@ -395,9 +410,13 @@ def verify_strategy_exhaustive(
         if hit is not None:
             return hit
         expanded += 1
-        if expanded > max_states:
-            raise BudgetExceededError(
-                f"verification exceeded {max_states} states")
+        if expanded > check_at:
+            if expanded > max_states:
+                raise BudgetExceededError(
+                    f"verification exceeded {max_states} states")
+            if time.monotonic() > deadline:
+                raise BudgetExceededError("verification exceeded its time limit")
+            check_at = min(max_states, expanded + 2047)
         best = None
         for move in legal:
             nxt = apply_move(cfg, adversary, move)

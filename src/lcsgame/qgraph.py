@@ -22,6 +22,8 @@ from .engine import (
     Player,
     Strategy,
     TargetSet,
+    _deadline,
+    _time_left,
     legal_moves,
 )
 from .graphs import Graph, bits, induced, is_clique, is_connected, is_independent, mask_of
@@ -228,32 +230,34 @@ class _Eval:
     head_map: tuple[int, ...] = ()
 
 
-def _solve_induced(g: Graph, mask: int, max_states: int) -> int:
+def _solve_induced(g: Graph, mask: int, max_states: int,
+                   deadline: float | None) -> int:
     sub, _ = induced(g, mask)
-    return cg(sub, max_states=max_states).value
+    return cg(sub, max_states=max_states, time_limit=_time_left(deadline)).value
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
-              max_states: int) -> _Eval:
+              max_states: int, deadline: float | None = None) -> _Eval:
+    """Value of a tree node; every exact solve it starts shares ``deadline``."""
     stats.nodes_evaluated += 1
     mask = vertex_set(node)
     n = mask.bit_count()
     if isinstance(node, Leaf):
-        return _Eval(_solve_induced(g, mask, max_states), node, mask)
+        return _Eval(_solve_induced(g, mask, max_states, deadline), node, mask)
     if isinstance(node, UnionNode):
-        le = _evaluate(g, node.left, q, stats, max_states)
-        re = _evaluate(g, node.right, q, stats, max_states)
+        le = _evaluate(g, node.left, q, stats, max_states, deadline)
+        re = _evaluate(g, node.right, q, stats, max_states, deadline)
         best = le if le.value >= re.value else re
         return _Eval(max(le.value, re.value), node, mask,
                      best_child=best, children=(le, re))
     if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, max_states)
-        re = _evaluate(g, node.right, q, stats, max_states)
+        le = _evaluate(g, node.left, q, stats, max_states, deadline)
+        re = _evaluate(g, node.right, q, stats, max_states, deadline)
         return _Eval((n + 1) // 2, node, mask, children=(le, re))
     if isinstance(node, Spider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states),)
+            children = (_evaluate(g, node.r_tree, q, stats, max_states, deadline),)
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
             value = (n + 1) // 2
@@ -264,12 +268,12 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
     if isinstance(node, PseudoSpider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states),)
+            children = (_evaluate(g, node.r_tree, q, stats, max_states, deadline),)
         head_mask = node.s | node.k
         r_mask = mask & ~head_mask
         r_size = r_mask.bit_count()
         if r_size <= 2 * q:
-            return _Eval(_solve_induced(g, mask, max_states), node, mask,
+            return _Eval(_solve_induced(g, mask, max_states, deadline), node, mask,
                          children=children)
         sub, back = induced(g, mask)
         if not is_connected(sub):
@@ -279,7 +283,8 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
         head_graph, head_map = induced(g, head_mask)
         local = {orig: i for i, orig in enumerate(head_map)}
         k_local = mask_of(local[v] for v in bits(node.k))
-        head = analyze_head(head_graph, k_local, max_states=max_states)
+        head = analyze_head(head_graph, k_local, max_states=max_states,
+                            time_limit=_time_left(deadline))
         if r_size % 2 == 0:
             value = head.c_star + r_size // 2
         elif head.exists_sa2:
@@ -297,14 +302,20 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
 
 def cg_qgraph(g: Graph, tree: DecompositionTree, *,
               stats: EvalStats | None = None,
-              max_states: int = DEFAULT_MAX_STATES) -> int:
-    """Game value of a (q, q-4) graph, evaluated bottom-up over its tree."""
+              max_states: int = DEFAULT_MAX_STATES,
+              time_limit: float | None = None) -> int:
+    """Game value of a (q, q-4) graph, evaluated bottom-up over its tree.
+
+    ``time_limit`` covers the whole evaluation; ``max_states`` applies to
+    each exact solve on its own.
+    """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     if stats is None:
         stats = EvalStats()
-    return _evaluate(g, tree.root, tree.q, stats, max_states).value
+    return _evaluate(g, tree.root, tree.q, stats, max_states,
+                     _deadline(time_limit)).value
 
 
 # -- composed Alice strategy -----------------------------------------------------
@@ -446,15 +457,8 @@ class _ExactStrategy(_WantStrategy):
     def want(self, vred, vblue):
         lred = mask_of(self._fwd[v] for v in bits(vred))
         lblue = mask_of(self._fwd[v] for v in bits(vblue))
-        sub = self._core.g
-        avail = sub.full_mask & ~lred & ~lblue
-        if not avail:
-            return None
-        target = self._core.exact(lred, lblue)
-        for v in bits(avail):
-            if self._core.exact(lred | (1 << v), lblue) == target:
-                return self._back[v]
-        raise AssertionError("no value-preserving vertex in node game")
+        move = self._core.best_move(lred, lblue, 0, 0, self._core.exact(lred, lblue))
+        return None if move is None else self._back[move.v]
 
 
 class _UnionStrategy(_NodeStrategy):

@@ -6,6 +6,20 @@ stored, which keeps transposition keys small.  Alpha-beta pruning and
 admissible static bounds are used on the default path; an unpruned plain
 minimax is kept alongside so the no-effect-on-values invariant can be
 checked directly.
+
+The pruned search carries two summaries of the red set down the recursion
+instead of recomputing them at every node: ``reach``, the union of the red
+vertices' neighbourhoods (so ``reach & uncolored`` is N(red) minus the
+coloured vertices), and, for Plain and Connected, ``lc``, the order of the
+largest red component, which is the score at a leaf and a lower bound at
+every other node.  An Alice move updates both from the moved vertex alone.
+
+Optimal moves (principal variations, extracted strategies, oracle moves)
+come from one routine, ``_Core.best_move``: given the exact value t of a
+position, it returns the first legal move, by vertex index with Pass last,
+whose successor keeps t, deciding each successor with a null-window search
+(is it >= t after an Alice move, <= t after a Bob move) instead of solving
+it exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +40,8 @@ from .engine import (
     SkipBudget,
     Strategy,
     TargetSet,
+    _deadline,
+    _time_left,
     apply_move,
     legal_moves,
     score,
@@ -71,13 +87,17 @@ class _Core:
             raise CapacityError(
                 f"solver requires n <= {SOLVER_CAPACITY}, got {g.n}")
         self.g = g
+        self.adj = g.adj
+        self.full_mask = g.full_mask
         self.variant = variant
         self.kind, self.x = _variant_kind(variant)
+        # Plain and Connected score the largest red component, carried as lc
+        self.tracks_lc = self.kind in (_PLAIN_K, _CONNECTED_K)
         self.a_budget = variant.alice_budget if self.kind == _SKIP_K else 0
         self.b_budget = variant.bob_budget if self.kind == _SKIP_K else 0
         self.use_pruning = use_pruning
         self.max_states = max_states
-        self.deadline = None if time_limit is None else time.monotonic() + time_limit
+        self.deadline = _deadline(time_limit)
         self.expanded = 0
         self.tt: dict[int, tuple[int, int]] = {}
         # live components depend only on blue (live = V \ blue)
@@ -86,8 +106,8 @@ class _Core:
     # -- scoring ------------------------------------------------------------
 
     def _score(self, red: int) -> int:
-        adj = self.g.adj
-        if self.kind in (_PLAIN_K, _CONNECTED_K):
+        adj = self.adj
+        if self.tracks_lc:
             return largest_component_order(adj, red) if red else 0
         x = self.x
         if red == 0 or x == 0:
@@ -101,18 +121,35 @@ class _Core:
                 total += comp.bit_count()
         return total
 
-    # -- terminal and move machinery -----------------------------------------
+    # -- red-set summaries carried down the search ----------------------------
 
-    def _alice_moves_left(self, u: int, alice_to_move: bool) -> int:
-        return (u + 1) // 2 if alice_to_move else u // 2
+    def _red_summary(self, red: int) -> tuple[int, int]:
+        """``reach``, the union of the neighbourhoods of the red vertices, and
+        ``lc``, the order of the largest red component (0 unless tracked)."""
+        reach = 0
+        for v in bits(red):
+            reach |= self.adj[v]
+        lc = largest_component_order(self.adj, red) if self.tracks_lc and red else 0
+        return reach, lc
+
+    def _grown_lc(self, red: int, bit: int, reach: int, lc: int) -> int:
+        """``lc`` after Alice colours ``bit``."""
+        if not self.tracks_lc:
+            return lc
+        if not bit & reach:
+            return lc or 1
+        if lc == red.bit_count():  # red is connected, and bit touches it
+            return lc + 1
+        return max(lc, component_of(self.adj, bit, red | bit).bit_count())
+
+    # -- terminal and move machinery -----------------------------------------
 
     def _component_upper(self, red: int, blue: int, fa: int) -> int:
         """Admissible bound: the final largest red component lives inside one
         component of G - blue."""
-        live = self.g.full_mask & ~blue
         comps = self._live_comps.get(blue)
         if comps is None:
-            comps = components_within(self.g.adj, live)
+            comps = components_within(self.adj, self.full_mask & ~blue)
             self._live_comps[blue] = comps
         best = 0
         for comp in comps:
@@ -136,43 +173,38 @@ class _Core:
     # -- pruned search --------------------------------------------------------
 
     def search(self, red: int, blue: int, ask: int, bsk: int,
-               alpha: int, beta: int) -> int:
-        g = self.g
-        uncolored = g.full_mask & ~(red | blue)
-        rc, bc = red.bit_count(), blue.bit_count()
-        alice = (rc + ask) == (bc + bsk)
+               alpha: int, beta: int, reach: int, lc: int) -> int:
+        """Fail-soft alpha-beta value.  ``reach`` and ``lc`` summarise red as
+        ``_red_summary`` does; they are updated per move, never recomputed."""
+        uncolored = self.full_mask & ~(red | blue)
+        rc = red.bit_count()
+        alice = (rc + ask) == (blue.bit_count() + bsk)
         kind = self.kind
 
-        # terminal?
-        if kind == _SKIP_K:
-            can_pass = (ask < self.a_budget) if alice else (bsk < self.b_budget)
-            if uncolored == 0 and not can_pass:
-                return self._score(red)
-        elif kind == _CONNECTED_K:
-            if uncolored == 0:
-                return self._score(red)
-            if alice and red and not (g.neighborhood(red) & uncolored):
-                return self._score(red)
-        else:
-            if uncolored == 0:
-                return self._score(red)
+        # terminal: a full board (unless the mover may still pass), or a
+        # Connected Alice with no uncoloured neighbour of red
+        if uncolored == 0 and (kind != _SKIP_K or not (
+                (ask < self.a_budget) if alice else (bsk < self.b_budget))):
+            return lc if self.tracks_lc else self._score(red)
+        if kind == _CONNECTED_K and alice and red and not reach & uncolored:
+            return lc
 
         u = uncolored.bit_count()
         if kind == _SKIP_K:
             ub = rc + u
         else:
-            fa = self._alice_moves_left(u, alice)
+            fa = (u + 1) // 2 if alice else u // 2
             if kind == _TARGET_K:
                 ub = (rc + fa) if self.x else 0
             else:
                 ub = self._component_upper(red, blue, fa)
         if ub <= alpha:
             return ub
-        lb = 0
-        if rc >= beta or kind == _CONNECTED_K:
+        lb = lc
+        if not self.tracks_lc and rc >= beta:
             lb = self._score(red)
-            if lb >= beta:
-                return lb
+        if lb >= beta:
+            return lb
         if lb == ub:
             return lb
 
@@ -198,59 +230,56 @@ class _Core:
         self._tick()
 
         # move generation, neighbours of red first
-        if kind == _CONNECTED_K and alice and red:
-            cand = g.neighborhood(red) & uncolored
-            near, far = cand, 0
-        else:
-            near = g.neighborhood(red) & uncolored if red else 0
-            far = uncolored & ~near
+        near = reach & uncolored
+        far = 0 if kind == _CONNECTED_K and alice and red else uncolored & ~near
         a0, b0 = alpha, beta
         if alice:
+            adj = self.adj
             best = -1
             for part in (near, far):
-                for v in bits(part):
-                    bit = 1 << v
-                    val = self.search(red | bit, blue, ask, bsk, alpha, beta)
+                while part:
+                    bit = part & -part
+                    part ^= bit
+                    val = self.search(red | bit, blue, ask, bsk, alpha, beta,
+                                      reach | adj[bit.bit_length() - 1],
+                                      self._grown_lc(red, bit, reach, lc))
                     if val > best:
                         best = val
-                    if best > alpha:
-                        alpha = best
-                    if alpha >= beta:
-                        break
+                        if best > alpha:
+                            alpha = best
+                            if alpha >= beta:
+                                break
                 if alpha >= beta:
                     break
             if kind == _SKIP_K and ask < self.a_budget and alpha < beta:
-                val = self.search(red, blue, ask + 1, bsk, alpha, beta)
+                val = self.search(red, blue, ask + 1, bsk, alpha, beta, reach, lc)
                 if val > best:
                     best = val
-            flag = _EXACT
-            if best <= a0:
-                flag = _UPPER
-            elif best >= b0:
-                flag = _LOWER
         else:
             best = self.g.n + 1
             for part in (near, far):
-                for v in bits(part):
-                    bit = 1 << v
-                    val = self.search(red, blue | bit, ask, bsk, alpha, beta)
+                while part:
+                    bit = part & -part
+                    part ^= bit
+                    val = self.search(red, blue | bit, ask, bsk, alpha, beta,
+                                      reach, lc)
                     if val < best:
                         best = val
-                    if best < beta:
-                        beta = best
-                    if alpha >= beta:
-                        break
+                        if best < beta:
+                            beta = best
+                            if alpha >= beta:
+                                break
                 if alpha >= beta:
                     break
             if kind == _SKIP_K and bsk < self.b_budget and alpha < beta:
-                val = self.search(red, blue, ask, bsk + 1, alpha, beta)
+                val = self.search(red, blue, ask, bsk + 1, alpha, beta, reach, lc)
                 if val < best:
                     best = val
-            flag = _EXACT
-            if best <= a0:
-                flag = _UPPER
-            elif best >= b0:
-                flag = _LOWER
+        flag = _EXACT
+        if best <= a0:
+            flag = _UPPER
+        elif best >= b0:
+            flag = _LOWER
         self.tt[key] = (best, flag)
         return best
 
@@ -306,15 +335,48 @@ class _Core:
 
     def exact(self, red: int, blue: int, ask: int = 0, bsk: int = 0) -> int:
         if self.use_pruning:
-            return self.search(red, blue, ask, bsk, -1, self.g.n + 1)
+            return self.search(red, blue, ask, bsk, -1, self.g.n + 1,
+                               *self._red_summary(red))
         return self.search_plain(red, blue, ask, bsk)
 
     def exact_cfg(self, cfg: GameConfig) -> int:
         return self.exact(cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
 
-
-def _child_cfg(cfg: GameConfig, mover: Player, move: Move) -> GameConfig:
-    return apply_move(cfg, mover, move)
+    def best_move(self, red: int, blue: int, ask: int, bsk: int,
+                  t: int) -> Move | None:
+        """First legal move, by vertex index with Pass last, whose successor
+        keeps the position's exact value ``t`` (None when there is no legal
+        move).  A null-window search decides each successor: an Alice move
+        keeps ``t`` when it is worth at least ``t``, a Bob move at most ``t``."""
+        alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
+        reach, lc = self._red_summary(red)
+        cand = self.full_mask & ~(red | blue)
+        if self.kind == _CONNECTED_K and alice and red:
+            cand &= reach
+        moves: list[Move] = [ColorVertex(v) for v in bits(cand)]
+        if self.kind == _SKIP_K and ((ask < self.a_budget) if alice
+                                     else (bsk < self.b_budget)):
+            moves.append(PASS)
+        for move in moves:
+            if move is PASS:
+                child = (red, blue, ask + alice, bsk + (not alice), reach, lc)
+            elif alice:
+                bit = 1 << move.v
+                child = (red | bit, blue, ask, bsk, reach | self.adj[move.v],
+                         self._grown_lc(red, bit, reach, lc))
+            else:
+                child = (red, blue | 1 << move.v, ask, bsk, reach, lc)
+            if not self.use_pruning:
+                keep = self.search_plain(*child[:4]) == t
+            elif alice:
+                keep = self.search(*child[:4], t - 1, t, *child[4:]) >= t
+            else:
+                keep = self.search(*child[:4], t, t + 1, *child[4:]) <= t
+            if keep:
+                return move
+        if moves:
+            raise RuntimeError("no value-preserving move found (solver bug)")
+        return None
 
 
 class OptimalStrategy(Strategy):
@@ -331,34 +393,26 @@ class OptimalStrategy(Strategy):
         self.name = name
 
     def choose(self, g, variant, cfg, state, last_opp):
-        core = self._core
-        target = core.exact_cfg(cfg)
-        best_move = None
-        for move in legal_moves(g, variant, cfg):
-            child = _child_cfg(cfg, self.side, move)
-            val = core.exact_cfg(child)
-            if val == target:
-                best_move = move
-                break
-        if best_move is None:
-            raise RuntimeError("no value-preserving move found (solver bug)")
-        return best_move, None
+        pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
+        return self._core.best_move(*pos, self._core.exact(*pos)), None
 
 
 class SolveResult:
     """Exact game value with the search statistics and extractable strategies.
 
-    ``principal_variation`` is computed lazily from the memo table; for a
-    disconnected Plain game it covers the decisive component (the one whose
-    value is the game value) and replaying it yields a position whose score
-    equals ``value``.
+    ``principal_variation`` is computed lazily from the memo table; it starts
+    at ``initial``, and replaying it from there yields a position whose score
+    equals ``value``.  For a disconnected Plain game it covers the decisive
+    component (the one whose value is the game value).
     """
 
     def __init__(self, value: int, states_expanded: int, core: _Core,
+                 initial: GameConfig = GameConfig(),
                  component_map: tuple[int, ...] | None = None):
         self.value = value
         self.states_expanded = states_expanded
         self._core = core
+        self._initial = initial
         self._component_map = component_map
         self._pv: list[Move] | None = None
 
@@ -369,24 +423,15 @@ class SolveResult:
         return self._pv
 
     def _compute_pv(self) -> list[Move]:
-        core = self._core
-        g, variant = core.g, core.variant
-        cfg = GameConfig()
+        # every move on the line keeps the value, so one target serves all
+        cfg = self._initial
         line: list[Move] = []
         while True:
-            legal = legal_moves(g, variant, cfg)
-            if not legal:
+            chosen = self._core.best_move(cfg.red, cfg.blue, cfg.alice_skips_used,
+                                          cfg.bob_skips_used, self.value)
+            if chosen is None:
                 break
-            mover = cfg.mover()
-            target = core.exact_cfg(cfg)
-            chosen = None
-            for move in legal:
-                child = _child_cfg(cfg, mover, move)
-                if core.exact_cfg(child) == target:
-                    chosen = move
-                    break
-            assert chosen is not None
-            cfg = _child_cfg(cfg, mover, chosen)
+            cfg = apply_move(cfg, cfg.mover(), chosen)
             if self._component_map is not None and chosen is not PASS:
                 line.append(ColorVertex(self._component_map[chosen.v]))
             else:
@@ -411,8 +456,6 @@ def _solve_whole(g: Graph, variant: GameVariant, initial: GameConfig, *,
                  time_limit: float | None = None) -> SolveResult:
     core = _Core(g, variant, use_pruning=use_pruning, max_states=max_states,
                  time_limit=time_limit)
-    start = (initial.red, initial.blue,
-             initial.alice_skips_used, initial.bob_skips_used)
     if threads > 1 and initial == GameConfig():
         legal = legal_moves(g, variant, initial)
         mover = initial.mover()
@@ -421,19 +464,18 @@ def _solve_whole(g: Graph, variant: GameVariant, initial: GameConfig, *,
 
             def solve_child(move: Move) -> int:
                 child_core = _Core(g, variant, use_pruning=use_pruning,
-                                   max_states=max_states, time_limit=time_limit)
+                                   max_states=max_states,
+                                   time_limit=_time_left(core.deadline))
                 cores.append(child_core)
-                child = _child_cfg(initial, mover, move)
-                return child_core.exact_cfg(child)
+                return child_core.exact_cfg(apply_move(initial, mover, move))
 
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 vals = list(pool.map(solve_child, legal))
             value = max(vals) if mover is Player.ALICE else min(vals)
             expanded = sum(c.expanded for c in cores)
             # the untouched core serves lazy PV / strategy extraction
-            return SolveResult(value, expanded, core)
-    value = core.exact(*start)
-    return SolveResult(value, core.expanded, core)
+            return SolveResult(value, expanded, core, initial)
+    return SolveResult(core.exact_cfg(initial), core.expanded, core, initial)
 
 
 def cg(g: Graph, variant: GameVariant = Plain(), *,
@@ -447,7 +489,8 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
 
     For the Plain variant on a disconnected graph each connected component
     is solved independently and the maximum taken; all other variants solve
-    the whole graph.
+    the whole graph.  The state budget and the time limit cover the whole
+    call: each component gets only what the earlier ones left.
     """
     if g.n > SOLVER_CAPACITY:
         raise CapacityError(f"solver requires n <= {SOLVER_CAPACITY}, got {g.n}")
@@ -455,20 +498,20 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
     if isinstance(variant, Plain) and split_components and initial == GameConfig():
         comps = components(g)
         if len(comps) > 1:
+            deadline = _deadline(time_limit)
             best = None
             total = 0
             for comp in comps:
                 sub, back = induced(g, comp)
                 res = _solve_whole(sub, variant, GameConfig(),
                                    use_pruning=use_pruning,
-                                   max_states=max_states, threads=threads,
-                                   time_limit=time_limit)
+                                   max_states=max_states - total, threads=threads,
+                                   time_limit=_time_left(deadline))
                 total += res.states_expanded
                 if best is None or res.value > best[0].value:
                     best = (res, back)
             res, back = best
-            out = SolveResult(res.value, total, res._core, component_map=back)
-            return out
+            return SolveResult(res.value, total, res._core, component_map=back)
     return _solve_whole(g, variant, initial, use_pruning=use_pruning,
                         max_states=max_states, threads=threads,
                         time_limit=time_limit)
@@ -591,18 +634,9 @@ class TargetOracle:
         return self._core(a_off, b_off).exact(red, blue, a_off, b_off)
 
     def best_vertex(self, red: int, blue: int, a_off: int = 0, b_off: int = 0) -> int:
+        # the offsets use up the core's pass budgets, so the move is a vertex
         core = self._core(a_off, b_off)
-        alice = (red.bit_count() + a_off) == (blue.bit_count() + b_off)
-        target = core.exact(red, blue, a_off, b_off)
-        for v in bits(self.g.full_mask & ~(red | blue)):
-            bit = 1 << v
-            if alice:
-                val = core.exact(red | bit, blue, a_off, b_off)
-            else:
-                val = core.exact(red, blue | bit, a_off, b_off)
-            if val == target:
-                return v
-        raise RuntimeError("no value-preserving vertex (solver bug)")
+        return core.best_move(red, blue, a_off, b_off, core.exact(red, blue, a_off, b_off)).v
 
 
 class _CompoundSkipGame:
@@ -731,17 +765,20 @@ class _CompoundSkipGame:
 
 
 def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
-                 max_states: int = DEFAULT_MAX_STATES) -> HeadAnalysis:
+                 max_states: int = DEFAULT_MAX_STATES,
+                 time_limit: float | None = None) -> HeadAnalysis:
     """Analyse a constant-size head: the target-set value plus the existence
     of the two compound one-skip strategies used by the pseudo-spider rule.
 
     ``strict_pass_rule`` pins the reading where the player who benefits from
     the opponent's earlier pass must not pass afterwards; the relaxed
-    reading only demands the improved score.
+    reading only demands the improved score.  ``time_limit`` bounds the
+    target-set solve; the compound-skip searches run unbudgeted.
     """
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
-    c_star = cg(g1, TargetSet(k), max_states=max_states).value
+    c_star = cg(g1, TargetSet(k), max_states=max_states,
+                time_limit=time_limit).value
     sa2_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE, strict_pass_rule)
     sb2_game = _CompoundSkipGame(g1, k, c_star, Player.BOB, strict_pass_rule)
     exists_sa2 = sa2_game.wins()

@@ -1,0 +1,114 @@
+"""Move extraction: the null-window ``_Core.best_move`` against the unpruned
+reference rule (the first legal move, by index with Pass last, whose
+successor keeps the exact value)."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from lcsgame.engine import (
+    CONNECTED,
+    PLAIN,
+    GameConfig,
+    Player,
+    SkipBudget,
+    TargetSet,
+    apply_move,
+    legal_moves,
+)
+from lcsgame.generators import random_connected_gnm
+from lcsgame.graphs import Graph, components
+from lcsgame.solver import TargetOracle, _Core, cg
+
+
+def reference_move(core: _Core, cfg: GameConfig):
+    """First value-keeping legal move, read off an unpruned core."""
+    target = core.exact_cfg(cfg)
+    for move in legal_moves(core.g, core.variant, cfg):
+        if core.exact_cfg(apply_move(cfg, cfg.mover(), move)) == target:
+            return move
+    return None
+
+
+def reference_pv(g: Graph, variant) -> list:
+    core = _Core(g, variant, use_pruning=False)
+    cfg, line = GameConfig(), []
+    while (move := reference_move(core, cfg)) is not None:
+        cfg = apply_move(cfg, cfg.mover(), move)
+        line.append(move)
+    return line
+
+
+def random_position(g: Graph, variant, rng: random.Random) -> GameConfig:
+    """A position reached by a random number of random legal moves."""
+    cfg = GameConfig()
+    for _ in range(rng.randrange(g.n)):
+        legal = legal_moves(g, variant, cfg)
+        if not legal:
+            break
+        cfg = apply_move(cfg, cfg.mover(), legal[rng.randrange(len(legal))])
+    return cfg
+
+
+class TestPrincipalVariation:
+    def test_all_small_graphs_pruned_equals_unpruned(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for em in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if em >> i & 1])
+                for variant in (PLAIN, CONNECTED):
+                    pruned = cg(g, variant).principal_variation
+                    plain = cg(g, variant, use_pruning=False).principal_variation
+                    assert pruned == plain, (n, g.edges(), variant)
+                    if len(components(g)) == 1:
+                        assert pruned == reference_pv(g, variant), (g.edges(), variant)
+
+    def test_target_and_skip_variants_match_reference(self):
+        rng = random.Random(31)
+        for _ in range(24):
+            n = rng.randint(2, 8)
+            g = random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            x = rng.randrange(1, 1 << n)
+            for variant in (TargetSet(x), SkipBudget(1, 1, x), SkipBudget(1, 0, x)):
+                assert cg(g, variant).principal_variation == reference_pv(g, variant), \
+                    (g.edges(), variant)
+
+
+class TestStrategyMoves:
+    def test_optimal_strategy_matches_reference(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            n = rng.randint(3, 8)
+            g = random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            x = rng.randrange(1, 1 << n)
+            variant = rng.choice([PLAIN, CONNECTED, TargetSet(x), SkipBudget(1, 1, x)])
+            res = cg(g, variant)
+            ref = _Core(g, variant, use_pruning=False)
+            for _ in range(4):
+                cfg = random_position(g, variant, rng)
+                want = reference_move(ref, cfg)
+                if want is None:
+                    continue
+                strat = (res.alice_strategy() if cfg.mover() is Player.ALICE
+                         else res.bob_strategy())
+                assert strat.choose(g, variant, cfg, None, None)[0] == want
+
+    def test_target_oracle_matches_reference(self):
+        rng = random.Random(33)
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            g = random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
+            x = rng.randrange(1, 1 << n)
+            oracle = TargetOracle(g, x)
+            for _ in range(4):
+                a_off, b_off = rng.randint(0, 1), rng.randint(0, 1)
+                red = blue = 0
+                for v in rng.sample(range(n), rng.randrange(n)):
+                    if rng.random() < 0.5:
+                        red |= 1 << v
+                    else:
+                        blue |= 1 << v
+                ref = _Core(g, SkipBudget(a_off, b_off, x), use_pruning=False)
+                want = reference_move(ref, GameConfig(red, blue, a_off, b_off))
+                assert oracle.best_vertex(red, blue, a_off, b_off) == want.v

@@ -111,6 +111,14 @@ class TestVerify:
                             "--bob", "clique_chain_bob")
         assert code == 0 and "concedes at most" in text
 
+    def test_time_limit_exit_3(self, capsys, tmp_path):
+        # lowest-index Alice on C16 has more than 2048 adversary states
+        f = tmp_path / "c16.g"
+        run(capsys, "generate", "cycle", "n=16", "--out", str(f))
+        code, _, err = run(capsys, "verify", "--graph", str(f),
+                            "--alice", "lowest", "--time-limit", "0")
+        assert code == 3 and "time limit" in err
+
     def test_unknown_strategy_exit_2(self, capsys, tmp_path):
         f = tmp_path / "p.g"
         run(capsys, "generate", "path", "n=4", "--out", str(f))
@@ -128,6 +136,16 @@ class TestQgraphCommand:
         code, text, _ = run(capsys, "qgraph", "--graph", str(g),
                             "--tree", str(t))
         assert code == 0 and "tree valid" in text and "c_g = 3" in text
+
+    def test_time_limit_exit_3(self, capsys, tmp_path):
+        # the one-leaf tree makes an exact solve of C14: over 2048 states
+        g = tmp_path / "c14.g"
+        t = tmp_path / "c14.t"
+        run(capsys, "generate", "cycle", "n=14", "--out", str(g))
+        t.write_text("q 14\n(leaf " + " ".join(map(str, range(14))) + ")\n")
+        code, text, err = run(capsys, "qgraph", "--graph", str(g),
+                              "--tree", str(t), "--time-limit", "0")
+        assert code == 3 and "tree valid" in text and "time limit" in err
 
     def test_invalid_tree_diagnosed(self, capsys, tmp_path):
         g = tmp_path / "p.g"

@@ -23,7 +23,7 @@ from lcsgame.engine import (
     score,
     verify_strategy_exhaustive,
 )
-from lcsgame.generators import random_connected_gnm
+from lcsgame.generators import cartesian_grid, random_connected_gnm
 from lcsgame.graphs import (
     CapacityError,
     Graph,
@@ -97,6 +97,15 @@ class TestKnownValues:
     def test_budget_error_distinct(self):
         with pytest.raises(BudgetExceededError):
             cg(cycle(10), max_states=2)
+
+    def test_state_budget_covers_all_components(self):
+        grid = cartesian_grid(2, 5).graph
+        one = cg(grid).states_expanded
+        twice = Graph.from_edges(20, grid.edges() + [(u + 10, v + 10)
+                                                     for u, v in grid.edges()])
+        assert cg(twice, max_states=2 * one).states_expanded == 2 * one
+        with pytest.raises(BudgetExceededError):
+            cg(twice, max_states=one + 10)
 
 
 class TestNaiveOracleEquivalence:
@@ -282,6 +291,16 @@ class TestResultArtifacts:
             for move in res.principal_variation:
                 cfg = apply_move(cfg, cfg.mover(), move)
             assert score(g, PLAIN, cfg.red) == res.value
+
+    def test_pv_starts_at_initial_position(self):
+        g = path(6)
+        initial = GameConfig(red=0b1, blue=0b10)
+        res = cg(g, initial=initial)
+        cfg = initial
+        for move in res.principal_variation:
+            cfg = apply_move(cfg, cfg.mover(), move)
+        assert cfg.colored == g.full_mask
+        assert score(g, PLAIN, cfg.red) == res.value
 
     def test_pv_on_disconnected_graph_covers_decisive_component(self):
         g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2),
