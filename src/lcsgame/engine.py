@@ -6,6 +6,14 @@ or, in the target-set variant, the total order of the red components meeting
 the target set.  Turn order is never stored: whoever has taken fewer turns
 (counting a pass as a turn) moves next, so a configuration alone determines
 the mover.
+
+``GameConfig`` and ``Move`` objects are the public currency.  Inside, the
+strategy verifier and the playout loop work on packed ints -- the red and
+blue masks plus the skips each player has used -- and build a configuration
+or a move only where a strategy's ``choose`` or an objective reads it.
+Legality comes from one helper, ``_legal_masks``; under Plain and
+TargetSet, where every uncoloured vertex is legal and nobody passes, the two
+loops read the uncoloured mask directly.
 """
 
 from __future__ import annotations
@@ -104,6 +112,15 @@ class GameConfig:
     alice_skips_used: int = 0
     bob_skips_used: int = 0
 
+    def __init__(self, red: int = 0, blue: int = 0,
+                 alice_skips_used: int = 0, bob_skips_used: int = 0):
+        # the generated frozen __init__ sets each field through
+        # object.__setattr__; filling the instance dict directly halves the
+        # cost of the configuration built for every strategy turn
+        d = self.__dict__
+        d["red"], d["blue"] = red, blue
+        d["alice_skips_used"], d["bob_skips_used"] = alice_skips_used, bob_skips_used
+
     @property
     def colored(self) -> int:
         return self.red | self.blue
@@ -143,27 +160,47 @@ def _time_left(deadline: float | None) -> float | None:
     return None if deadline is None else deadline - time.monotonic()
 
 
+def _legal_masks(g: Graph, variant: GameVariant, red: int, blue: int,
+                 ask: int, bsk: int) -> tuple[int, bool, bool]:
+    """Legal moves of a packed position: (vertex mask, pass allowed, Alice
+    to move).  ``ask``/``bsk`` are the skips Alice and Bob have used; no
+    vertex and no pass means the game is over for the mover."""
+    alice = red.bit_count() + ask == blue.bit_count() + bsk
+    uncolored = g.full_mask & ~(red | blue)
+    kind = type(variant)
+    if kind is Plain or kind is TargetSet:
+        return uncolored, False, alice
+    if kind is Connected:
+        if alice and red:
+            uncolored &= g.neighborhood(red)
+        return uncolored, False, alice
+    if kind is SkipBudget:
+        if alice:
+            return uncolored, ask < variant.alice_budget, alice
+        return uncolored, bsk < variant.bob_budget, alice
+    raise TypeError(f"unknown variant {variant!r}")
+
+
 def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
     """Legal moves for the derived mover, ordered by vertex index, Pass last.
 
     An empty list signals that the game is over for the mover.
     """
-    uncolored = g.full_mask & ~cfg.colored
-    mover = cfg.mover()
-    if isinstance(variant, (Plain, TargetSet)):
-        return [ColorVertex(v) for v in bits(uncolored)]
-    if isinstance(variant, Connected):
-        if mover is Player.BOB or cfg.red == 0:
-            return [ColorVertex(v) for v in bits(uncolored)]
-        return [ColorVertex(v) for v in bits(g.neighborhood(cfg.red) & uncolored)]
-    if isinstance(variant, SkipBudget):
-        moves: list[Move] = [ColorVertex(v) for v in bits(uncolored)]
-        used = cfg.alice_skips_used if mover is Player.ALICE else cfg.bob_skips_used
-        budget = variant.alice_budget if mover is Player.ALICE else variant.bob_budget
-        if used < budget:
-            moves.append(PASS)
-        return moves
-    raise TypeError(f"unknown variant {variant!r}")
+    mask, pass_ok, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
+                                    cfg.alice_skips_used, cfg.bob_skips_used)
+    moves: list[Move] = [ColorVertex(v) for v in bits(mask)]
+    if pass_ok:
+        moves.append(PASS)
+    return moves
+
+
+def lowest_legal_move(g: Graph, variant: GameVariant, cfg: GameConfig) -> Move:
+    """The lowest-index legal vertex, or Pass when no vertex is legal."""
+    mask, _, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
+                              cfg.alice_skips_used, cfg.bob_skips_used)
+    if mask:
+        return ColorVertex((mask & -mask).bit_length() - 1)
+    return PASS
 
 
 def apply_move(cfg: GameConfig, mover: Player, move: Move) -> GameConfig:
@@ -246,30 +283,21 @@ class FunctionStrategy(Strategy):
 
 def lowest_index_strategy() -> Strategy:
     """Colour the lowest-index legal vertex; pass only when forced."""
-
-    def fn(g, variant, cfg, last_opp):
-        moves = legal_moves(g, variant, cfg)
-        for m in moves:
-            if m is not PASS:
-                return m
-        return moves[0]
-
-    return FunctionStrategy("lowest", fn)
+    return FunctionStrategy(
+        "lowest", lambda g, variant, cfg, last_opp: lowest_legal_move(g, variant, cfg))
 
 
 def first_move_strategy(first: int) -> Strategy:
     """Open at a designated vertex, then play lowest-index legal vertices."""
+    first_bit = 1 << first if first >= 0 else 0
 
     def fn(g, variant, cfg, last_opp):
-        moves = legal_moves(g, variant, cfg)
         if cfg.red == 0:
-            for m in moves:
-                if m is not PASS and m.v == first:
-                    return m
-        for m in moves:
-            if m is not PASS:
-                return m
-        return moves[0]
+            mask, _, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
+                                      cfg.alice_skips_used, cfg.bob_skips_used)
+            if mask & first_bit:
+                return ColorVertex(first)
+        return lowest_legal_move(g, variant, cfg)
 
     return FunctionStrategy(f"first:{first}", fn)
 
@@ -358,6 +386,19 @@ def play_match(g: Graph, variant: GameVariant, alice: Strategy, bob: Strategy) -
 DEFAULT_VERIFY_BUDGET = 500_000_000
 
 
+def _fixed_move_bit(fixed: Strategy, move: object, mask: int,
+                    pass_ok: bool) -> int:
+    """The bit a fixed strategy's move colours (0 for a pass), after checking
+    it against the mover's legal masks."""
+    if move is PASS:
+        if pass_ok:
+            return 0
+    elif (isinstance(move, ColorVertex) and isinstance(move.v, int)
+          and move.v >= 0 and mask >> move.v & 1):
+        return 1 << move.v
+    raise StrategyError(f"strategy {fixed.name!r} returned illegal move {move}")
+
+
 def verify_strategy_exhaustive(
     g: Graph, variant: GameVariant, fixed: Strategy, fixed_side: Player,
     *, max_states: int = DEFAULT_VERIFY_BUDGET,
@@ -368,14 +409,18 @@ def verify_strategy_exhaustive(
 
     The fixed side's moves are forced; the opponent branches over all legal
     moves.  Returns the minimum final score when the fixed side is Alice and
-    the maximum when it is Bob, memoised on (configuration, private state)
-    at adversary decision points.  ``time_limit`` (seconds) is checked every
-    2048 expanded states.
+    the maximum when it is Bob, memoised on (red, blue, skips used, private
+    state) at adversary decision points.  ``time_limit`` (seconds) is
+    checked every 2048 expanded states.
     """
     if objective is None:
         objective = lambda cfg: score(g, variant, cfg.red)
-    adversary = fixed_side.opponent
-    minimise = fixed_side is Player.ALICE
+    alice_fixed = fixed_side is Player.ALICE
+    minimise = alice_fixed
+    # Plain and TargetSet: every uncoloured vertex is legal, never a pass
+    open_board = isinstance(variant, (Plain, TargetSet))
+    full = g.full_mask
+    vertex_moves = [ColorVertex(v) for v in range(g.n)]
     memo: dict[Hashable, int] = {}
     expanded = 0
     deadline = _deadline(time_limit)
@@ -383,29 +428,33 @@ def verify_strategy_exhaustive(
     # the state budget or the clock
     check_at = max_states if deadline is None else min(max_states, 2047)
 
-    def run_fixed(cfg: GameConfig, state: Hashable,
-                  last_adv: Move | None) -> tuple[GameConfig, Hashable]:
-        """Advance through the fixed side's (forced) moves until it is the
-        adversary's turn or the game ends."""
-        while True:
-            legal = legal_moves(g, variant, cfg)
-            if not legal:
-                return cfg, state
-            if cfg.mover() is adversary:
-                return cfg, state
-            move, state = fixed.choose(g, variant, cfg, state, last_adv)
-            if move not in legal:
-                raise StrategyError(
-                    f"strategy {fixed.name!r} returned illegal move {move}")
-            cfg = apply_move(cfg, fixed_side, move)
-            last_adv = None
-
-    def adv_value(cfg: GameConfig, state: Hashable) -> int:
+    def value(red: int, blue: int, ask: int, bsk: int, alice: bool,
+              state: Hashable, last_adv: Move | None) -> int:
+        """Play the fixed side's (forced) move, then branch over every
+        adversary move; the final score once the game ends.  ``alice``:
+        Alice is to move (turns alternate; a pass is a turn)."""
         nonlocal expanded, check_at
-        legal = legal_moves(g, variant, cfg)
-        if not legal:
-            return objective(cfg)
-        key = (cfg, state)
+        while True:
+            if open_board:
+                mask, pass_ok = full & ~(red | blue), False
+            else:
+                mask, pass_ok, _ = _legal_masks(g, variant, red, blue, ask, bsk)
+            if not (mask or pass_ok):
+                return objective(GameConfig(red, blue, ask, bsk))
+            if alice != alice_fixed:
+                break
+            move, state = fixed.choose(g, variant, GameConfig(red, blue, ask, bsk),
+                                       state, last_adv)
+            bit = _fixed_move_bit(fixed, move, mask, pass_ok)
+            if alice:  # a pass colours no bit and uses a skip
+                red |= bit
+                ask += not bit
+            else:
+                blue |= bit
+                bsk += not bit
+            alice = not alice
+            last_adv = None
+        key = (red, blue, ask, bsk, state)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -418,23 +467,25 @@ def verify_strategy_exhaustive(
                 raise BudgetExceededError("verification exceeded its time limit")
             check_at = min(max_states, expanded + 2047)
         best = None
-        for move in legal:
-            nxt = apply_move(cfg, adversary, move)
-            ncfg, nstate = run_fixed(nxt, state, move)
-            val = adv_value(ncfg, nstate)
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            last = vertex_moves[bit.bit_length() - 1]
+            if alice:
+                val = value(red | bit, blue, ask, bsk, False, state, last)
+            else:
+                val = value(red, blue | bit, ask, bsk, True, state, last)
+            if best is None or (val < best if minimise else val > best):
+                best = val
+        if pass_ok:
+            val = value(red, blue, ask + alice, bsk + (not alice), not alice,
+                        state, PASS)
             if best is None or (val < best if minimise else val > best):
                 best = val
         memo[key] = best
         return best
 
-    start_cfg, start_state = run_fixed(EMPTY_CONFIG, fixed.initial_state(), None)
-    return adv_value(start_cfg, start_state)
-
-
-def _nth_set_bit(mask: int, idx: int) -> int:
-    for _ in range(idx):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
+    return value(0, 0, 0, 0, True, fixed.initial_state(), None)
 
 
 def random_playouts(
@@ -444,59 +495,60 @@ def random_playouts(
 ) -> list[int]:
     """Final scores of the fixed strategy against a uniform random adversary.
 
-    Plain and target-set games use a move loop over raw masks (the playout
-    count is the whole point here); other variants go through the generic
-    legality machinery.
+    The adversary draws uniformly among its legal moves, in the order of
+    ``legal_moves`` (vertex index, Pass last), with one ``randrange`` per
+    turn; the uncoloured vertices are kept as a sorted list, so under Plain
+    and TargetSet the draw indexes that list directly.
     """
     if objective is None:
         objective = lambda cfg: score(g, variant, cfg.red)
     rng = random.Random(seed)
-    out = []
-    fast = isinstance(variant, (Plain, TargetSet))
+    alice_fixed = fixed_side is Player.ALICE
+    # Plain and TargetSet: every uncoloured vertex is legal, never a pass
+    open_board = isinstance(variant, (Plain, TargetSet))
     full = g.full_mask
+    vertex_moves = [ColorVertex(v) for v in range(g.n)]
+    out = []
     for _ in range(n_playouts):
         state = fixed.initial_state()
         last_adv: Move | None = None
-        if fast:
-            red = blue = 0
-            alice_fixed = fixed_side is Player.ALICE
-            alice_turn = True
-            uncolored = full
-            ucount = g.n
-            while ucount:
-                if alice_turn == alice_fixed:
-                    cfg = GameConfig(red, blue)
-                    move, state = fixed.choose(g, variant, cfg, state, last_adv)
-                    if move is PASS or (uncolored >> move.v & 1) == 0:
-                        raise StrategyError(
-                            f"strategy {fixed.name!r} returned illegal move {move}")
-                    bit = 1 << move.v
-                else:
-                    bit = 1 << _nth_set_bit(uncolored, rng.randrange(ucount))
-                    last_adv = ColorVertex(bit.bit_length() - 1)
-                if alice_turn:
-                    red |= bit
-                else:
-                    blue |= bit
-                uncolored ^= bit
-                ucount -= 1
-                alice_turn = not alice_turn
-            out.append(objective(GameConfig(red, blue)))
-            continue
-        cfg = EMPTY_CONFIG
+        red = blue = ask = bsk = 0
+        free = list(range(g.n))
+        alice = True  # turns alternate; a pass is a turn
         while True:
-            legal = legal_moves(g, variant, cfg)
-            if not legal:
-                break
-            if cfg.mover() is fixed_side:
-                move, state = fixed.choose(g, variant, cfg, state, last_adv)
-                if move not in legal:
-                    raise StrategyError(
-                        f"strategy {fixed.name!r} returned illegal move {move}")
-                cfg = apply_move(cfg, fixed_side, move)
+            if open_board:
+                mask, pass_ok = full & ~(red | blue), False
             else:
-                move = legal[rng.randrange(len(legal))]
-                cfg = apply_move(cfg, fixed_side.opponent, move)
-                last_adv = move
-        out.append(objective(cfg))
+                mask, pass_ok, _ = _legal_masks(g, variant, red, blue, ask, bsk)
+            if not (mask or pass_ok):
+                break
+            if alice == alice_fixed:
+                move, state = fixed.choose(g, variant, GameConfig(red, blue, ask, bsk),
+                                           state, last_adv)
+                bit = _fixed_move_bit(fixed, move, mask, pass_ok)
+                if bit:
+                    free.remove(move.v)
+            else:
+                if open_board or len(free) == mask.bit_count():
+                    cands = free
+                else:
+                    cands = [v for v in free if mask >> v & 1]
+                idx = rng.randrange(len(cands) + pass_ok)
+                if idx == len(cands):
+                    bit, last_adv = 0, PASS
+                else:
+                    v = cands[idx]
+                    if cands is free:
+                        free.pop(idx)
+                    else:
+                        free.remove(v)
+                    bit, last_adv = 1 << v, vertex_moves[v]
+            if alice:
+                red |= bit
+                ask += not bit
+            else:
+                blue |= bit
+                bsk += not bit
+            alice = not alice
+        out.append(objective(GameConfig(red, blue, ask, bsk)))
     return out

@@ -152,8 +152,10 @@ def component_of(adj: tuple[int, ...], start_bit: int, within: int) -> int:
     frontier = start_bit
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & within & ~comp
         comp |= frontier
     return comp

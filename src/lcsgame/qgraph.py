@@ -24,7 +24,7 @@ from .engine import (
     TargetSet,
     _deadline,
     _time_left,
-    legal_moves,
+    lowest_legal_move,
 )
 from .graphs import Graph, bits, induced, is_clique, is_connected, is_independent, mask_of
 from .solver import (
@@ -215,6 +215,7 @@ def matched_spider_value(n: int, k_size: int) -> int:
 @dataclass
 class EvalStats:
     nodes_evaluated: int = 0
+    states_expanded: int = 0  # by the exact solves and head analyses
 
 
 @dataclass
@@ -230,34 +231,39 @@ class _Eval:
     head_map: tuple[int, ...] = ()
 
 
-def _solve_induced(g: Graph, mask: int, max_states: int,
+def _solve_induced(g: Graph, mask: int, stats: EvalStats, state_cap: int,
                    deadline: float | None) -> int:
     sub, _ = induced(g, mask)
-    return cg(sub, max_states=max_states, time_limit=_time_left(deadline)).value
+    res = cg(sub, max_states=state_cap - stats.states_expanded,
+             time_limit=_time_left(deadline))
+    stats.states_expanded += res.states_expanded
+    return res.value
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
-              max_states: int, deadline: float | None = None) -> _Eval:
-    """Value of a tree node; every exact solve it starts shares ``deadline``."""
+              state_cap: int, deadline: float | None = None) -> _Eval:
+    """Value of a tree node.  The exact solves it starts share ``deadline``
+    and one state budget: each may expand what is left of ``state_cap``
+    once ``stats.states_expanded`` is taken off."""
     stats.nodes_evaluated += 1
     mask = vertex_set(node)
     n = mask.bit_count()
     if isinstance(node, Leaf):
-        return _Eval(_solve_induced(g, mask, max_states, deadline), node, mask)
+        return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask)
     if isinstance(node, UnionNode):
-        le = _evaluate(g, node.left, q, stats, max_states, deadline)
-        re = _evaluate(g, node.right, q, stats, max_states, deadline)
+        le = _evaluate(g, node.left, q, stats, state_cap, deadline)
+        re = _evaluate(g, node.right, q, stats, state_cap, deadline)
         best = le if le.value >= re.value else re
         return _Eval(max(le.value, re.value), node, mask,
                      best_child=best, children=(le, re))
     if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, max_states, deadline)
-        re = _evaluate(g, node.right, q, stats, max_states, deadline)
+        le = _evaluate(g, node.left, q, stats, state_cap, deadline)
+        re = _evaluate(g, node.right, q, stats, state_cap, deadline)
         return _Eval((n + 1) // 2, node, mask, children=(le, re))
     if isinstance(node, Spider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states, deadline),)
+            children = (_evaluate(g, node.r_tree, q, stats, state_cap, deadline),)
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
             value = (n + 1) // 2
@@ -268,12 +274,12 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
     if isinstance(node, PseudoSpider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states, deadline),)
+            children = (_evaluate(g, node.r_tree, q, stats, state_cap, deadline),)
         head_mask = node.s | node.k
         r_mask = mask & ~head_mask
         r_size = r_mask.bit_count()
         if r_size <= 2 * q:
-            return _Eval(_solve_induced(g, mask, max_states, deadline), node, mask,
+            return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask,
                          children=children)
         sub, back = induced(g, mask)
         if not is_connected(sub):
@@ -283,8 +289,10 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
         head_graph, head_map = induced(g, head_mask)
         local = {orig: i for i, orig in enumerate(head_map)}
         k_local = mask_of(local[v] for v in bits(node.k))
-        head = analyze_head(head_graph, k_local, max_states=max_states,
+        head = analyze_head(head_graph, k_local,
+                            max_states=state_cap - stats.states_expanded,
                             time_limit=_time_left(deadline))
+        stats.states_expanded += head.states_expanded
         if r_size % 2 == 0:
             value = head.c_star + r_size // 2
         elif head.exists_sa2:
@@ -306,15 +314,17 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
               time_limit: float | None = None) -> int:
     """Game value of a (q, q-4) graph, evaluated bottom-up over its tree.
 
-    ``time_limit`` covers the whole evaluation; ``max_states`` applies to
-    each exact solve on its own.
+    ``max_states`` and ``time_limit`` cover the whole evaluation: each exact
+    solve and head analysis gets only what the earlier ones left (the
+    compound-skip searches inside a head analysis run unbudgeted).
     """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     if stats is None:
         stats = EvalStats()
-    return _evaluate(g, tree.root, tree.q, stats, max_states,
+    return _evaluate(g, tree.root, tree.q, stats,
+                     stats.states_expanded + max_states,
                      _deadline(time_limit)).value
 
 
@@ -593,10 +603,7 @@ class ComposedAliceStrategy(Strategy):
             state = self._root.saw_opponent(state, last_opp.v)
         w, state = self._root.next_move(state, cfg, g)
         if w is None:
-            for m in legal_moves(g, variant, cfg):
-                if m is not PASS:
-                    return m, state
-            return PASS, state
+            return lowest_legal_move(g, variant, cfg), state
         return ColorVertex(w), state
 
 

@@ -15,10 +15,9 @@ from .engine import (
     PASS,
     ColorVertex,
     GameConfig,
-    Move,
     Player,
     Strategy,
-    legal_moves,
+    lowest_legal_move,
 )
 from .graphs import (
     FormatError,
@@ -351,13 +350,6 @@ def _lowest_uncolored(mask: int, cfg: GameConfig) -> int | None:
     return (avail & -avail).bit_length() - 1
 
 
-def _fallback_move(g, variant, cfg) -> Move:
-    for m in legal_moves(g, variant, cfg):
-        if m is not PASS:
-            return m
-    return PASS
-
-
 class CnfLift(Strategy):
     """Translate a CNF winning strategy onto the bipartite or split graph.
 
@@ -403,18 +395,21 @@ class CnfLift(Strategy):
             x, state = self._respond_variable(state, None)
             if x is not None and not (cfg.colored >> x & 1):
                 return ColorVertex(x), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         v = last_opp.v if last_opp is not PASS else None
         if v is not None and (self.var_mask >> v & 1):
             x, state = self._respond_variable(state, v)
             if x is not None and not (cfg.colored >> x & 1):
                 return ColorVertex(x), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if v is not None:
             partner = self.red.pair_partner.get(v)
             if partner is not None and not (cfg.colored >> partner & 1):
                 return ColorVertex(partner), state
-        return _fallback_move(g, variant, cfg), state
+        return lowest_legal_move(g, variant, cfg), state
+
+
+_HEX = -1  # PlanarBobLift group marker: a vertex of the embedded hex board
 
 
 class PlanarBobLift(Strategy):
@@ -432,26 +427,24 @@ class PlanarBobLift(Strategy):
         self.red = red
         self.source = source
         self.name = "lift_planar_bob"
+        # the group each vertex answers into, tested in the proof's order:
+        # the s-star, the t-star, the hex board (_HEX), then the first hub
+        # whose leaves hold it; 0 means no group
+        groups = [(red.s_group, red.s_group), (red.t_group, red.t_group),
+                  (red.hex_vertices, _HEX)]
+        groups += [(leaves, leaves) for leaves in red.hub_leaves.values()]
+        self._group = [next((grp for members, grp in groups if members >> v & 1), 0)
+                       for v in range(red.g.n)]
 
     def initial_state(self):
         return (0, 0)  # virtual hex red/blue (excluding the pre-red s, t)
 
     def choose(self, g, variant, cfg, state, last_opp):
-        red = self.red
         if last_opp is None or last_opp is PASS:
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         v = last_opp.v
-        if red.s_group >> v & 1:
-            w = _lowest_uncolored(red.s_group, cfg)
-            if w is not None:
-                return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
-        if red.t_group >> v & 1:
-            w = _lowest_uncolored(red.t_group, cfg)
-            if w is not None:
-                return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
-        if red.hex_vertices >> v & 1:
+        group = self._group[v]
+        if group == _HEX:
             hred, hblue = state
             hred |= 1 << v
             free = self.source.playable & ~hred & ~hblue
@@ -461,15 +454,12 @@ class PlanarBobLift(Strategy):
                 state = (hred, hblue)
                 if not (cfg.colored >> w & 1):
                     return ColorVertex(w), state
-                return _fallback_move(g, variant, cfg), state
-            return _fallback_move(g, variant, cfg), (hred, hblue)
-        for hub, leaves in red.hub_leaves.items():
-            if leaves >> v & 1:
-                w = _lowest_uncolored(leaves, cfg)
-                if w is not None:
-                    return ColorVertex(w), state
-                break
-        return _fallback_move(g, variant, cfg), state
+                return lowest_legal_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), (hred, hblue)
+        w = _lowest_uncolored(group, cfg)
+        if w is not None:
+            return ColorVertex(w), state
+        return lowest_legal_move(g, variant, cfg), state
 
 
 _A_OPEN_S, _A_HUB_S, _A_THIRD, _A_T, _A_HUB_T, _A_FIFTH = range(6)
@@ -525,13 +515,13 @@ class PlanarAliceLift(Strategy):
             state = (_A_HUB_S, hred, hblue)
             if not (cfg.colored >> r.s_vertex & 1):
                 return ColorVertex(r.s_vertex), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_HUB_S:
             state = (_A_THIRD, hred, hblue)
             w = _lowest_uncolored(self.s_hubs, cfg)
             if w is not None:
                 return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_THIRD:
             w = _lowest_uncolored(self.s_hubs, cfg)
             if w is not None:
@@ -539,13 +529,13 @@ class PlanarAliceLift(Strategy):
             state = (_A_T, hred, hblue)
             if not (cfg.colored >> r.t_vertex & 1):
                 return ColorVertex(r.t_vertex), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_T:
             state = (_A_HUB_T, hred, hblue)
             w = _lowest_uncolored(self.t_hubs, cfg)
             if w is not None:
                 return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_HUB_T:
             w = _lowest_uncolored(self.t_hubs, cfg)
             if w is not None:
@@ -554,17 +544,17 @@ class PlanarAliceLift(Strategy):
             w, state = self._hex_respond((_A_HEX, hred, hblue), None, cfg)
             if w is not None:
                 return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_LEAF_S:
             w = self._my_hub_leaves(self.s_hubs, cfg)
             if w is not None:
                 return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         if phase == _A_LEAF_T:
             w = self._my_hub_leaves(self.t_hubs, cfg)
             if w is not None:
                 return ColorVertex(w), state
-            return _fallback_move(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         # hex phase
         if last_opp is not None and last_opp is not PASS:
             v = last_opp.v
@@ -572,14 +562,14 @@ class PlanarAliceLift(Strategy):
                 w, state = self._hex_respond(state, v, cfg)
                 if w is not None:
                     return ColorVertex(w), state
-                return _fallback_move(g, variant, cfg), state
+                return lowest_legal_move(g, variant, cfg), state
             for hub, leaves in r.hub_leaves.items():
                 if leaves >> v & 1:
                     w = _lowest_uncolored(leaves, cfg)
                     if w is not None:
                         return ColorVertex(w), state
                     break
-        return _fallback_move(g, variant, cfg), state
+        return lowest_legal_move(g, variant, cfg), state
 
 
 def lift_strategy(reduction: ReductionOutput, side: Player, source) -> Strategy:

@@ -602,6 +602,7 @@ class HeadAnalysis:
     c_star: int
     exists_sa2: bool
     exists_sb2: bool
+    states_expanded: int = 0  # by the target-set solve of c_star
 
     # solver handles kept for strategy extraction
     _sa2_game: "_CompoundSkipGame | None" = None
@@ -777,8 +778,8 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
     """
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
-    c_star = cg(g1, TargetSet(k), max_states=max_states,
-                time_limit=time_limit).value
+    target = cg(g1, TargetSet(k), max_states=max_states, time_limit=time_limit)
+    c_star = target.value
     sa2_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE, strict_pass_rule)
     sb2_game = _CompoundSkipGame(g1, k, c_star, Player.BOB, strict_pass_rule)
     exists_sa2 = sa2_game.wins()
@@ -794,7 +795,7 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
         if not hold_game.wins():
             hold_game = None
     oracle = TargetOracle(g1, k, max_states=max_states)
-    return HeadAnalysis(c_star, exists_sa2, exists_sb2,
+    return HeadAnalysis(c_star, exists_sa2, exists_sb2, target.states_expanded,
                         _sa2_game=sa2_game if exists_sa2 else None,
                         _hold_game=hold_game,
                         _oracle=oracle)

@@ -16,10 +16,8 @@ from .engine import (
     PASS,
     ColorVertex,
     GameConfig,
-    GameVariant,
-    Move,
     Strategy,
-    legal_moves,
+    lowest_legal_move,
 )
 from .graphs import (
     Graph,
@@ -30,14 +28,6 @@ from .graphs import (
     is_connected,
     mask_of,
 )
-
-
-def _fallback(g: Graph, variant: GameVariant, cfg: GameConfig) -> Move:
-    moves = legal_moves(g, variant, cfg)
-    for m in moves:
-        if m is not PASS:
-            return m
-    return moves[0]
 
 
 def _lowest_uncolored_in(mask: int, cfg: GameConfig) -> int | None:
@@ -86,20 +76,20 @@ class PairingStrategy(Strategy):
         if last_opp is None or cfg.colored == 0:
             if plan.opening is not None and not (cfg.colored >> plan.opening & 1):
                 return ColorVertex(plan.opening), None
-            return _fallback(g, variant, cfg), None
+            return lowest_legal_move(g, variant, cfg), None
         if last_opp is PASS:
-            return _fallback(g, variant, cfg), None
+            return lowest_legal_move(g, variant, cfg), None
         v = last_opp.v
         resp = plan.triggers.get(v)
         if resp is not None:
             for w in resp:
                 if not (cfg.colored >> w & 1):
                     return ColorVertex(w), None
-            return _fallback(g, variant, cfg), None
+            return lowest_legal_move(g, variant, cfg), None
         partner = self._partner.get(v)
         if partner is not None and not (cfg.colored >> partner & 1):
             return ColorVertex(partner), None
-        return _fallback(g, variant, cfg), None
+        return lowest_legal_move(g, variant, cfg), None
 
 
 def make_pairing_strategy(plan: PairingPlan) -> Strategy:
@@ -126,7 +116,7 @@ class MaxDegreeAlice(Strategy):
         w = _lowest_uncolored_in(g.adj[self.hub], cfg)
         if w is not None:
             return ColorVertex(w), None
-        return _fallback(g, variant, cfg), None
+        return lowest_legal_move(g, variant, cfg), None
 
 
 def alice_max_degree(g: Graph) -> Strategy:
@@ -156,7 +146,7 @@ class DegreeSumAlice(Strategy):
         if not (cfg.colored >> self.hub & 1):
             return ColorVertex(self.hub), None
         if not (cfg.red >> self.hub & 1):
-            return _fallback(g, variant, cfg), None
+            return lowest_legal_move(g, variant, cfg), None
         comp = component_of(g.adj, 1 << self.hub, cfg.red)
         dominated = g.closed_neighborhood(comp)
         r_uncol = g.full_mask & ~dominated & ~cfg.colored
@@ -166,7 +156,7 @@ class DegreeSumAlice(Strategy):
             if w_cands:
                 w = (w_cands & -w_cands).bit_length() - 1
                 return ColorVertex(w), None
-        return _fallback(g, variant, cfg), None
+        return lowest_legal_move(g, variant, cfg), None
 
 
 def alice_degree_sum(g: Graph) -> Strategy:
@@ -219,13 +209,13 @@ class CubicBob(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if last_opp is None or last_opp is PASS:
-            return _fallback(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         v = last_opp.v
         partner = self.partner.get(v)
         if partner is not None:
             if not (cfg.colored >> partner & 1):
                 return ColorVertex(partner), state
-            return _fallback(g, variant, cfg), state
+            return lowest_legal_move(g, variant, cfg), state
         # exterior vertex: commit if needed, then exhaust that side's exteriors
         if state == 0:
             state = 1 if (self.sides[0] >> v & 1) else 2
@@ -236,7 +226,7 @@ class CubicBob(Strategy):
             else:
                 w = avail.bit_length() - 1
             return ColorVertex(w), state
-        return _fallback(g, variant, cfg), state
+        return lowest_legal_move(g, variant, cfg), state
 
 
 # -- the spider priority strategy ---------------------------------------------
@@ -276,7 +266,7 @@ class SpiderExhaust(Strategy):
         w = _lowest_uncolored_in(g.full_mask & ~bad_s, cfg)
         if w is not None:
             return ColorVertex(w), None
-        return _fallback(g, variant, cfg), None
+        return lowest_legal_move(g, variant, cfg), None
 
 
 # -- named builtin strategies ----------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lcsgame.engine import PLAIN, Player, verify_strategy_exhaustive
+from lcsgame.engine import PLAIN, BudgetExceededError, Player, verify_strategy_exhaustive
 from lcsgame.generators import spider
 from lcsgame.graphs import Graph, bits
 from lcsgame.qgraph import (
@@ -26,7 +26,7 @@ from lcsgame.qgraph import (
     validate_tree,
     vertex_set,
 )
-from lcsgame.solver import cg
+from lcsgame.solver import analyze_head, cg
 
 from oracles import naive_cg
 
@@ -154,6 +154,34 @@ class TestEvaluation:
             g = Graph.from_edges(n, edges)
             t = DecompositionTree(4, nodes[0])
             assert cg_qgraph(g, t) == naive_cg(g) if n <= 6 else cg(g).value
+
+    def test_state_budget_covers_the_whole_call(self):
+        # two disjoint C12 under a union: each leaf solve takes what the
+        # other left, as cg does on the same disconnected graph
+        c12 = [(i, (i + 1) % 12) for i in range(12)]
+        g = Graph.from_edges(24, c12 + [(u + 12, v + 12) for u, v in c12])
+        t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12)))
+        one = cg(Graph.from_edges(12, c12)).states_expanded
+        stats = EvalStats()
+        assert cg_qgraph(g, t, stats=stats, max_states=2 * one) == 2
+        assert stats.states_expanded == 2 * one
+        with pytest.raises(BudgetExceededError):
+            cg_qgraph(g, t, max_states=one + 10)
+
+    def test_head_analysis_draws_from_the_call_budget(self):
+        # head: path 0-1-2 with K = {1}; seven rest vertices hang off 1
+        edges = [(0, 1), (1, 2)] + [(1, 3 + j) for j in range(7)]
+        g = Graph.from_edges(10, edges)
+        t = DecompositionTree(3, PseudoSpider(0b101, 0b010,
+                                              union_chain(list(range(3, 10)))))
+        head = analyze_head(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b010)
+        stats = EvalStats()
+        assert cg_qgraph(g, t, stats=stats) == cg(g).value
+        # the c_star solve plus one single-vertex solve per rest leaf
+        assert stats.states_expanded == head.states_expanded + 7
+        assert cg_qgraph(g, t, max_states=stats.states_expanded) == cg(g).value
+        with pytest.raises(BudgetExceededError):
+            cg_qgraph(g, t, max_states=stats.states_expanded - 1)
 
     def test_disconnected_large_rest_pseudo_spider_rejected(self):
         # isolated S vertex: the large-rest rule requires a connected node
