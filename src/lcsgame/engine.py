@@ -11,9 +11,9 @@ the mover.
 strategy verifier and the playout loop work on packed ints -- the red and
 blue masks plus the skips each player has used -- and build a configuration
 or a move only where a strategy's ``choose`` or an objective reads it.
-Legality comes from one helper, ``_legal_masks``; under Plain and
-TargetSet, where every uncoloured vertex is legal and nobody passes, the two
-loops read the uncoloured mask directly.
+Legality comes from one helper, ``_legal_masks``; under the variants in
+``_OPEN_BOARD``, where every uncoloured vertex is legal and nobody passes,
+the two loops read the uncoloured mask directly.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ GameVariant = Union[Plain, TargetSet, Connected, SkipBudget]
 PLAIN = Plain()
 CONNECTED = Connected()
 
+# variants under which every uncoloured vertex is legal and nobody passes
+_OPEN_BOARD = (Plain, TargetSet)
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -115,8 +118,9 @@ class GameConfig:
     def __init__(self, red: int = 0, blue: int = 0,
                  alice_skips_used: int = 0, bob_skips_used: int = 0):
         # the generated frozen __init__ sets each field through
-        # object.__setattr__; filling the instance dict directly halves the
-        # cost of the configuration built for every strategy turn
+        # object.__setattr__; filling the instance dict directly takes about
+        # a tenth off the strategy benchmark, which builds one configuration
+        # per strategy turn.  A test keeps the parameters equal to the fields.
         d = self.__dict__
         d["red"], d["blue"] = red, blue
         d["alice_skips_used"], d["bob_skips_used"] = alice_skips_used, bob_skips_used
@@ -161,24 +165,28 @@ def _time_left(deadline: float | None) -> float | None:
 
 
 def _legal_masks(g: Graph, variant: GameVariant, red: int, blue: int,
-                 ask: int, bsk: int) -> tuple[int, bool, bool]:
-    """Legal moves of a packed position: (vertex mask, pass allowed, Alice
-    to move).  ``ask``/``bsk`` are the skips Alice and Bob have used; no
-    vertex and no pass means the game is over for the mover."""
-    alice = red.bit_count() + ask == blue.bit_count() + bsk
+                 ask: int, bsk: int, alice: bool) -> tuple[int, bool]:
+    """Legal moves of a packed position: (vertex mask, pass allowed).
+    ``ask``/``bsk`` are the skips Alice and Bob have used, ``alice`` says
+    who moves; no vertex and no pass means the game is over for the mover."""
     uncolored = g.full_mask & ~(red | blue)
     kind = type(variant)
-    if kind is Plain or kind is TargetSet:
-        return uncolored, False, alice
+    if kind in _OPEN_BOARD:
+        return uncolored, False
     if kind is Connected:
         if alice and red:
             uncolored &= g.neighborhood(red)
-        return uncolored, False, alice
+        return uncolored, False
     if kind is SkipBudget:
         if alice:
-            return uncolored, ask < variant.alice_budget, alice
-        return uncolored, bsk < variant.bob_budget, alice
+            return uncolored, ask < variant.alice_budget
+        return uncolored, bsk < variant.bob_budget
     raise TypeError(f"unknown variant {variant!r}")
+
+
+def _cfg_masks(g: Graph, variant: GameVariant, cfg: GameConfig) -> tuple[int, bool]:
+    return _legal_masks(g, variant, cfg.red, cfg.blue, cfg.alice_skips_used,
+                        cfg.bob_skips_used, cfg.mover() is Player.ALICE)
 
 
 def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
@@ -186,8 +194,7 @@ def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
 
     An empty list signals that the game is over for the mover.
     """
-    mask, pass_ok, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
-                                    cfg.alice_skips_used, cfg.bob_skips_used)
+    mask, pass_ok = _cfg_masks(g, variant, cfg)
     moves: list[Move] = [ColorVertex(v) for v in bits(mask)]
     if pass_ok:
         moves.append(PASS)
@@ -196,8 +203,7 @@ def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
 
 def lowest_legal_move(g: Graph, variant: GameVariant, cfg: GameConfig) -> Move:
     """The lowest-index legal vertex, or Pass when no vertex is legal."""
-    mask, _, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
-                              cfg.alice_skips_used, cfg.bob_skips_used)
+    mask, _ = _cfg_masks(g, variant, cfg)
     if mask:
         return ColorVertex((mask & -mask).bit_length() - 1)
     return PASS
@@ -293,8 +299,7 @@ def first_move_strategy(first: int) -> Strategy:
 
     def fn(g, variant, cfg, last_opp):
         if cfg.red == 0:
-            mask, _, _ = _legal_masks(g, variant, cfg.red, cfg.blue,
-                                      cfg.alice_skips_used, cfg.bob_skips_used)
+            mask, _ = _cfg_masks(g, variant, cfg)
             if mask & first_bit:
                 return ColorVertex(first)
         return lowest_legal_move(g, variant, cfg)
@@ -417,8 +422,9 @@ def verify_strategy_exhaustive(
         objective = lambda cfg: score(g, variant, cfg.red)
     alice_fixed = fixed_side is Player.ALICE
     minimise = alice_fixed
-    # Plain and TargetSet: every uncoloured vertex is legal, never a pass
-    open_board = isinstance(variant, (Plain, TargetSet))
+    # skipping the _legal_masks call on an open board takes about a tenth
+    # off the strategy benchmark
+    open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
     vertex_moves = [ColorVertex(v) for v in range(g.n)]
     memo: dict[Hashable, int] = {}
@@ -438,7 +444,7 @@ def verify_strategy_exhaustive(
             if open_board:
                 mask, pass_ok = full & ~(red | blue), False
             else:
-                mask, pass_ok, _ = _legal_masks(g, variant, red, blue, ask, bsk)
+                mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice)
             if not (mask or pass_ok):
                 return objective(GameConfig(red, blue, ask, bsk))
             if alice != alice_fixed:
@@ -497,15 +503,15 @@ def random_playouts(
 
     The adversary draws uniformly among its legal moves, in the order of
     ``legal_moves`` (vertex index, Pass last), with one ``randrange`` per
-    turn; the uncoloured vertices are kept as a sorted list, so under Plain
-    and TargetSet the draw indexes that list directly.
+    turn.  On an open board (Plain, TargetSet) the draw indexes a sorted
+    list of the uncoloured vertices kept across turns; under the other
+    variants, a list of the legal vertices built for the turn.
     """
     if objective is None:
         objective = lambda cfg: score(g, variant, cfg.red)
     rng = random.Random(seed)
     alice_fixed = fixed_side is Player.ALICE
-    # Plain and TargetSet: every uncoloured vertex is legal, never a pass
-    open_board = isinstance(variant, (Plain, TargetSet))
+    open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
     vertex_moves = [ColorVertex(v) for v in range(g.n)]
     out = []
@@ -519,29 +525,22 @@ def random_playouts(
             if open_board:
                 mask, pass_ok = full & ~(red | blue), False
             else:
-                mask, pass_ok, _ = _legal_masks(g, variant, red, blue, ask, bsk)
+                mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice)
             if not (mask or pass_ok):
                 break
             if alice == alice_fixed:
                 move, state = fixed.choose(g, variant, GameConfig(red, blue, ask, bsk),
                                            state, last_adv)
                 bit = _fixed_move_bit(fixed, move, mask, pass_ok)
-                if bit:
+                if bit and open_board:
                     free.remove(move.v)
             else:
-                if open_board or len(free) == mask.bit_count():
-                    cands = free
-                else:
-                    cands = [v for v in free if mask >> v & 1]
+                cands = free if open_board else list(bits(mask))
                 idx = rng.randrange(len(cands) + pass_ok)
                 if idx == len(cands):
                     bit, last_adv = 0, PASS
                 else:
-                    v = cands[idx]
-                    if cands is free:
-                        free.pop(idx)
-                    else:
-                        free.remove(v)
+                    v = cands.pop(idx)
                     bit, last_adv = 1 << v, vertex_moves[v]
             if alice:
                 red |= bit

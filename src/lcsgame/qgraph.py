@@ -240,30 +240,31 @@ def _solve_induced(g: Graph, mask: int, stats: EvalStats, state_cap: int,
     return res.value
 
 
-def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
+def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
               state_cap: int, deadline: float | None = None) -> _Eval:
     """Value of a tree node.  The exact solves it starts share ``deadline``
     and one state budget: each may expand what is left of ``state_cap``
-    once ``stats.states_expanded`` is taken off."""
+    once ``stats.states_expanded`` is taken off.  ``max_states`` caps each
+    core that a head's target oracle solves later, during play."""
     stats.nodes_evaluated += 1
     mask = vertex_set(node)
     n = mask.bit_count()
     if isinstance(node, Leaf):
         return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask)
     if isinstance(node, UnionNode):
-        le = _evaluate(g, node.left, q, stats, state_cap, deadline)
-        re = _evaluate(g, node.right, q, stats, state_cap, deadline)
+        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
+        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
         best = le if le.value >= re.value else re
         return _Eval(max(le.value, re.value), node, mask,
                      best_child=best, children=(le, re))
     if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, state_cap, deadline)
-        re = _evaluate(g, node.right, q, stats, state_cap, deadline)
+        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
+        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
         return _Eval((n + 1) // 2, node, mask, children=(le, re))
     if isinstance(node, Spider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, state_cap, deadline),)
+            children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
             value = (n + 1) // 2
@@ -274,7 +275,7 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
     if isinstance(node, PseudoSpider):
         children = ()
         if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, state_cap, deadline),)
+            children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
         head_mask = node.s | node.k
         r_mask = mask & ~head_mask
         r_size = r_mask.bit_count()
@@ -289,8 +290,8 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats,
         head_graph, head_map = induced(g, head_mask)
         local = {orig: i for i, orig in enumerate(head_map)}
         k_local = mask_of(local[v] for v in bits(node.k))
-        head = analyze_head(head_graph, k_local,
-                            max_states=state_cap - stats.states_expanded,
+        head = analyze_head(head_graph, k_local, max_states=max_states,
+                            target_states=state_cap - stats.states_expanded,
                             time_limit=_time_left(deadline))
         stats.states_expanded += head.states_expanded
         if r_size % 2 == 0:
@@ -315,15 +316,15 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
     """Game value of a (q, q-4) graph, evaluated bottom-up over its tree.
 
     ``max_states`` and ``time_limit`` cover the whole evaluation: each exact
-    solve and head analysis gets only what the earlier ones left (the
-    compound-skip searches inside a head analysis run unbudgeted).
+    solve and each head's target-set solve gets only what the earlier ones
+    left (the compound-skip searches inside a head analysis run unbudgeted).
     """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     if stats is None:
         stats = EvalStats()
-    return _evaluate(g, tree.root, tree.q, stats,
+    return _evaluate(g, tree.root, tree.q, stats, max_states,
                      stats.states_expanded + max_states,
                      _deadline(time_limit)).value
 
@@ -637,12 +638,17 @@ def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
 
 def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
                           max_states: int = DEFAULT_MAX_STATES) -> Strategy:
-    """Alice strategy achieving cg_qgraph(g, tree) against any Bob."""
+    """Alice strategy achieving cg_qgraph(g, tree) against any Bob.
+
+    The evaluation behind it keeps one ``max_states`` budget, as in
+    ``cg_qgraph``; each exact core the strategy solves later, during play,
+    gets the full ``max_states`` again.
+    """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     stats = EvalStats()
-    ev = _evaluate(g, tree.root, tree.q, stats, max_states)
+    ev = _evaluate(g, tree.root, tree.q, stats, max_states, max_states)
     root = _build_strategy(g, ev, max_states)
     return ComposedAliceStrategy(g, root, "qgraph-alice")
 

@@ -767,18 +767,23 @@ class _CompoundSkipGame:
 
 def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
                  max_states: int = DEFAULT_MAX_STATES,
+                 target_states: int | None = None,
                  time_limit: float | None = None) -> HeadAnalysis:
     """Analyse a constant-size head: the target-set value plus the existence
     of the two compound one-skip strategies used by the pseudo-spider rule.
 
     ``strict_pass_rule`` pins the reading where the player who benefits from
     the opponent's earlier pass must not pass afterwards; the relaxed
-    reading only demands the improved score.  ``time_limit`` bounds the
-    target-set solve; the compound-skip searches run unbudgeted.
+    reading only demands the improved score.  ``target_states`` (default
+    ``max_states``) and ``time_limit`` bound the target-set solve;
+    ``max_states`` also bounds each core the returned oracle solves later.
+    The compound-skip searches run unbudgeted.
     """
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
-    target = cg(g1, TargetSet(k), max_states=max_states, time_limit=time_limit)
+    if target_states is None:
+        target_states = max_states
+    target = cg(g1, TargetSet(k), max_states=target_states, time_limit=time_limit)
     c_star = target.value
     sa2_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE, strict_pass_rule)
     sb2_game = _CompoundSkipGame(g1, k, c_star, Player.BOB, strict_pass_rule)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +49,23 @@ def path(n):
 
 def complete(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+class TestGameConfig:
+    def test_init_parameters_are_the_fields(self):
+        # GameConfig writes its own __init__; it must take every field, in
+        # order and with its default
+        params = list(inspect.signature(GameConfig.__init__).parameters.values())[1:]
+        assert [(p.name, p.default) for p in params] == \
+            [(f.name, f.default) for f in dataclasses.fields(GameConfig)]
+
+    def test_fields_set_and_frozen(self):
+        cfg = GameConfig(1, 2, alice_skips_used=1)
+        assert dataclasses.astuple(cfg) == (1, 2, 1, 0)
+        assert cfg == dataclasses.replace(EMPTY_CONFIG, red=1, blue=2, alice_skips_used=1)
+        assert hash(cfg) == hash(GameConfig(1, 2, 1, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.red = 3
 
 
 class TestLegalMoves:

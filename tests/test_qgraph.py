@@ -167,6 +167,10 @@ class TestEvaluation:
         assert stats.states_expanded == 2 * one
         with pytest.raises(BudgetExceededError):
             cg_qgraph(g, t, max_states=one + 10)
+        # the strategy's evaluation keeps the same single budget
+        alice_strategy_qgraph(g, t, max_states=2 * one)
+        with pytest.raises(BudgetExceededError):
+            alice_strategy_qgraph(g, t, max_states=one + 10)
 
     def test_head_analysis_draws_from_the_call_budget(self):
         # head: path 0-1-2 with K = {1}; seven rest vertices hang off 1
@@ -182,6 +186,17 @@ class TestEvaluation:
         assert cg_qgraph(g, t, max_states=stats.states_expanded) == cg(g).value
         with pytest.raises(BudgetExceededError):
             cg_qgraph(g, t, max_states=stats.states_expanded - 1)
+
+    def test_head_oracle_keeps_the_per_solve_budget(self):
+        # only the c_star solve draws from what is left; the oracle's cores,
+        # solved later during play, keep the full max_states
+        g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        need = analyze_head(g3, 0b010).states_expanded
+        head = analyze_head(g3, 0b010, max_states=1000, target_states=need)
+        assert head.c_star == analyze_head(g3, 0b010).c_star
+        assert head._oracle.max_states == 1000
+        with pytest.raises(BudgetExceededError):
+            analyze_head(g3, 0b010, max_states=1000, target_states=need - 1)
 
     def test_disconnected_large_rest_pseudo_spider_rejected(self):
         # isolated S vertex: the large-rest rule requires a connected node
