@@ -12,7 +12,6 @@ import sys
 
 from .engine import (
     CONNECTED,
-    PASS,
     PLAIN,
     BudgetExceededError,
     Player,
@@ -30,11 +29,9 @@ from .graphs import (
 )
 from .qgraph import cg_qgraph, read_tree, spider_tree, validate_tree, write_tree
 from .reductions import (
-    CnfGameSolver,
     build_bipartite,
     build_planar,
     build_split,
-    format_hex,
     hex_from_document,
     read_cnf,
 )
@@ -75,8 +72,7 @@ def _cmd_solve(args) -> int:
     doc = read_graph(args.graph)
     variant = _parse_variant(args.variant)
     res = cg(doc.graph, variant, max_states=args.max_states,
-             threads=args.threads, time_limit=args.time_limit,
-             use_pruning=not args.no_pruning)
+             time_limit=args.time_limit, use_pruning=not args.no_pruning)
     print(f"c_g = {res.value}")
     print(f"states expanded = {res.states_expanded}")
     if args.pv:
@@ -197,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--variant", default="plain",
                     help="plain | connected | target:FILE | skip:a,b,target:FILE")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--no-pruning", action="store_true")
     sp.add_argument("--pv", action="store_true",
                     help="also print the principal variation")

@@ -14,6 +14,10 @@ or a move only where a strategy's ``choose`` or an objective reads it.
 Legality comes from one helper, ``_legal_masks``; under the variants in
 ``_OPEN_BOARD``, where every uncoloured vertex is legal and nobody passes,
 the two loops read the uncoloured mask directly.
+
+``AndOrSearch`` is the one memoised win/lose search; the source games of
+the reductions, the head analysis and CDS forcing each supply its
+``expand``.
 """
 
 from __future__ import annotations
@@ -154,6 +158,65 @@ class StrategyError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Search state budget exhausted before a value was computed."""
+
+
+class AndOrSearch:
+    """Memoised AND/OR search of a win/lose game over hashable positions.
+
+    ``expand(pos)`` returns True or False at a decided position (a win or a
+    loss for the protagonist), and otherwise ``(or_node, children)``, where
+    ``children`` yields ``(move, child)`` pairs in the game's move order.
+    At an OR node the protagonist moves and wins if some child wins; at an
+    AND node the opponent moves and the protagonist wins only if every child
+    does.  Every position is memoised, and the memo is read before
+    ``expand`` runs.  ``max_states`` bounds the positions expanded into
+    children, on either side.
+    """
+
+    def __init__(self, expand: Callable[[Hashable], object],
+                 max_states: int | None = None):
+        self.expand = expand
+        self.max_states = max_states
+        self.expanded = 0
+        self.memo: dict[Hashable, bool] = {}
+
+    def wins(self, pos: Hashable) -> bool:
+        hit = self.memo.get(pos)
+        if hit is not None:
+            return hit
+        node = self.expand(pos)
+        if isinstance(node, bool):
+            result = node
+        else:
+            self.expanded += 1
+            if self.max_states is not None and self.expanded > self.max_states:
+                raise BudgetExceededError(
+                    f"search exceeded state budget of {self.max_states}")
+            # the node takes the mover's wanted outcome once a child gives it
+            or_node, children = node
+            result = not or_node
+            for _, child in children:
+                if self.wins(child) == or_node:
+                    result = or_node
+                    break
+        self.memo[pos] = result
+        return result
+
+    def move(self, pos: Hashable, first: object = None) -> object:
+        """The first move (``first`` tried before the others) whose child
+        gives the mover the outcome it wants: a protagonist win at an OR
+        node, a loss at an AND node.  None at a decided position and when no
+        move does."""
+        node = self.expand(pos)
+        if isinstance(node, bool):
+            return None
+        or_node, children = node
+        if first is not None:
+            children = sorted(children, key=lambda mc: mc[0] != first)
+        for mv, child in children:
+            if self.wins(child) == or_node:
+                return mv
+        return None
 
 
 def _deadline(time_limit: float | None) -> float | None:

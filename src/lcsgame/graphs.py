@@ -39,8 +39,9 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def lowest_bit_index(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def lowest_bit_index(mask: int) -> int | None:
+    """Index of the lowest set bit of *mask*; None when *mask* is empty."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 @dataclass(frozen=True)
@@ -100,15 +101,16 @@ class Graph:
 
     def neighborhood(self, s: int) -> int:
         """Open neighbourhood N(s) of a vertex set, as a mask."""
-        out = 0
-        for v in bits(s):
-            out |= self.adj[v]
-        return out & ~s
+        return self.closed_neighborhood(s) & ~s
 
     def closed_neighborhood(self, s: int) -> int:
-        out = s
-        for v in bits(s):
-            out |= self.adj[v]
+        """Closed neighbourhood N[s] of a vertex set, as a mask."""
+        adj = self.adj
+        out = rest = s
+        while rest:
+            low = rest & -rest
+            out |= adj[low.bit_length() - 1]
+            rest ^= low
         return out
 
     def __str__(self) -> str:

@@ -11,22 +11,20 @@ moves, the standard device that keeps them sound when wrapped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Union as TUnion
+from typing import Hashable, NoReturn, Union as TUnion
 
 from .engine import (
     PASS,
     ColorVertex,
     GameConfig,
-    Move,
     Plain,
-    Player,
     Strategy,
-    TargetSet,
     _deadline,
     _time_left,
     lowest_legal_move,
 )
-from .graphs import Graph, bits, induced, is_clique, is_connected, is_independent, mask_of
+from .graphs import (Graph, bits, induced, is_clique, is_connected, is_independent,
+                     lowest_bit_index, mask_of)
 from .solver import (
     DEFAULT_MAX_STATES,
     HeadAnalysis,
@@ -103,14 +101,19 @@ class ValidationResult:
         return self.ok
 
 
+class _InvalidTree(Exception):
+    """A failed structural invariant; the message starts with the node path."""
+
+
 def validate_tree(g: Graph, tree: DecompositionTree) -> ValidationResult:
     """Check every structural invariant of the tree against g, bottom-up.
 
+    Each node's vertex mask is built once, from its children's masks.
     Returns false plus a diagnostic path naming the first failing node.
     """
 
-    def fail(path: str, why: str) -> ValidationResult:
-        return ValidationResult(False, f"{path}: {why}")
+    def fail(path: str, why: str) -> NoReturn:
+        raise _InvalidTree(f"{path}: {why}")
 
     def cross_edges_all(a: int, b: int) -> bool:
         return all(g.adj[v] & b == b for v in bits(a))
@@ -118,80 +121,66 @@ def validate_tree(g: Graph, tree: DecompositionTree) -> ValidationResult:
     def cross_edges_none(a: int, b: int) -> bool:
         return all(not (g.adj[v] & b) for v in bits(a))
 
-    def walk(node: Node, path: str) -> ValidationResult:
+    def walk(node: Node, path: str) -> int:
+        """The vertex mask of a node whose whole subtree passes."""
         if isinstance(node, Leaf):
             if node.vertices == 0:
-                return fail(path, "empty leaf")
+                fail(path, "empty leaf")
             if node.vertices & ~g.full_mask:
-                return fail(path, "leaf vertices outside graph")
+                fail(path, "leaf vertices outside graph")
             if node.vertices.bit_count() > tree.q:
-                return fail(path, f"leaf larger than q={tree.q}")
-            return ValidationResult(True)
+                fail(path, f"leaf larger than q={tree.q}")
+            return node.vertices
         if isinstance(node, (UnionNode, JoinNode)):
-            a, b = vertex_set(node.left), vertex_set(node.right)
+            a = walk(node.left, path + ".left")
+            b = walk(node.right, path + ".right")
             if a & b:
-                return fail(path, "children overlap")
-            if a == 0 or b == 0:
-                return fail(path, "empty child")
+                fail(path, "children overlap")
             if isinstance(node, UnionNode) and not cross_edges_none(a, b):
-                return fail(path, "union children are joined by an edge")
+                fail(path, "union children are joined by an edge")
             if isinstance(node, JoinNode) and not cross_edges_all(a, b):
-                return fail(path, "join is missing a cross edge")
-            r = walk(node.left, path + ".left")
-            if not r:
-                return r
-            return walk(node.right, path + ".right")
+                fail(path, "join is missing a cross edge")
+            return a | b
+        if not isinstance(node, (Spider, PseudoSpider)):
+            fail(path, f"unknown node type {type(node).__name__}")
+        s, k = node.s, node.k
+        r = walk(node.r_tree, path + ".r") if node.r_tree is not None else 0
+        if isinstance(node, Spider) and node.flavor not in ("matched", "antimatched"):
+            fail(path, f"unknown flavour {node.flavor!r}")
+        if s & k or s & r or k & r:
+            fail(path, "S, K, R are not disjoint")
         if isinstance(node, Spider):
-            s, k = node.s, node.k
-            r = vertex_set(node.r_tree) if node.r_tree is not None else 0
-            if node.flavor not in ("matched", "antimatched"):
-                return fail(path, f"unknown flavour {node.flavor!r}")
-            if s & k or s & r or k & r:
-                return fail(path, "S, K, R are not disjoint")
             if s.bit_count() != k.bit_count() or s.bit_count() < 2:
-                return fail(path, "need |S| = |K| >= 2")
+                fail(path, "need |S| = |K| >= 2")
             if not is_independent(g, s):
-                return fail(path, "S is not independent")
+                fail(path, "S is not independent")
             if not is_clique(g, k):
-                return fail(path, "K is not a clique")
+                fail(path, "K is not a clique")
             if {a for a, _ in node.fmap} != set(bits(s)) or \
                sorted(b for _, b in node.fmap) != sorted(bits(k)):
-                return fail(path, "f is not a bijection S -> K")
+                fail(path, "f is not a bijection S -> K")
             for sv, kv in node.fmap:
                 want = (1 << kv) if node.flavor == "matched" else k & ~(1 << kv)
                 if g.adj[sv] & k != want:
-                    return fail(path, f"vertex {sv} breaks the {node.flavor} pattern")
-            if not cross_edges_all(k, r):
-                return fail(path, "K is not fully joined to R")
-            if not cross_edges_none(s, r):
-                return fail(path, "an S-R edge crosses the separator")
-            if node.r_tree is not None:
-                return walk(node.r_tree, path + ".r")
-            return ValidationResult(True)
-        if isinstance(node, PseudoSpider):
-            s, k = node.s, node.k
-            r = vertex_set(node.r_tree) if node.r_tree is not None else 0
-            if s & k or s & r or k & r:
-                return fail(path, "S, K, R are not disjoint")
+                    fail(path, f"vertex {sv} breaks the {node.flavor} pattern")
+        else:
             if (s | k).bit_count() > tree.q:
-                return fail(path, f"head larger than q={tree.q}")
+                fail(path, f"head larger than q={tree.q}")
             if (s | k) == 0:
-                return fail(path, "empty head")
-            if not cross_edges_all(k, r):
-                return fail(path, "K is not fully joined to R")
-            if not cross_edges_none(s, r):
-                return fail(path, "an S-R edge crosses the separator")
-            if node.r_tree is not None:
-                return walk(node.r_tree, path + ".r")
-            return ValidationResult(True)
-        return fail(path, f"unknown node type {type(node).__name__}")
+                fail(path, "empty head")
+        if not cross_edges_all(k, r):
+            fail(path, "K is not fully joined to R")
+        if not cross_edges_none(s, r):
+            fail(path, "an S-R edge crosses the separator")
+        return s | k | r
 
     if tree.q < 0:
         return ValidationResult(False, "root: negative q")
-    r = walk(tree.root, "root")
-    if not r:
-        return r
-    if vertex_set(tree.root) != g.full_mask:
+    try:
+        mask = walk(tree.root, "root")
+    except _InvalidTree as exc:
+        return ValidationResult(False, str(exc))
+    if mask != g.full_mask:
         return ValidationResult(False, "root: tree does not cover V(G) exactly")
     return ValidationResult(True)
 
@@ -247,24 +236,26 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
     once ``stats.states_expanded`` is taken off.  ``max_states`` caps each
     core that a head's target oracle solves later, during play."""
     stats.nodes_evaluated += 1
-    mask = vertex_set(node)
-    n = mask.bit_count()
     if isinstance(node, Leaf):
+        mask = node.vertices
         return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask)
-    if isinstance(node, UnionNode):
+    if isinstance(node, (UnionNode, JoinNode)):
         le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
         re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
+        mask = le.mask | re.mask
+        if isinstance(node, JoinNode):
+            return _Eval((mask.bit_count() + 1) // 2, node, mask, children=(le, re))
         best = le if le.value >= re.value else re
         return _Eval(max(le.value, re.value), node, mask,
                      best_child=best, children=(le, re))
-    if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
-        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
-        return _Eval((n + 1) // 2, node, mask, children=(le, re))
+    if not isinstance(node, (Spider, PseudoSpider)):
+        raise TypeError(f"unknown node {node!r}")
+    children = ()
+    if node.r_tree is not None:
+        children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
+    mask = node.s | node.k | (children[0].mask if children else 0)
+    n = mask.bit_count()
     if isinstance(node, Spider):
-        children = ()
-        if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
             value = (n + 1) // 2
@@ -272,41 +263,36 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
             # an antimatched bijection on |K| = 2 is a matched spider
             value = matched_spider_value(n, k_size)
         return _Eval(value, node, mask, children=children)
-    if isinstance(node, PseudoSpider):
-        children = ()
-        if node.r_tree is not None:
-            children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
-        head_mask = node.s | node.k
-        r_mask = mask & ~head_mask
-        r_size = r_mask.bit_count()
-        if r_size <= 2 * q:
-            return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask,
-                         children=children)
-        sub, back = induced(g, mask)
-        if not is_connected(sub):
-            raise ValueError(
-                "pseudo-spider with |R| > 2q must be connected; "
-                "split disconnected graphs under a union root")
-        head_graph, head_map = induced(g, head_mask)
-        local = {orig: i for i, orig in enumerate(head_map)}
-        k_local = mask_of(local[v] for v in bits(node.k))
-        head = analyze_head(head_graph, k_local, max_states=max_states,
-                            target_states=state_cap - stats.states_expanded,
-                            time_limit=_time_left(deadline))
-        stats.states_expanded += head.states_expanded
-        if r_size % 2 == 0:
-            value = head.c_star + r_size // 2
-        elif head.exists_sa2:
-            value = head.c_star + (r_size + 1) // 2
-        elif head.exists_sb2:
-            value = head.c_star + r_size // 2
-        elif head_mask.bit_count() % 2 == 0:
-            value = head.c_star + (r_size + 1) // 2
-        else:
-            value = head.c_star + r_size // 2
-        return _Eval(value, node, mask, children=children, head=head,
-                     head_graph=head_graph, head_map=head_map)
-    raise TypeError(f"unknown node {node!r}")
+    head_mask = node.s | node.k
+    r_mask = mask & ~head_mask
+    r_size = r_mask.bit_count()
+    if r_size <= 2 * q:
+        return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask,
+                     children=children)
+    sub, back = induced(g, mask)
+    if not is_connected(sub):
+        raise ValueError(
+            "pseudo-spider with |R| > 2q must be connected; "
+            "split disconnected graphs under a union root")
+    head_graph, head_map = induced(g, head_mask)
+    local = {orig: i for i, orig in enumerate(head_map)}
+    k_local = mask_of(local[v] for v in bits(node.k))
+    head = analyze_head(head_graph, k_local, max_states=max_states,
+                        target_states=state_cap - stats.states_expanded,
+                        time_limit=_time_left(deadline))
+    stats.states_expanded += head.states_expanded
+    if r_size % 2 == 0:
+        value = head.c_star + r_size // 2
+    elif head.exists_sa2:
+        value = head.c_star + (r_size + 1) // 2
+    elif head.exists_sb2:
+        value = head.c_star + r_size // 2
+    elif head_mask.bit_count() % 2 == 0:
+        value = head.c_star + (r_size + 1) // 2
+    else:
+        value = head.c_star + r_size // 2
+    return _Eval(value, node, mask, children=children, head=head,
+                 head_graph=head_graph, head_map=head_map)
 
 
 def cg_qgraph(g: Graph, tree: DecompositionTree, *,
@@ -382,12 +368,6 @@ class _WantStrategy(_NodeStrategy):
         return w, state
 
 
-def _lowest(mask: int) -> int | None:
-    if not mask:
-        return None
-    return (mask & -mask).bit_length() - 1
-
-
 class _JoinStrategy(_WantStrategy):
     def __init__(self, mask: int, small: int, large: int):
         super().__init__(mask)
@@ -397,16 +377,16 @@ class _JoinStrategy(_WantStrategy):
     def want(self, vred, vblue):
         avail = self.mask & ~vred & ~vblue
         if self.mask.bit_count() == 2:
-            return _lowest(avail)
+            return lowest_bit_index(avail)
         if not vred & self.small:
-            w = _lowest(self.small & avail)
+            w = lowest_bit_index(self.small & avail)
             if w is not None:
                 return w
         if not vred & self.large:
-            w = _lowest(self.large & avail)
+            w = lowest_bit_index(self.large & avail)
             if w is not None:
                 return w
-        return _lowest(avail)
+        return lowest_bit_index(avail)
 
 
 class _AntimatchedStrategy(_WantStrategy):
@@ -417,10 +397,10 @@ class _AntimatchedStrategy(_WantStrategy):
     def want(self, vred, vblue):
         avail = self.mask & ~vred & ~vblue
         if (vred & self.k).bit_count() < 2:
-            w = _lowest(self.k & avail)
+            w = lowest_bit_index(self.k & avail)
             if w is not None:
                 return w
-        return _lowest(avail)
+        return lowest_bit_index(avail)
 
 
 class _MatchedStrategy(_WantStrategy):
@@ -443,17 +423,17 @@ class _MatchedStrategy(_WantStrategy):
 
     def want(self, vred, vblue):
         avail = self.mask & ~vred & ~vblue
-        w = _lowest(self.k & avail)
+        w = lowest_bit_index(self.k & avail)
         if w is not None:
             return w
         bad = 0
         for sv, kv in self.fmap:
             if vblue >> kv & 1:
                 bad |= 1 << sv
-        w = _lowest(avail & ~bad)
+        w = lowest_bit_index(avail & ~bad)
         if w is not None:
             return w
-        return _lowest(avail)
+        return lowest_bit_index(avail)
 
 
 class _ExactStrategy(_WantStrategy):
@@ -562,13 +542,13 @@ class _PseudoSpiderStrategy(_NodeStrategy):
         head_avail = self.head_graph.full_mask & ~vred & ~vblue
         if not self._alice_turn(state) or not head_avail:
             # keep the head game frozen: mirror into R
-            w = _lowest(self.r_mask & ~board.colored)
+            w = lowest_bit_index(self.r_mask & ~board.colored)
             return w, state
         if self.mode == _SA2_MODE and a_p == 0 and first == 0:
             move = self.sa2_game.winning_move(vred, vblue, a_p, b_p, first,
                                               prefer_pass=True)
             if move is PASS:
-                w = _lowest(self.r_mask & ~board.colored)
+                w = lowest_bit_index(self.r_mask & ~board.colored)
                 if w is not None:
                     return w, (vred, vblue, 1, b_p, first)
                 move = self.sa2_game.winning_move(vred, vblue, a_p, b_p,
@@ -616,8 +596,7 @@ def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
         sub = _build_strategy(g, ev.best_child, max_states)
         return _UnionStrategy(ev.mask, sub)
     if isinstance(node, JoinNode):
-        a = vertex_set(node.left)
-        b = vertex_set(node.right)
+        a, b = ev.children[0].mask, ev.children[1].mask
         if a.bit_count() > b.bit_count():
             a, b = b, a
         return _JoinStrategy(ev.mask, a, b)

@@ -2,10 +2,11 @@
 
 Each builder emits the reduction graph, the threshold k, and a total role
 map; the source games (POS CNF and Generalised Hex) are solved exactly at
-desk scale so winning strategies can be lifted onto the reduction graphs
-and checked against adversarial play.  Lifted strategies keep a virtual
-source-game state that ignores their own arbitrary moves, the usual device
-for strategy transfer.
+desk scale, each by one ``expand`` function over ``engine.AndOrSearch``, so
+winning strategies can be lifted onto the reduction graphs and checked
+against adversarial play.  Lifted strategies keep a virtual source-game
+state that ignores their own arbitrary moves, the usual device for strategy
+transfer.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from .engine import (
     PASS,
+    AndOrSearch,
     ColorVertex,
     GameConfig,
     Player,
@@ -26,6 +28,7 @@ from .graphs import (
     Planarity,
     bits,
     component_of,
+    lowest_bit_index,
     mask_of,
     planarity_check,
 )
@@ -97,7 +100,7 @@ class ReductionOutput:
 
 
 class CnfGameSolver:
-    """Memoised minimax for POS CNF: Alice sets variables true, Bob false."""
+    """Memoised AND/OR search for POS CNF: Alice sets variables true, Bob false."""
 
     def __init__(self, cnf: CnfInstance, max_vars: int = 16):
         if cnf.variable_count > max_vars:
@@ -105,49 +108,31 @@ class CnfGameSolver:
         self.cnf = cnf
         self.clause_masks = [mask_of(c) for c in cnf.clauses]
         self.full = (1 << cnf.variable_count) - 1
-        self.memo: dict[tuple[int, int], bool] = {}
+        self.search = AndOrSearch(self._expand)
 
-    def _alice_wins(self, true_mask: int, false_mask: int) -> bool:
+    def _expand(self, pos: tuple[int, int]):
+        true_mask, false_mask = pos
         if all(cm & true_mask for cm in self.clause_masks):
             return True
         if any(cm & ~false_mask == 0 for cm in self.clause_masks):
             return False
+        # not decided, so some variable is still free
         free = self.full & ~true_mask & ~false_mask
-        if not free:
-            return all(cm & true_mask for cm in self.clause_masks)
-        key = (true_mask, false_mask)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        alice = true_mask.bit_count() == false_mask.bit_count()
-        if alice:
-            res = any(self._alice_wins(true_mask | (1 << v), false_mask)
-                      for v in bits(free))
-        else:
-            res = all(self._alice_wins(true_mask, false_mask | (1 << v))
-                      for v in bits(free))
-        self.memo[key] = res
-        return res
+        if true_mask.bit_count() == false_mask.bit_count():
+            return True, ((v, (true_mask | 1 << v, false_mask)) for v in bits(free))
+        return False, ((v, (true_mask, false_mask | 1 << v)) for v in bits(free))
 
     @property
     def winner(self) -> Player:
-        return Player.ALICE if self._alice_wins(0, 0) else Player.BOB
+        return Player.ALICE if self.search.wins((0, 0)) else Player.BOB
 
     def best_variable(self, true_mask: int, false_mask: int) -> int:
         """Mover's lowest outcome-preserving variable (winning when possible)."""
         free = self.full & ~true_mask & ~false_mask
         if not free:
             raise ValueError("no free variable")
-        alice = true_mask.bit_count() == false_mask.bit_count()
-        fallback = None
-        for v in bits(free):
-            if fallback is None:
-                fallback = v
-            if alice and self._alice_wins(true_mask | (1 << v), false_mask):
-                return v
-            if not alice and not self._alice_wins(true_mask, false_mask | (1 << v)):
-                return v
-        return fallback
+        v = self.search.move((true_mask, false_mask))
+        return lowest_bit_index(free) if v is None else v
 
 
 def solve_poscnf(cnf: CnfInstance) -> Player:
@@ -156,7 +141,7 @@ def solve_poscnf(cnf: CnfInstance) -> Player:
 
 
 class HexGameSolver:
-    """Memoised minimax for Generalised Hex; s and t start red."""
+    """Memoised AND/OR search for Generalised Hex; s and t start red."""
 
     def __init__(self, hx: HexInstance, max_vertices: int = 18):
         if hx.h.n > max_vertices:
@@ -165,52 +150,35 @@ class HexGameSolver:
         self.g = hx.h
         self.st = (1 << hx.s) | (1 << hx.t)
         self.playable = self.g.full_mask & ~self.st
-        self.memo: dict[tuple[int, int], bool] = {}
+        self.search = AndOrSearch(self._expand)
 
     def _connected_st(self, within: int) -> bool:
         comp = component_of(self.g.adj, 1 << self.hx.s, within)
         return bool(comp >> self.hx.t & 1)
 
-    def _alice_wins(self, red: int, blue: int) -> bool:
+    def _expand(self, pos: tuple[int, int]):
         # red excludes s,t; they are permanently red
-        red_all = red | self.st
-        if self._connected_st(red_all):
+        red, blue = pos
+        if self._connected_st(red | self.st):
             return True
         if not self._connected_st(self.g.full_mask & ~blue):
             return False
+        # not decided, so some vertex is still free
         free = self.playable & ~red & ~blue
-        if not free:
-            return self._connected_st(red_all)
-        key = (red, blue)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        alice = red.bit_count() == blue.bit_count()
-        if alice:
-            res = any(self._alice_wins(red | (1 << v), blue) for v in bits(free))
-        else:
-            res = all(self._alice_wins(red, blue | (1 << v)) for v in bits(free))
-        self.memo[key] = res
-        return res
+        if red.bit_count() == blue.bit_count():
+            return True, ((v, (red | 1 << v, blue)) for v in bits(free))
+        return False, ((v, (red, blue | 1 << v)) for v in bits(free))
 
     @property
     def winner(self) -> Player:
-        return Player.ALICE if self._alice_wins(0, 0) else Player.BOB
+        return Player.ALICE if self.search.wins((0, 0)) else Player.BOB
 
     def best_vertex(self, red: int, blue: int) -> int:
         free = self.playable & ~red & ~blue
         if not free:
             raise ValueError("no free vertex")
-        alice = red.bit_count() == blue.bit_count()
-        fallback = None
-        for v in bits(free):
-            if fallback is None:
-                fallback = v
-            if alice and self._alice_wins(red | (1 << v), blue):
-                return v
-            if not alice and not self._alice_wins(red, blue | (1 << v)):
-                return v
-        return fallback
+        v = self.search.move((red, blue))
+        return lowest_bit_index(free) if v is None else v
 
 
 def solve_hex(hx: HexInstance) -> Player:
@@ -343,13 +311,6 @@ def build_planar(hx: HexInstance) -> ReductionOutput:
 # -- lifted strategies ------------------------------------------------------------
 
 
-def _lowest_uncolored(mask: int, cfg: GameConfig) -> int | None:
-    avail = mask & ~cfg.colored
-    if not avail:
-        return None
-    return (avail & -avail).bit_length() - 1
-
-
 class CnfLift(Strategy):
     """Translate a CNF winning strategy onto the bipartite or split graph.
 
@@ -456,7 +417,7 @@ class PlanarBobLift(Strategy):
                     return ColorVertex(w), state
                 return lowest_legal_move(g, variant, cfg), state
             return lowest_legal_move(g, variant, cfg), (hred, hblue)
-        w = _lowest_uncolored(group, cfg)
+        w = lowest_bit_index(group & ~cfg.colored)
         if w is not None:
             return ColorVertex(w), state
         return lowest_legal_move(g, variant, cfg), state
@@ -490,7 +451,7 @@ class PlanarAliceLift(Strategy):
         pool = 0
         for hub in bits(mine):
             pool |= self.red.hub_leaves[hub]
-        return _lowest_uncolored(pool, cfg)
+        return lowest_bit_index(pool & ~cfg.colored)
 
     def _hex_respond(self, state, opp_vertex: int | None, cfg):
         phase, hred, hblue = state
@@ -518,12 +479,12 @@ class PlanarAliceLift(Strategy):
             return lowest_legal_move(g, variant, cfg), state
         if phase == _A_HUB_S:
             state = (_A_THIRD, hred, hblue)
-            w = _lowest_uncolored(self.s_hubs, cfg)
+            w = lowest_bit_index(self.s_hubs & ~cfg.colored)
             if w is not None:
                 return ColorVertex(w), state
             return lowest_legal_move(g, variant, cfg), state
         if phase == _A_THIRD:
-            w = _lowest_uncolored(self.s_hubs, cfg)
+            w = lowest_bit_index(self.s_hubs & ~cfg.colored)
             if w is not None:
                 return ColorVertex(w), (_A_LEAF_S, hred, hblue)
             state = (_A_T, hred, hblue)
@@ -532,12 +493,12 @@ class PlanarAliceLift(Strategy):
             return lowest_legal_move(g, variant, cfg), state
         if phase == _A_T:
             state = (_A_HUB_T, hred, hblue)
-            w = _lowest_uncolored(self.t_hubs, cfg)
+            w = lowest_bit_index(self.t_hubs & ~cfg.colored)
             if w is not None:
                 return ColorVertex(w), state
             return lowest_legal_move(g, variant, cfg), state
         if phase == _A_HUB_T:
-            w = _lowest_uncolored(self.t_hubs, cfg)
+            w = lowest_bit_index(self.t_hubs & ~cfg.colored)
             if w is not None:
                 return ColorVertex(w), (_A_LEAF_T, hred, hblue)
             # Bob spent his first four moves on the hubs: play the hex game
@@ -565,7 +526,7 @@ class PlanarAliceLift(Strategy):
                 return lowest_legal_move(g, variant, cfg), state
             for hub, leaves in r.hub_leaves.items():
                 if leaves >> v & 1:
-                    w = _lowest_uncolored(leaves, cfg)
+                    w = lowest_bit_index(leaves & ~cfg.colored)
                     if w is not None:
                         return ColorVertex(w), state
                     break

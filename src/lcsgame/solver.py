@@ -20,15 +20,19 @@ position, it returns the first legal move, by vertex index with Pass last,
 whose successor keeps t, deciding each successor with a null-window search
 (is it >= t after an Alice move, <= t after a Bob move) instead of solving
 it exactly.
+
+The win/lose questions -- forcing a connected dominating set within r
+rounds, and the pseudo-spider head's compound-skip games -- are each one
+``expand`` function over the memoised ``engine.AndOrSearch``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from .engine import (
     PASS,
+    AndOrSearch,
     BudgetExceededError,
     ColorVertex,
     Connected,
@@ -43,7 +47,6 @@ from .engine import (
     _deadline,
     _time_left,
     apply_move,
-    legal_moves,
     score,
 )
 from .graphs import (
@@ -102,24 +105,6 @@ class _Core:
         self.tt: dict[int, tuple[int, int]] = {}
         # live components depend only on blue (live = V \ blue)
         self._live_comps: dict[int, list[int]] = {}
-
-    # -- scoring ------------------------------------------------------------
-
-    def _score(self, red: int) -> int:
-        adj = self.adj
-        if self.tracks_lc:
-            return largest_component_order(adj, red) if red else 0
-        x = self.x
-        if red == 0 or x == 0:
-            return 0
-        total = 0
-        rest = red
-        while rest:
-            comp = component_of(adj, rest & -rest, red)
-            rest &= ~comp
-            if comp & x:
-                total += comp.bit_count()
-        return total
 
     # -- red-set summaries carried down the search ----------------------------
 
@@ -185,7 +170,7 @@ class _Core:
         # Connected Alice with no uncoloured neighbour of red
         if uncolored == 0 and (kind != _SKIP_K or not (
                 (ask < self.a_budget) if alice else (bsk < self.b_budget))):
-            return lc if self.tracks_lc else self._score(red)
+            return lc if self.tracks_lc else score(self.g, self.variant, red)
         if kind == _CONNECTED_K and alice and red and not reach & uncolored:
             return lc
 
@@ -202,7 +187,7 @@ class _Core:
             return ub
         lb = lc
         if not self.tracks_lc and rc >= beta:
-            lb = self._score(red)
+            lb = score(self.g, self.variant, red)
         if lb >= beta:
             return lb
         if lb == ub:
@@ -294,15 +279,15 @@ class _Core:
         if kind == _SKIP_K:
             can_pass = (ask < self.a_budget) if alice else (bsk < self.b_budget)
             if uncolored == 0 and not can_pass:
-                return self._score(red)
+                return score(g, self.variant, red)
         elif kind == _CONNECTED_K:
             if uncolored == 0:
-                return self._score(red)
+                return score(g, self.variant, red)
             if alice and red and not (g.neighborhood(red) & uncolored):
-                return self._score(red)
+                return score(g, self.variant, red)
         else:
             if uncolored == 0:
-                return self._score(red)
+                return score(g, self.variant, red)
         if kind == _SKIP_K:
             key = ((ask * 2 + bsk) << (2 * SOLVER_CAPACITY)) | (red << SOLVER_CAPACITY) | blue
         else:
@@ -452,29 +437,10 @@ class SolveResult:
 
 
 def _solve_whole(g: Graph, variant: GameVariant, initial: GameConfig, *,
-                 use_pruning: bool, max_states: int, threads: int,
+                 use_pruning: bool, max_states: int,
                  time_limit: float | None = None) -> SolveResult:
     core = _Core(g, variant, use_pruning=use_pruning, max_states=max_states,
                  time_limit=time_limit)
-    if threads > 1 and initial == GameConfig():
-        legal = legal_moves(g, variant, initial)
-        mover = initial.mover()
-        if len(legal) > 1:
-            cores = []
-
-            def solve_child(move: Move) -> int:
-                child_core = _Core(g, variant, use_pruning=use_pruning,
-                                   max_states=max_states,
-                                   time_limit=_time_left(core.deadline))
-                cores.append(child_core)
-                return child_core.exact_cfg(apply_move(initial, mover, move))
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                vals = list(pool.map(solve_child, legal))
-            value = max(vals) if mover is Player.ALICE else min(vals)
-            expanded = sum(c.expanded for c in cores)
-            # the untouched core serves lazy PV / strategy extraction
-            return SolveResult(value, expanded, core, initial)
     return SolveResult(core.exact_cfg(initial), core.expanded, core, initial)
 
 
@@ -482,7 +448,6 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
        initial: GameConfig = GameConfig(),
        use_pruning: bool = True,
        max_states: int = DEFAULT_MAX_STATES,
-       threads: int = 1,
        time_limit: float | None = None,
        split_components: bool = True) -> SolveResult:
     """Exact game value under optimal play (Alice maximises, Bob minimises).
@@ -505,7 +470,7 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
                 sub, back = induced(g, comp)
                 res = _solve_whole(sub, variant, GameConfig(),
                                    use_pruning=use_pruning,
-                                   max_states=max_states - total, threads=threads,
+                                   max_states=max_states - total,
                                    time_limit=_time_left(deadline))
                 total += res.states_expanded
                 if best is None or res.value > best[0].value:
@@ -513,8 +478,7 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
             res, back = best
             return SolveResult(res.value, total, res._core, component_map=back)
     return _solve_whole(g, variant, initial, use_pruning=use_pruning,
-                        max_states=max_states, threads=threads,
-                        time_limit=time_limit)
+                        max_states=max_states, time_limit=time_limit)
 
 
 def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -539,7 +503,8 @@ def _red_contains_cds(g: Graph, red: int) -> bool:
 def can_force_cds_within(g: Graph, r: int, *,
                          max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Can Alice colour a connected dominating set by her r-th move, whatever
-    Bob does?  Solved as a win/lose game truncated after Alice's r-th move."""
+    Bob does?  Solved as a win/lose game truncated after Alice's r-th move.
+    ``max_states`` bounds the positions expanded by either player."""
     if g.n > SOLVER_CAPACITY:
         raise CapacityError(f"solver requires n <= {SOLVER_CAPACITY}")
     if r < 1:
@@ -547,41 +512,21 @@ def can_force_cds_within(g: Graph, r: int, *,
     if g.n == 0:
         return True
     full = g.full_mask
-    memo: dict[int, bool] = {}
-    expanded = 0
 
-    def alice_wins(red: int, blue: int) -> bool:
-        nonlocal expanded
-        # Alice to move; she has made red.bit_count() moves so far
+    def expand(pos: tuple[int, int]):
+        red, blue = pos
         uncolored = full & ~(red | blue)
-        if uncolored == 0:
+        if red.bit_count() == blue.bit_count():  # Alice to move
+            if uncolored == 0:
+                return False
+            return True, ((v, (red | 1 << v, blue)) for v in bits(uncolored))
+        if _red_contains_cds(g, red):
+            return True
+        if red.bit_count() >= r or uncolored == 0:
             return False
-        key = (red << SOLVER_CAPACITY) | blue
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        expanded += 1
-        if expanded > max_states:
-            raise BudgetExceededError("cds search exceeded state budget")
-        moves_made = red.bit_count()
-        result = False
-        for v in bits(uncolored):
-            nred = red | (1 << v)
-            if _red_contains_cds(g, nred):
-                result = True
-                break
-            if moves_made + 1 >= r:
-                continue
-            rest = full & ~(nred | blue)
-            if rest == 0:
-                continue
-            if all(alice_wins(nred, blue | (1 << w)) for w in bits(rest)):
-                result = True
-                break
-        memo[key] = result
-        return result
+        return False, ((w, (red, blue | 1 << w)) for w in bits(uncolored))
 
-    return alice_wins(0, 0)
+    return AndOrSearch(expand, max_states).wins((0, 0))
 
 
 # -- the one-skip-each head analysis ------------------------------------------
@@ -664,7 +609,7 @@ class _CompoundSkipGame:
         # holding variant: the protagonist never passes, only defends the
         # straight value while punishing the opponent's pass by a point
         self.protagonist_passes = protagonist_passes
-        self.memo: dict[tuple[int, int, int, int, int], bool] = {}
+        self.search = AndOrSearch(self._expand)
 
     def _terminal_win(self, red: int, blue: int, a_p: int, b_p: int,
                       first: int) -> bool:
@@ -684,85 +629,36 @@ class _CompoundSkipGame:
             return ok
         return b_p == own_passes and sc <= self.c_star
 
-    def moves(self, red: int, blue: int, a_p: int, b_p: int) -> list[Move]:
+    def _expand(self, pos: tuple[int, int, int, int, int]):
+        red, blue, a_p, b_p, first = pos
         uncolored = self.g.full_mask & ~(red | blue)
         if not uncolored:
-            return []
+            return self._terminal_win(red, blue, a_p, b_p, first)
         alice = (red.bit_count() + a_p) == (blue.bit_count() + b_p)
-        out: list[Move] = [ColorVertex(v) for v in bits(uncolored)]
-        if alice:
-            may_pass = a_p == 0 and (self.protagonist_passes
-                                     or self.protagonist is Player.BOB)
-        else:
-            may_pass = b_p == 0 and (self.protagonist_passes
-                                     or self.protagonist is Player.ALICE)
-        if may_pass:
-            out.append(PASS)
-        return out
+        pro_alice = self.protagonist is Player.ALICE
 
-    def wins(self, red: int = 0, blue: int = 0, a_p: int = 0, b_p: int = 0,
-             first: int = 0) -> bool:
-        key = (red, blue, a_p, b_p, first)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        mv = self.moves(red, blue, a_p, b_p)
-        if not mv:
-            result = self._terminal_win(red, blue, a_p, b_p, first)
-            self.memo[key] = result
-            return result
-        alice = (red.bit_count() + a_p) == (blue.bit_count() + b_p)
-        protagonist_turn = (alice == (self.protagonist is Player.ALICE))
-        result = not protagonist_turn
-        for move in mv:
-            if move is PASS:
+        def children():  # vertices by index, then the pass when legal
+            for v in bits(uncolored):
                 if alice:
-                    nfirst = first or (self.protagonist is Player.BOB and b_p == 0)
-                    child = self.wins(red, blue, 1, b_p, int(nfirst))
+                    yield v, (red | 1 << v, blue, a_p, b_p, first)
                 else:
-                    nfirst = first or (self.protagonist is Player.ALICE and a_p == 0)
-                    child = self.wins(red, blue, a_p, 1, int(nfirst))
-            else:
-                bit = 1 << move.v
-                if alice:
-                    child = self.wins(red | bit, blue, a_p, b_p, first)
-                else:
-                    child = self.wins(red, blue | bit, a_p, b_p, first)
-            if protagonist_turn and child:
-                result = True
-                break
-            if not protagonist_turn and not child:
-                result = False
-                break
-        self.memo[key] = result
-        return result
+                    yield v, (red, blue | 1 << v, a_p, b_p, first)
+            if alice and a_p == 0 and (self.protagonist_passes or not pro_alice):
+                yield PASS, (red, blue, 1, b_p, int(first or (not pro_alice and b_p == 0)))
+            if not alice and b_p == 0 and (self.protagonist_passes or pro_alice):
+                yield PASS, (red, blue, a_p, 1, int(first or (pro_alice and a_p == 0)))
+
+        return alice == pro_alice, children()
 
     def winning_move(self, red: int, blue: int, a_p: int, b_p: int,
                      first: int, prefer_pass: bool) -> Move:
         """Protagonist's winning move; Pass is preferred when requested and
         winning, otherwise the lowest-index winning vertex is played."""
-        mv = self.moves(red, blue, a_p, b_p)
-        alice = (red.bit_count() + a_p) == (blue.bit_count() + b_p)
-        ordered = mv
-        if prefer_pass and PASS in mv:
-            ordered = [PASS] + [m for m in mv if m is not PASS]
-        for move in ordered:
-            if move is PASS:
-                if alice:
-                    nfirst = first or (self.protagonist is Player.BOB and b_p == 0)
-                    ok = self.wins(red, blue, 1, b_p, int(nfirst))
-                else:
-                    nfirst = first or (self.protagonist is Player.ALICE and a_p == 0)
-                    ok = self.wins(red, blue, a_p, 1, int(nfirst))
-            else:
-                bit = 1 << move.v
-                if alice:
-                    ok = self.wins(red | bit, blue, a_p, b_p, first)
-                else:
-                    ok = self.wins(red, blue | bit, a_p, b_p, first)
-            if ok:
-                return move
-        raise RuntimeError("position is not winning for the protagonist")
+        move = self.search.move((red, blue, a_p, b_p, first),
+                                PASS if prefer_pass else None)
+        if move is None:
+            raise RuntimeError("position is not winning for the protagonist")
+        return move if move is PASS else ColorVertex(move)
 
 
 def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
@@ -787,8 +683,8 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
     c_star = target.value
     sa2_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE, strict_pass_rule)
     sb2_game = _CompoundSkipGame(g1, k, c_star, Player.BOB, strict_pass_rule)
-    exists_sa2 = sa2_game.wins()
-    exists_sb2 = sb2_game.wins()
+    exists_sa2 = sa2_game.search.wins((0, 0, 0, 0, 0))
+    exists_sb2 = sb2_game.search.wins((0, 0, 0, 0, 0))
     if exists_sa2 and exists_sb2:
         raise AssertionError(
             "compound skip strategies for both players cannot coexist")
@@ -797,7 +693,7 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
         hold_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE,
                                       strict_pass_rule,
                                       protagonist_passes=False)
-        if not hold_game.wins():
+        if not hold_game.search.wins((0, 0, 0, 0, 0)):
             hold_game = None
     oracle = TargetOracle(g1, k, max_states=max_states)
     return HeadAnalysis(c_star, exists_sa2, exists_sb2, target.states_expanded,

@@ -15,7 +15,6 @@ from typing import Hashable
 from .engine import (
     PASS,
     ColorVertex,
-    GameConfig,
     Strategy,
     lowest_legal_move,
 )
@@ -26,15 +25,9 @@ from .graphs import (
     component_of,
     components_within,
     is_connected,
+    lowest_bit_index,
     mask_of,
 )
-
-
-def _lowest_uncolored_in(mask: int, cfg: GameConfig) -> int | None:
-    avail = mask & ~cfg.colored
-    if not avail:
-        return None
-    return (avail & -avail).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ class MaxDegreeAlice(Strategy):
     def choose(self, g, variant, cfg, state, last_opp):
         if not (cfg.colored >> self.hub & 1):
             return ColorVertex(self.hub), None
-        w = _lowest_uncolored_in(g.adj[self.hub], cfg)
+        w = lowest_bit_index(g.adj[self.hub] & ~cfg.colored)
         if w is not None:
             return ColorVertex(w), None
         return lowest_legal_move(g, variant, cfg), None
@@ -256,14 +249,14 @@ class SpiderExhaust(Strategy):
             self.fmap[sv] = (nk & -nk).bit_length() - 1
 
     def choose(self, g, variant, cfg, state, last_opp):
-        w = _lowest_uncolored_in(self.k_mask, cfg)
+        w = lowest_bit_index(self.k_mask & ~cfg.colored)
         if w is not None:
             return ColorVertex(w), None
         bad_s = 0
         for s, k in self.fmap.items():
             if cfg.blue >> k & 1:
                 bad_s |= 1 << s
-        w = _lowest_uncolored_in(g.full_mask & ~bad_s, cfg)
+        w = lowest_bit_index(g.full_mask & ~bad_s & ~cfg.colored)
         if w is not None:
             return ColorVertex(w), None
         return lowest_legal_move(g, variant, cfg), None

@@ -84,10 +84,10 @@ class TestSolve:
                            "--max-states", "2")
         assert code == 3 and "budget" in err
 
-    def test_threads_and_pruning_flags(self, capsys, tmp_path):
+    def test_no_pruning_flag(self, capsys, tmp_path):
         f = tmp_path / "c6.g"
         run(capsys, "generate", "cycle", "n=6", "--out", str(f))
-        _, a, _ = run(capsys, "solve", "--graph", str(f), "--threads", "2")
+        _, a, _ = run(capsys, "solve", "--graph", str(f))
         _, b, _ = run(capsys, "solve", "--graph", str(f), "--no-pruning")
         assert a.splitlines()[0] == b.splitlines()[0] == "c_g = 2"
 

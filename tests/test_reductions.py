@@ -67,7 +67,7 @@ class TestPosCnf:
     def test_best_variable_keeps_win(self):
         solver = CnfGameSolver(CnfInstance.of(2, [(0, 1)]))
         x = solver.best_variable(0, 0)
-        assert solver._alice_wins(1 << x, 0)
+        assert solver.search.wins((1 << x, 0))
 
 
 class TestHexGame:

@@ -342,13 +342,6 @@ class TestConsistencyKnobs:
                                                rng.randint(0, len(all_edges))))
             assert cg(g, use_pruning=True).value == cg(g, use_pruning=False).value
 
-    def test_threads_equal_single(self):
-        rng = random.Random(20)
-        for _ in range(10):
-            n = rng.randint(3, 9)
-            g = random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
-            assert cg(g, threads=1).value == cg(g, threads=3).value
-
     def test_initial_position_solving(self):
         g = complete(4)
         res = cg(g, initial=GameConfig(red=1, blue=2))
