@@ -6,6 +6,7 @@ from .engine import (
     PASS,
     PLAIN,
     BudgetExceededError,
+    InternalError,
     ColorVertex,
     Connected,
     GameConfig,

@@ -14,6 +14,7 @@ from .engine import (
     CONNECTED,
     PLAIN,
     BudgetExceededError,
+    InternalError,
     Player,
     SkipBudget,
     TargetSet,
@@ -246,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, TypeError, FormatError, CapacityError, OSError,
             AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

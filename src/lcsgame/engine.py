@@ -160,6 +160,10 @@ class BudgetExceededError(RuntimeError):
     """Search state budget exhausted before a value was computed."""
 
 
+class InternalError(RuntimeError):
+    """A broken internal invariant: a bug in lcsgame, not bad input."""
+
+
 class AndOrSearch:
     """Memoised AND/OR search of a win/lose game over hashable positions.
 

@@ -17,6 +17,7 @@ from .engine import (
     PASS,
     ColorVertex,
     GameConfig,
+    InternalError,
     Plain,
     Strategy,
     _deadline,
@@ -218,36 +219,52 @@ class _Eval:
     head: HeadAnalysis | None = None
     head_graph: Graph | None = None
     head_map: tuple[int, ...] = ()
+    # the solved core of a connected exact node, reused for play
+    core: _Core | None = None
 
 
-def _solve_induced(g: Graph, mask: int, stats: EvalStats, state_cap: int,
-                   deadline: float | None) -> int:
+def _solve_induced(g: Graph, node: Node, mask: int, stats: EvalStats,
+                   state_cap: int, deadline: float | None, play: bool,
+                   children: tuple[_Eval, ...] = ()) -> _Eval:
+    """Exact evaluation of a node on the graph induced by ``mask``.  With
+    ``play``, and when that graph is connected, the solved core is kept for
+    ``_ExactStrategy``; a disconnected one is solved per component, so no
+    core covers it."""
     sub, _ = induced(g, mask)
     res = cg(sub, max_states=state_cap - stats.states_expanded,
              time_limit=_time_left(deadline))
     stats.states_expanded += res.states_expanded
-    return res.value
+    core = res._core if play and res._component_map is None else None
+    return _Eval(res.value, node, mask, children=children, core=core)
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
-              state_cap: int, deadline: float | None = None) -> _Eval:
+              state_cap: int, deadline: float | None = None,
+              play: bool = False) -> _Eval:
     """Value of a tree node.  The exact solves it starts share ``deadline``
     and one state budget: each may expand what is left of ``state_cap``
     once ``stats.states_expanded`` is taken off.  ``max_states`` caps each
-    core that a head's target oracle solves later, during play."""
+    core that a head's target oracle solves later, during play.
+
+    ``play`` marks a node the composed strategy may play exactly: the root
+    of a strategy's evaluation and, below it, the children of unions only.
+    Such a node keeps the core of its exact solve; a union keeps only its
+    better child, so the other child's cores are freed as soon as it is
+    evaluated."""
     stats.nodes_evaluated += 1
     if isinstance(node, Leaf):
-        mask = node.vertices
-        return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask)
-    if isinstance(node, (UnionNode, JoinNode)):
+        return _solve_induced(g, node, node.vertices, stats, state_cap, deadline,
+                              play)
+    if isinstance(node, UnionNode):
+        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline, play)
+        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline, play)
+        best = le if le.value >= re.value else re
+        return _Eval(best.value, node, le.mask | re.mask, best_child=best)
+    if isinstance(node, JoinNode):
         le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
         re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
         mask = le.mask | re.mask
-        if isinstance(node, JoinNode):
-            return _Eval((mask.bit_count() + 1) // 2, node, mask, children=(le, re))
-        best = le if le.value >= re.value else re
-        return _Eval(max(le.value, re.value), node, mask,
-                     best_child=best, children=(le, re))
+        return _Eval((mask.bit_count() + 1) // 2, node, mask, children=(le, re))
     if not isinstance(node, (Spider, PseudoSpider)):
         raise TypeError(f"unknown node {node!r}")
     children = ()
@@ -267,8 +284,8 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
     r_mask = mask & ~head_mask
     r_size = r_mask.bit_count()
     if r_size <= 2 * q:
-        return _Eval(_solve_induced(g, mask, stats, state_cap, deadline), node, mask,
-                     children=children)
+        return _solve_induced(g, node, mask, stats, state_cap, deadline, play,
+                              children)
     sub, back = induced(g, mask)
     if not is_connected(sub):
         raise ValueError(
@@ -363,7 +380,7 @@ class _WantStrategy(_NodeStrategy):
         state = (vred | bit, vblue)
         if board.colored & bit:
             if not (board.red & bit):
-                raise AssertionError("virtual tracker desynchronised")
+                raise InternalError("virtual tracker desynchronised")
             return None, state
         return w, state
 
@@ -437,13 +454,23 @@ class _MatchedStrategy(_WantStrategy):
 
 
 class _ExactStrategy(_WantStrategy):
-    """Optimal play on a leaf or small-pseudo-spider node, from the memo."""
+    """Optimal play on a leaf or small-pseudo-spider node, from the memo.
 
-    def __init__(self, g: Graph, mask: int, max_states: int):
+    ``core`` is the core that evaluated the node, when there is one: its
+    table already holds the node's solve, and its budget is reset so that
+    play may expand ``max_states`` more states, as a fresh core could."""
+
+    def __init__(self, g: Graph, mask: int, max_states: int,
+                 core: _Core | None = None):
         super().__init__(mask)
         sub, self._back = induced(g, mask)
         self._fwd = {orig: i for i, orig in enumerate(self._back)}
-        self._core = _Core(sub, Plain(), max_states=max_states)
+        if core is None:
+            core = _Core(sub, Plain(), max_states=max_states)
+        else:
+            core.max_states = core.expanded + max_states
+            core.deadline = None
+        self._core = core
 
     def want(self, vred, vblue):
         lred = mask_of(self._fwd[v] for v in bits(vred))
@@ -533,7 +560,7 @@ class _PseudoSpiderStrategy(_NodeStrategy):
         w = self._back[lv]
         if board.colored >> w & 1:
             if not (board.red >> w & 1):
-                raise AssertionError("virtual head tracker desynchronised")
+                raise InternalError("virtual head tracker desynchronised")
             return None, state
         return w, state
 
@@ -591,7 +618,7 @@ class ComposedAliceStrategy(Strategy):
 def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
     node = ev.node
     if isinstance(node, Leaf):
-        return _ExactStrategy(g, ev.mask, max_states)
+        return _ExactStrategy(g, ev.mask, max_states, ev.core)
     if isinstance(node, UnionNode):
         sub = _build_strategy(g, ev.best_child, max_states)
         return _UnionStrategy(ev.mask, sub)
@@ -607,7 +634,7 @@ def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
         return _MatchedStrategy(g, ev.mask, node.s, node.k)
     if isinstance(node, PseudoSpider):
         if ev.head is None:  # small rest: exact play on the whole node
-            return _ExactStrategy(g, ev.mask, max_states)
+            return _ExactStrategy(g, ev.mask, max_states, ev.core)
         head_mask = node.s | node.k
         r_size = (ev.mask & ~head_mask).bit_count()
         return _PseudoSpiderStrategy(g, ev.mask, head_mask, ev.head,
@@ -621,13 +648,15 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
 
     The evaluation behind it keeps one ``max_states`` budget, as in
     ``cg_qgraph``; each exact core the strategy solves later, during play,
-    gets the full ``max_states`` again.
+    gets the full ``max_states`` again.  An exact node whose graph is
+    connected is played from the core that evaluated it, so it is not solved
+    twice.
     """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     stats = EvalStats()
-    ev = _evaluate(g, tree.root, tree.q, stats, max_states, max_states)
+    ev = _evaluate(g, tree.root, tree.q, stats, max_states, max_states, play=True)
     root = _build_strategy(g, ev, max_states)
     return ComposedAliceStrategy(g, root, "qgraph-alice")
 

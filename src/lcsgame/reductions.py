@@ -17,6 +17,7 @@ from .engine import (
     AndOrSearch,
     ColorVertex,
     GameConfig,
+    InternalError,
     Player,
     Strategy,
     lowest_legal_move,
@@ -465,7 +466,7 @@ class PlanarAliceLift(Strategy):
         state = (phase, hred, hblue)
         if cfg.colored >> w & 1:
             if not (cfg.red >> w & 1):
-                raise AssertionError("virtual hex tracker desynchronised")
+                raise InternalError("virtual hex tracker desynchronised")
             return None, state
         return w, state
 

@@ -7,12 +7,24 @@ admissible static bounds are used on the default path; an unpruned plain
 minimax is kept alongside so the no-effect-on-values invariant can be
 checked directly.
 
+``_Core.exact`` decides the value by fail-soft null-window probes from
+above, in the style of MTD(f): it starts at t = n + 1, asks whether the
+value is at least t, and, while the answer is no, moves t down to the upper
+bound the failed probe returned.  The first probe returns the root's static
+bound at once; the probes share one transposition table and one state
+count.  Each table entry is the small int ``value * 3 + flag``, and
+``search`` probes the table before it computes the static bound.
+
 The pruned search carries two summaries of the red set down the recursion
 instead of recomputing them at every node: ``reach``, the union of the red
 vertices' neighbourhoods (so ``reach & uncolored`` is N(red) minus the
 coloured vertices), and, for Plain and Connected, ``lc``, the order of the
 largest red component, which is the score at a leaf and a lower bound at
-every other node.  An Alice move updates both from the moved vertex alone.
+every other node.  An Alice move updates both from the moved vertex alone;
+when red is disconnected, the grown ``lc`` is memoised by the new red set.
+The static bound of Plain and Connected reads the components of G - blue
+from a cache keyed by blue: their order alone when G - blue is connected,
+otherwise their (mask, order) pairs.
 
 Optimal moves (principal variations, extracted strategies, oracle moves)
 come from one routine, ``_Core.best_move``: given the exact value t of a
@@ -38,6 +50,7 @@ from .engine import (
     Connected,
     GameConfig,
     GameVariant,
+    InternalError,
     Move,
     Plain,
     Player,
@@ -102,9 +115,13 @@ class _Core:
         self.max_states = max_states
         self.deadline = _deadline(time_limit)
         self.expanded = 0
-        self.tt: dict[int, tuple[int, int]] = {}
-        # live components depend only on blue (live = V \ blue)
-        self._live_comps: dict[int, list[int]] = {}
+        # packed entries: value * 3 + flag
+        self.tt: dict[int, int] = {}
+        # the components of G - blue, by blue: the order alone when G - blue
+        # is connected, otherwise a tuple of (mask, order) pairs
+        self._live: dict[int, int | tuple[tuple[int, int], ...]] = {}
+        # lc of a disconnected red set after an adjacent Alice move, by red
+        self._lc: dict[int, int] = {}
 
     # -- red-set summaries carried down the search ----------------------------
 
@@ -125,26 +142,22 @@ class _Core:
             return lc or 1
         if lc == red.bit_count():  # red is connected, and bit touches it
             return lc + 1
-        return max(lc, component_of(self.adj, bit, red | bit).bit_count())
+        red |= bit
+        grown = self._lc.get(red)
+        if grown is None:
+            grown = max(lc, component_of(self.adj, bit, red).bit_count())
+            self._lc[red] = grown
+        return grown
 
     # -- terminal and move machinery -----------------------------------------
 
-    def _component_upper(self, red: int, blue: int, fa: int) -> int:
-        """Admissible bound: the final largest red component lives inside one
-        component of G - blue."""
-        comps = self._live_comps.get(blue)
-        if comps is None:
-            comps = components_within(self.adj, self.full_mask & ~blue)
-            self._live_comps[blue] = comps
-        best = 0
-        for comp in comps:
-            cap = comp.bit_count()
-            b = (comp & red).bit_count() + fa
-            if cap < b:
-                b = cap
-            if b > best:
-                best = b
-        return best
+    def _live_components(self, blue: int) -> int | tuple[tuple[int, int], ...]:
+        """The cache entry of G - blue (see ``_live``), filled on a miss."""
+        comps = components_within(self.adj, self.full_mask & ~blue)
+        live = (comps[0].bit_count() if len(comps) == 1
+                else tuple((c, c.bit_count()) for c in comps))
+        self._live[blue] = live
+        return live
 
     def _tick(self) -> None:
         self.expanded += 1
@@ -160,7 +173,12 @@ class _Core:
     def search(self, red: int, blue: int, ask: int, bsk: int,
                alpha: int, beta: int, reach: int, lc: int) -> int:
         """Fail-soft alpha-beta value.  ``reach`` and ``lc`` summarise red as
-        ``_red_summary`` does; they are updated per move, never recomputed."""
+        ``_red_summary`` does; they are updated per move, never recomputed.
+
+        After the terminal tests the transposition table is probed first; the
+        static bounds (``ub`` from the live components of G - blue, or from
+        the colourable vertices, and ``lb`` from the score so far) are only
+        computed when it does not settle the position."""
         uncolored = self.full_mask & ~(red | blue)
         rc = red.bit_count()
         alice = (rc + ask) == (blue.bit_count() + bsk)
@@ -174,32 +192,13 @@ class _Core:
         if kind == _CONNECTED_K and alice and red and not reach & uncolored:
             return lc
 
-        u = uncolored.bit_count()
-        if kind == _SKIP_K:
-            ub = rc + u
-        else:
-            fa = (u + 1) // 2 if alice else u // 2
-            if kind == _TARGET_K:
-                ub = (rc + fa) if self.x else 0
-            else:
-                ub = self._component_upper(red, blue, fa)
-        if ub <= alpha:
-            return ub
-        lb = lc
-        if not self.tracks_lc and rc >= beta:
-            lb = score(self.g, self.variant, red)
-        if lb >= beta:
-            return lb
-        if lb == ub:
-            return lb
-
         if kind == _SKIP_K:
             key = ((ask * 2 + bsk) << (2 * SOLVER_CAPACITY)) | (red << SOLVER_CAPACITY) | blue
         else:
             key = (red << SOLVER_CAPACITY) | blue
         hit = self.tt.get(key)
         if hit is not None:
-            v, flag = hit
+            v, flag = divmod(hit, 3)
             if flag == _EXACT:
                 return v
             if flag == _LOWER:
@@ -212,6 +211,39 @@ class _Core:
                     return v
                 if v < beta:
                     beta = v
+
+        u = uncolored.bit_count()
+        if kind == _SKIP_K:
+            ub = rc + u
+        else:
+            fa = (u + 1) // 2 if alice else u // 2
+            if kind == _TARGET_K:
+                ub = (rc + fa) if self.x else 0
+            else:
+                # the final largest red component lies inside one component
+                # of G - blue
+                live = self._live.get(blue)
+                if live is None:
+                    live = self._live_components(blue)
+                if live.__class__ is int:
+                    ub = rc + fa if rc + fa < live else live
+                else:
+                    ub = 0
+                    for comp, order in live:
+                        b = (comp & red).bit_count() + fa
+                        if order < b:
+                            b = order
+                        if b > ub:
+                            ub = b
+        if ub <= alpha:
+            return ub
+        lb = lc
+        if not self.tracks_lc and rc >= beta:
+            lb = score(self.g, self.variant, red)
+        if lb >= beta:
+            return lb
+        if lb == ub:
+            return lb
         self._tick()
 
         # move generation, neighbours of red first
@@ -265,7 +297,7 @@ class _Core:
             flag = _UPPER
         elif best >= b0:
             flag = _LOWER
-        self.tt[key] = (best, flag)
+        self.tt[key] = best * 3 + flag
         return best
 
     # -- unpruned reference search ---------------------------------------------
@@ -294,7 +326,7 @@ class _Core:
             key = (red << SOLVER_CAPACITY) | blue
         hit = self.tt.get(key)
         if hit is not None:
-            return hit[0]
+            return hit // 3
         self._tick()
         if kind == _CONNECTED_K and alice and red:
             cand = g.neighborhood(red) & uncolored
@@ -313,16 +345,28 @@ class _Core:
             elif not alice and bsk < self.b_budget:
                 vals.append(self.search_plain(red, blue, ask, bsk + 1))
         best = max(vals) if alice else min(vals)
-        self.tt[key] = (best, _EXACT)
+        self.tt[key] = best * 3 + _EXACT
         return best
 
     # -- public helpers ----------------------------------------------------------
 
     def exact(self, red: int, blue: int, ask: int = 0, bsk: int = 0) -> int:
-        if self.use_pruning:
-            return self.search(red, blue, ask, bsk, -1, self.g.n + 1,
-                               *self._red_summary(red))
-        return self.search_plain(red, blue, ask, bsk)
+        """Exact value of a position.  The pruned path probes from above with
+        null windows: with t = n + 1 at first, it asks ``search`` whether the
+        value is at least t; a probe that fails returns an upper bound r < t
+        (the first one, the root's static bound) and the next probe asks at
+        t = r, until one succeeds and the value is t.  The probes share the
+        table and the state count, so ``max_states`` and the deadline cover
+        the whole call."""
+        if not self.use_pruning:
+            return self.search_plain(red, blue, ask, bsk)
+        reach, lc = self._red_summary(red)
+        t = self.g.n + 1
+        while True:
+            r = self.search(red, blue, ask, bsk, t - 1, t, reach, lc)
+            if r >= t:
+                return t
+            t = r
 
     def exact_cfg(self, cfg: GameConfig) -> int:
         return self.exact(cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
@@ -360,7 +404,7 @@ class _Core:
             if keep:
                 return move
         if moves:
-            raise RuntimeError("no value-preserving move found (solver bug)")
+            raise InternalError("no value-preserving move found (solver bug)")
         return None
 
 
@@ -489,17 +533,6 @@ def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
 # -- forcing a connected dominating set within r rounds -----------------------
 
 
-def _red_contains_cds(g: Graph, red: int) -> bool:
-    # red contains a connected dominating set iff one of its components
-    # already dominates the whole graph
-    if red == 0:
-        return g.n == 0
-    for comp in components_within(g.adj, red):
-        if g.closed_neighborhood(comp) == g.full_mask:
-            return True
-    return False
-
-
 def can_force_cds_within(g: Graph, r: int, *,
                          max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Can Alice colour a connected dominating set by her r-th move, whatever
@@ -512,6 +545,16 @@ def can_force_cds_within(g: Graph, r: int, *,
     if g.n == 0:
         return True
     full = g.full_mask
+    # whether red contains a connected dominating set, i.e. one of its
+    # components dominates the graph; it depends on red alone
+    has_cds: dict[int, bool] = {}
+
+    def contains_cds(red: int) -> bool:
+        hit = has_cds.get(red)
+        if hit is None:
+            hit = has_cds[red] = any(g.closed_neighborhood(comp) == full
+                                     for comp in components_within(g.adj, red))
+        return hit
 
     def expand(pos: tuple[int, int]):
         red, blue = pos
@@ -520,7 +563,7 @@ def can_force_cds_within(g: Graph, r: int, *,
             if uncolored == 0:
                 return False
             return True, ((v, (red | 1 << v, blue)) for v in bits(uncolored))
-        if _red_contains_cds(g, red):
+        if contains_cds(red):
             return True
         if red.bit_count() >= r or uncolored == 0:
             return False

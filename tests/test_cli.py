@@ -263,3 +263,37 @@ class TestReportStability:
         run(capsys, "generate", "spider_matched", "k=3", "r=1",
             "--out", str(f))
         assert f.read_text() == first_graph
+
+
+class TestExitCodes:
+    """One test per exit path of ``main``: 0, 2, 3 and 4."""
+
+    def _c5(self, capsys, tmp_path):
+        f = tmp_path / "c5.g"
+        run(capsys, "generate", "cycle", "n=5", "--out", str(f))
+        return str(f)
+
+    def test_success_exit_0(self, capsys, tmp_path):
+        code, text, err = run(capsys, "solve", "--graph", self._c5(capsys, tmp_path))
+        assert code == 0 and text.startswith("c_g = ") and err == ""
+
+    def test_bad_input_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.g"
+        f.write_text("n 3\ne 0 7\n")
+        code, _, err = run(capsys, "solve", "--graph", str(f))
+        assert code == 2 and err.startswith("error: ")
+
+    def test_budget_exit_3(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "--graph", self._c5(capsys, tmp_path),
+                           "--max-states", "1")
+        assert code == 3 and err.startswith("budget exceeded: ")
+
+    def test_internal_error_exit_4(self, capsys, tmp_path, monkeypatch):
+        # a core that claims an impossible value leaves best_move with no
+        # value-preserving move, which is a solver bug, not bad input
+        from lcsgame.solver import _Core
+        monkeypatch.setattr(_Core, "exact", lambda self, *pos: self.g.n + 1)
+        code, _, err = run(capsys, "solve", "--graph", self._c5(capsys, tmp_path),
+                           "--pv")
+        assert code == 4 and err.startswith("internal error: ")
+        assert "solver bug" in err

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from lcsgame.engine import PLAIN, BudgetExceededError, Player, verify_strategy_exhaustive
+from lcsgame.engine import (PLAIN, BudgetExceededError, GameConfig, Player,
+                            verify_strategy_exhaustive)
 from lcsgame.generators import spider
 from lcsgame.graphs import Graph, bits
 from lcsgame.qgraph import (
@@ -26,7 +27,7 @@ from lcsgame.qgraph import (
     validate_tree,
     vertex_set,
 )
-from lcsgame.solver import analyze_head, cg
+from lcsgame.solver import _Core, analyze_head, cg
 
 from oracles import naive_cg
 
@@ -171,6 +172,23 @@ class TestEvaluation:
         alice_strategy_qgraph(g, t, max_states=2 * one)
         with pytest.raises(BudgetExceededError):
             alice_strategy_qgraph(g, t, max_states=one + 10)
+
+    def test_strategy_plays_a_leaf_from_its_evaluation_core(self, monkeypatch):
+        # two disjoint C12 under a union: the leaf the strategy follows was
+        # solved by the evaluation, and its first move reuses that table
+        # instead of solving the leaf again in a fresh core
+        c12 = [(i, (i + 1) % 12) for i in range(12)]
+        g = Graph.from_edges(24, c12 + [(u + 12, v + 12) for u, v in c12])
+        t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12)))
+        one = cg(Graph.from_edges(12, c12)).states_expanded
+        strat = alice_strategy_qgraph(g, t, max_states=2 * one)
+        ticks = []
+        tick = _Core._tick
+        monkeypatch.setattr(_Core, "_tick",
+                            lambda self: ticks.append(1) or tick(self))
+        move, _ = strat.choose(g, PLAIN, GameConfig(), strat.initial_state(), None)
+        assert move.v in range(12)
+        assert len(ticks) < one // 10
 
     def test_head_analysis_draws_from_the_call_budget(self):
         # head: path 0-1-2 with K = {1}; seven rest vertices hang off 1

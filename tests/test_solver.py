@@ -35,6 +35,7 @@ from lcsgame.graphs import (
     mask_of,
 )
 from lcsgame.solver import (
+    _Core,
     analyze_head,
     can_force_cds_within,
     cg,
@@ -346,6 +347,46 @@ class TestConsistencyKnobs:
         g = complete(4)
         res = cg(g, initial=GameConfig(red=1, blue=2))
         assert res.value == 2
+
+
+class TestSharedCoreQueries:
+    """``exact`` from every reachable position, asked in a shuffled order on
+    one pruned core, as ``OptimalStrategy`` and ``TargetOracle`` ask it: the
+    entries earlier probes left behind, with their bound flags, and the
+    memoised ``lc`` growth must give the same values as an unpruned
+    search."""
+
+    @staticmethod
+    def _reachable(g, variant):
+        seen = {GameConfig()}
+        stack = [GameConfig()]
+        while stack:
+            cfg = stack.pop()
+            for move in legal_moves(g, variant, cfg):
+                nxt = apply_move(cfg, cfg.mover(), move)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return sorted(seen, key=lambda c: (c.red, c.blue, c.alice_skips_used,
+                                           c.bob_skips_used))
+
+    @pytest.mark.parametrize("kind", ["plain", "connected", "target",
+                                      "skip11", "skip10"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_position_matches_unpruned(self, kind, seed):
+        rng = random.Random(f"{kind}/{seed}")
+        n = rng.randint(5, 7)
+        g = random_connected_gnm(n, rng.randint(n - 1, n + 2), rng)
+        x = rng.randrange(1, 1 << n)
+        variant = {"plain": PLAIN, "connected": CONNECTED, "target": TargetSet(x),
+                   "skip11": SkipBudget(1, 1, x), "skip10": SkipBudget(1, 0, x)}[kind]
+        positions = self._reachable(g, variant)
+        rng.shuffle(positions)
+        pruned = _Core(g, variant)
+        reference = _Core(g, variant, use_pruning=False)
+        for cfg in positions:
+            pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
+            assert pruned.exact(*pos) == reference.search_plain(*pos), (g.edges(), cfg)
 
 
 class TestConnectedVariantEndings:
