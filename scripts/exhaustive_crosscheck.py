@@ -2,10 +2,11 @@
 """Cross-check the production solver against a bare reference recursion.
 
 Enumerates every labelled graph up to --max-n vertices (this grows as
-2^C(n,2): n=6 means 32768 graphs) and compares values for the plain and
-connected variants, also asserting the degree bounds and the component rule.
-Each line reports the states the pruned solver expanded on that n's graphs
-(whole-graph solves only) beside the elapsed time.
+2^C(n,2): n=6 means 32768 graphs) and compares plain values, and with
+--connected also connected values, against the reference; it also asserts
+the degree bounds, the component rule and connected <= plain.  Each line
+reports the states the pruned solver expanded on that n's graphs
+(whole-graph solves only, per variant) beside the elapsed time.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
 """
@@ -23,7 +24,10 @@ from lcsgame.graphs import Graph, components, induced
 from lcsgame.solver import cg
 
 
-def reference_value(g: Graph) -> int:
+def reference_value(g: Graph, connected: bool = False) -> int:
+    """Value by plain minimax over sets.  In the connected variant Alice
+    plays in N(red) after her first move, and the game ends when she has no
+    such move."""
     adj = {v: {w for w in range(g.n) if g.adj[v] >> w & 1} for v in range(g.n)}
     everything = frozenset(range(g.n))
 
@@ -49,6 +53,10 @@ def reference_value(g: Graph) -> int:
         if not free:
             return comp_score(red)
         if len(red) == len(blue):
+            if connected and red:
+                free = {v for v in free if adj[v] & red}
+                if not free:
+                    return comp_score(red)
             return max(value(red | {v}, blue) for v in free)
         return min(value(red, blue | {v}) for v in free)
 
@@ -59,13 +67,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--connected", action="store_true",
-                    help="also spot-check the connected variant (slower)")
+                    help="also check the connected variant (slower)")
     args = ap.parse_args()
 
     t0 = time.time()
     total = 0
     for n in range(args.max_n + 1):
-        states = 0
+        states = cstates = 0
         pairs = list(itertools.combinations(range(n), 2))
         for em in range(1 << len(pairs)):
             edges = [e for i, e in enumerate(pairs) if em >> i & 1]
@@ -87,13 +95,21 @@ def main() -> int:
                     print(f"COMPONENT RULE VIOLATION n={n} edges={edges}")
                     return 1
             if args.connected:
-                cc = cg(g, CONNECTED).value
+                res = cg(g, CONNECTED)
+                cc = res.value
+                cstates += res.states_expanded
+                ref = reference_value(g, connected=True)
+                if cc != ref:
+                    print(f"CONNECTED MISMATCH n={n} edges={edges}: "
+                          f"solver {cc} reference {ref}")
+                    return 1
                 if cc > v:
                     print(f"CONNECTED > PLAIN n={n} edges={edges}: {cc} > {v}")
                     return 1
             total += 1
+        connected = f", {cstates} connected states" if args.connected else ""
         print(f"n={n}: all {1 << len(pairs)} labelled graphs agree "
-              f"({states} states, {time.time() - t0:.1f}s elapsed)")
+              f"({states} states{connected}, {time.time() - t0:.1f}s elapsed)")
     print(f"{total} graphs cross-checked, no disagreements")
     return 0
 

@@ -250,8 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, TypeError, FormatError, CapacityError, OSError,
-            AssertionError) as exc:
+    except (ValueError, TypeError, FormatError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

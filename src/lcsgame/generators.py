@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .engine import InternalError
 from .graphs import (
     Graph,
     Matching,
@@ -41,7 +42,7 @@ class FamilyGraph:
 
 def _check(cond: bool, message: str) -> None:
     if not cond:
-        raise AssertionError(f"family self-check failed: {message}")
+        raise InternalError(f"family self-check failed: {message}")
 
 
 # -- standard families ----------------------------------------------------------
@@ -353,7 +354,7 @@ def hex_patch(cells: int, cols: int = 1) -> FamilyGraph:
         ids = []
         for p in ring:
             if p in index:
-                raise AssertionError("cells overlap")
+                raise InternalError("cells overlap")
             index[p] = len(index)
             ids.append(index[p])
         cell_vertices.append(tuple(ids))

@@ -318,9 +318,10 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
               time_limit: float | None = None) -> int:
     """Game value of a (q, q-4) graph, evaluated bottom-up over its tree.
 
-    ``max_states`` and ``time_limit`` cover the whole evaluation: each exact
-    solve and each head's target-set solve gets only what the earlier ones
-    left (the compound-skip searches inside a head analysis run unbudgeted).
+    ``max_states`` covers the whole evaluation: each exact solve, and each
+    head's target-set solve and compound-skip searches, gets only what the
+    earlier ones left.  ``time_limit`` covers the exact and target-set
+    solves.
     """
     res = validate_tree(g, tree)
     if not res:

@@ -223,7 +223,7 @@ def build_bipartite(cnf: CnfInstance) -> ReductionOutput:
     from .graphs import diameter, is_bipartite
     ok, _ = is_bipartite(g)
     if not ok or diameter(g) > 4:
-        raise AssertionError("reduction output must be bipartite of diameter <= 4")
+        raise InternalError("reduction output must be bipartite of diameter <= 4")
     return ReductionOutput("bipartite", g, total // 2, roles,
                            var_count=n, pair_partner=pair, source_cnf=cnf)
 
@@ -251,7 +251,7 @@ def build_split(cnf: CnfInstance) -> ReductionOutput:
     clique_mask = mask_of(range(n))
     if not is_clique(g, clique_mask) or \
        not is_independent(g, g.full_mask & ~clique_mask):
-        raise AssertionError("output must be a split graph")
+        raise InternalError("output must be a split graph")
     return ReductionOutput("split", g, total // 2, roles,
                            var_count=n, pair_partner=pair, source_cnf=cnf)
 
@@ -300,7 +300,7 @@ def build_planar(hx: HexInstance) -> ReductionOutput:
         hub_leaves[hub] = leaves
     g = Graph.from_edges(nxt, edges)
     if g.n != 7 * n + 30:
-        raise AssertionError("planar build has wrong order")
+        raise InternalError("planar build has wrong order")
     hexi = HexInstance(Graph.from_edges(n, [(u, v) for u, v in edges
                                             if u < n and v < n]), s, t)
     return ReductionOutput("planar", g, n + 5, roles,

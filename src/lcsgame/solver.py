@@ -26,12 +26,35 @@ The static bound of Plain and Connected reads the components of G - blue
 from a cache keyed by blue: their order alone when G - blue is connected,
 otherwise their (mask, order) pairs.
 
+Two exact reductions cut the tree further, on no extra path:
+
+- Counting cutoff (Plain and Connected).  Let red be connected, k the
+  number of uncoloured neighbours of red, and fa the number of moves Alice
+  has left.  If k >= 2 * fa - 1 with Alice to move (k >= 2 * fa with Bob to
+  move), the value is rc + fa, the static bound, and ``search`` returns it
+  without computing the bound or storing an entry.  Alice always plays an
+  uncoloured neighbour of red: before her last move, her earlier moves and
+  Bob's have used at most 2 * fa - 1 (2 * fa) of the k starting neighbours
+  and her moves only add new ones, so one is left, red stays connected, and
+  it ends with rc + fa vertices.
+- Twin move skip (every variant).  Vertices u < v are twins when
+  N(u) - v == N(v) - u (equal open or equal closed neighbourhoods) and,
+  for TargetSet and SkipBudget, both or neither lie in x.  Swapping them is
+  an automorphism of the game that fixes every position in which both are
+  uncoloured, so the move v leads to the image of the move u and has the
+  same value: neither player's move v is searched while a lower twin is
+  uncoloured.  Twins are found once per core by grouping the neighbourhood
+  masks.  Both the lower twin and v are neighbours of red or neither is, so
+  the skip also keeps the Connected move rule and the near/far move order.
+
 Optimal moves (principal variations, extracted strategies, oracle moves)
 come from one routine, ``_Core.best_move``: given the exact value t of a
 position, it returns the first legal move, by vertex index with Pass last,
 whose successor keeps t, deciding each successor with a null-window search
 (is it >= t after an Alice move, <= t after a Bob move) instead of solving
-it exactly.
+it exactly.  It skips twin moves as ``search`` does: the lower twin of a
+value-keeping move keeps the value too and comes first, so the move chosen
+is the same.
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
@@ -122,6 +145,27 @@ class _Core:
         self._live: dict[int, int | tuple[tuple[int, int], ...]] = {}
         # lc of a disconnected red set after an adjacent Alice move, by red
         self._lc: dict[int, int] = {}
+        self._twins = self._twin_lower()
+
+    def _twin_lower(self) -> tuple[tuple[int, int], ...]:
+        """``(bit, lower)`` for each vertex v that has twins below it:
+        ``lower`` is the mask of the vertices u < v with N(u) - v == N(v) - u
+        (equal open neighbourhoods, or equal closed ones) that agree with v
+        on membership in ``x``.  Swapping u and v is then an automorphism
+        that keeps the score."""
+        seen: dict[tuple[int, bool, bool], int] = {}
+        twins = []
+        for v, nbrs in enumerate(self.adj):
+            bit = 1 << v
+            in_x = bool(self.x & bit)
+            lower = 0
+            for key in ((nbrs, False, in_x), (nbrs | bit, True, in_x)):
+                mates = seen.get(key, 0)
+                lower |= mates
+                seen[key] = mates | bit
+            if lower:
+                twins.append((bit, lower))
+        return tuple(twins)
 
     # -- red-set summaries carried down the search ----------------------------
 
@@ -151,6 +195,15 @@ class _Core:
 
     # -- terminal and move machinery -----------------------------------------
 
+    def _twin_free(self, uncolored: int) -> int:
+        """``uncolored`` without each vertex that has a lower uncoloured twin:
+        its move leads to the image of its twin's move under the swap."""
+        moves = uncolored
+        for bit, lower in self._twins:
+            if lower & uncolored:
+                moves &= ~bit
+        return moves
+
     def _live_components(self, blue: int) -> int | tuple[tuple[int, int], ...]:
         """The cache entry of G - blue (see ``_live``), filled on a miss."""
         comps = components_within(self.adj, self.full_mask & ~blue)
@@ -175,10 +228,11 @@ class _Core:
         """Fail-soft alpha-beta value.  ``reach`` and ``lc`` summarise red as
         ``_red_summary`` does; they are updated per move, never recomputed.
 
-        After the terminal tests the transposition table is probed first; the
-        static bounds (``ub`` from the live components of G - blue, or from
-        the colourable vertices, and ``lb`` from the score so far) are only
-        computed when it does not settle the position."""
+        After the terminal tests the transposition table is probed first;
+        the counting cutoff (see the module docstring) and the static bounds
+        (``ub`` from the live components of G - blue, or from the colourable
+        vertices, and ``lb`` from the score so far) are only computed when
+        it does not settle the position."""
         uncolored = self.full_mask & ~(red | blue)
         rc = red.bit_count()
         alice = (rc + ask) == (blue.bit_count() + bsk)
@@ -217,6 +271,12 @@ class _Core:
             ub = rc + u
         else:
             fa = (u + 1) // 2 if alice else u // 2
+            # counting cutoff: with red connected and enough uncoloured
+            # neighbours, Alice keeps red connected to the end and meets the
+            # static bound rc + fa
+            if self.tracks_lc and lc == rc and \
+                    (reach & uncolored).bit_count() >= 2 * fa - alice:
+                return rc + fa
             if kind == _TARGET_K:
                 ub = (rc + fa) if self.x else 0
             else:
@@ -247,8 +307,9 @@ class _Core:
         self._tick()
 
         # move generation, neighbours of red first
-        near = reach & uncolored
-        far = 0 if kind == _CONNECTED_K and alice and red else uncolored & ~near
+        moves = self._twin_free(uncolored) if self._twins else uncolored
+        near = reach & moves
+        far = 0 if kind == _CONNECTED_K and alice and red else moves & ~near
         a0, b0 = alpha, beta
         if alice:
             adj = self.adj
@@ -379,7 +440,7 @@ class _Core:
         keeps ``t`` when it is worth at least ``t``, a Bob move at most ``t``."""
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
-        cand = self.full_mask & ~(red | blue)
+        cand = self._twin_free(self.full_mask & ~(red | blue))
         if self.kind == _CONNECTED_K and alice and red:
             cand &= reach
         moves: list[Move] = [ColorVertex(v) for v in bits(cand)]
@@ -526,8 +587,13 @@ def cg(g: Graph, variant: GameVariant = Plain(), *,
 
 
 def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """True iff Alice can keep her whole colouring connected: value = ceil(n/2)."""
-    return cg(g, max_states=max_states).value == (g.n + 1) // 2
+    """True iff Alice can keep her whole colouring connected: value = ceil(n/2).
+
+    One null-window probe of the whole graph: ceil(n/2) is the static bound
+    of the empty board, so the question is whether the value reaches it."""
+    t = (g.n + 1) // 2
+    return _Core(g, Plain(), max_states=max_states).search(
+        0, 0, 0, 0, t - 1, t, 0, 0) >= t
 
 
 # -- forcing a connected dominating set within r rounds -----------------------
@@ -590,7 +656,8 @@ class HeadAnalysis:
     c_star: int
     exists_sa2: bool
     exists_sb2: bool
-    states_expanded: int = 0  # by the target-set solve of c_star
+    # by the target-set solve of c_star and the compound-skip searches
+    states_expanded: int = 0
 
     # solver handles kept for strategy extraction
     _sa2_game: "_CompoundSkipGame | None" = None
@@ -643,7 +710,8 @@ class _CompoundSkipGame:
     """
 
     def __init__(self, g: Graph, x: int, c_star: int, protagonist: Player,
-                 strict: bool = True, protagonist_passes: bool = True):
+                 strict: bool = True, protagonist_passes: bool = True,
+                 max_states: int | None = None):
         self.g = g
         self.x = x
         self.c_star = c_star
@@ -652,7 +720,7 @@ class _CompoundSkipGame:
         # holding variant: the protagonist never passes, only defends the
         # straight value while punishing the opponent's pass by a point
         self.protagonist_passes = protagonist_passes
-        self.search = AndOrSearch(self._expand)
+        self.search = AndOrSearch(self._expand, max_states)
 
     def _terminal_win(self, red: int, blue: int, a_p: int, b_p: int,
                       first: int) -> bool:
@@ -714,9 +782,11 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
     ``strict_pass_rule`` pins the reading where the player who benefits from
     the opponent's earlier pass must not pass afterwards; the relaxed
     reading only demands the improved score.  ``target_states`` (default
-    ``max_states``) and ``time_limit`` bound the target-set solve;
-    ``max_states`` also bounds each core the returned oracle solves later.
-    The compound-skip searches run unbudgeted.
+    ``max_states``) bounds the target-set solve and the compound-skip
+    searches together: each draws on what the earlier ones left, and
+    ``max_states`` caps each of them.  ``time_limit`` bounds the target-set
+    solve; ``max_states`` also bounds each core the returned oracle solves
+    later.
     """
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
@@ -724,22 +794,28 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
         target_states = max_states
     target = cg(g1, TargetSet(k), max_states=target_states, time_limit=time_limit)
     c_star = target.value
-    sa2_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE, strict_pass_rule)
-    sb2_game = _CompoundSkipGame(g1, k, c_star, Player.BOB, strict_pass_rule)
-    exists_sa2 = sa2_game.search.wins((0, 0, 0, 0, 0))
-    exists_sb2 = sb2_game.search.wins((0, 0, 0, 0, 0))
+    spent = target.states_expanded
+
+    def solved(protagonist: Player, passes: bool = True):
+        nonlocal spent
+        game = _CompoundSkipGame(g1, k, c_star, protagonist, strict_pass_rule,
+                                 passes, min(max_states, target_states - spent))
+        won = game.search.wins((0, 0, 0, 0, 0))
+        spent += game.search.expanded
+        return game, won
+
+    sa2_game, exists_sa2 = solved(Player.ALICE)
+    _, exists_sb2 = solved(Player.BOB)
     if exists_sa2 and exists_sb2:
-        raise AssertionError(
+        raise InternalError(
             "compound skip strategies for both players cannot coexist")
     hold_game = None
     if not exists_sa2 and not exists_sb2:
-        hold_game = _CompoundSkipGame(g1, k, c_star, Player.ALICE,
-                                      strict_pass_rule,
-                                      protagonist_passes=False)
-        if not hold_game.search.wins((0, 0, 0, 0, 0)):
+        hold_game, holds = solved(Player.ALICE, passes=False)
+        if not holds:
             hold_game = None
     oracle = TargetOracle(g1, k, max_states=max_states)
-    return HeadAnalysis(c_star, exists_sa2, exists_sb2, target.states_expanded,
+    return HeadAnalysis(c_star, exists_sa2, exists_sb2, spent,
                         _sa2_game=sa2_game if exists_sa2 else None,
                         _hold_game=hold_game,
                         _oracle=oracle)

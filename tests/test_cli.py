@@ -297,3 +297,13 @@ class TestExitCodes:
                            "--pv")
         assert code == 4 and err.startswith("internal error: ")
         assert "solver bug" in err
+
+    def test_failed_output_check_exit_4(self, capsys, tmp_path, monkeypatch):
+        # a reduction whose own output check fails is an internal error
+        import lcsgame.graphs
+        monkeypatch.setattr(lcsgame.graphs, "diameter", lambda g: 5)
+        f = tmp_path / "phi.cnf"
+        f.write_text("p poscnf 2 1\n1 2 0\n")
+        code, _, err = run(capsys, "reduce", "--kind", "bipartite", "--in", str(f))
+        assert code == 4 and err.startswith("internal error: ")
+        assert "bipartite of diameter <= 4" in err

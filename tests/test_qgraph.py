@@ -199,14 +199,14 @@ class TestEvaluation:
         head = analyze_head(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b010)
         stats = EvalStats()
         assert cg_qgraph(g, t, stats=stats) == cg(g).value
-        # the c_star solve plus one single-vertex solve per rest leaf
+        # the head analysis plus one single-vertex solve per rest leaf
         assert stats.states_expanded == head.states_expanded + 7
         assert cg_qgraph(g, t, max_states=stats.states_expanded) == cg(g).value
         with pytest.raises(BudgetExceededError):
             cg_qgraph(g, t, max_states=stats.states_expanded - 1)
 
     def test_head_oracle_keeps_the_per_solve_budget(self):
-        # only the c_star solve draws from what is left; the oracle's cores,
+        # only the head analysis draws from what is left; the oracle's cores,
         # solved later during play, keep the full max_states
         g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
         need = analyze_head(g3, 0b010).states_expanded

@@ -23,7 +23,7 @@ from lcsgame.engine import (
     score,
     verify_strategy_exhaustive,
 )
-from lcsgame.generators import cartesian_grid, random_connected_gnm
+from lcsgame.generators import cartesian_grid, complete_bipartite, random_connected_gnm
 from lcsgame.graphs import (
     CapacityError,
     Graph,
@@ -32,6 +32,7 @@ from lcsgame.graphs import (
     delete_edge,
     delete_vertices,
     induced,
+    largest_component_order,
     mask_of,
 )
 from lcsgame.solver import (
@@ -222,6 +223,27 @@ class TestAPerfect:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
         assert is_a_perfect(g)
 
+    def test_matches_the_value(self):
+        rng = random.Random(19)
+        disconnected = 0
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = Graph.from_edges(n, rng.sample(all_edges,
+                                               rng.randint(0, len(all_edges))))
+            disconnected += len(components(g)) > 1
+            assert is_a_perfect(g) == (cg(g).value == (n + 1) // 2), g.edges()
+        for _ in range(20):
+            n = rng.randint(4, 10)
+            m = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+            g = random_connected_gnm(n, m, rng)
+            assert is_a_perfect(g) == (cg(g).value == (n + 1) // 2), g.edges()
+        assert disconnected
+
+    def test_keeps_the_state_budget(self):
+        with pytest.raises(BudgetExceededError):
+            is_a_perfect(cycle(8), max_states=1)
+
 
 class TestForcingCds:
     def test_k5_one_round(self):
@@ -278,6 +300,11 @@ class TestHeadAnalysis:
         a = analyze_head(g, 0b11, strict_pass_rule=True)
         b = analyze_head(g, 0b11, strict_pass_rule=False)
         assert a.c_star == b.c_star
+
+    def test_compound_skip_searches_keep_the_state_budget(self):
+        g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(BudgetExceededError):
+            analyze_head(g3, 0b010, max_states=1, target_states=10_000)
 
     def test_target_outside_head_rejected(self):
         with pytest.raises(ValueError):
@@ -349,6 +376,55 @@ class TestConsistencyKnobs:
         assert res.value == 2
 
 
+def _cotree(n, rng):
+    """A seeded cograph: vertex groups merged pairwise by disjoint union or
+    by join until one group is left."""
+    groups = [[v] for v in range(n)]
+    edges = []
+    while len(groups) > 1:
+        a = groups.pop(rng.randrange(len(groups)))
+        b = groups.pop(rng.randrange(len(groups)))
+        if rng.random() < 0.5:
+            edges += [(u, w) for u in a for w in b]
+        groups.append(a + b)
+    return Graph.from_edges(n, edges)
+
+
+TWIN_RICH = ["complete", "bipartite", "star", "king", "cotree", "dense"]
+
+
+def _twin_rich(family, rng):
+    """Dense and twin-rich graphs on at most 7 vertices."""
+    if family == "complete":
+        return complete(rng.randint(5, 7))
+    if family == "bipartite":
+        a = rng.randint(2, 3)
+        return complete_bipartite(a, rng.randint(a, 7 - a)).graph
+    if family == "star":
+        return complete_bipartite(1, rng.randint(4, 6)).graph
+    if family == "king":
+        return king2(3)
+    if family == "cotree":
+        return _cotree(rng.randint(5, 7), rng)
+    n = rng.randint(5, 7)
+    pairs = n * (n - 1) // 2
+    return random_connected_gnm(n, rng.randint(-(-6 * pairs // 10), pairs), rng)
+
+
+def _cutoff_margin(g, cfg):
+    """For a connected non-empty red set, k - (2 * fa - alice), where k counts
+    the uncoloured neighbours of red and fa Alice's remaining moves; None
+    when red is empty or disconnected."""
+    red = cfg.red
+    if not red or largest_component_order(g.adj, red) != red.bit_count():
+        return None
+    uncolored = g.full_mask & ~(red | cfg.blue)
+    u = uncolored.bit_count()
+    alice = cfg.mover() is Player.ALICE
+    fa = (u + 1) // 2 if alice else u // 2
+    return (g.neighborhood(red) & uncolored).bit_count() - (2 * fa - alice)
+
+
 class TestSharedCoreQueries:
     """``exact`` from every reachable position, asked in a shuffled order on
     one pruned core, as ``OptimalStrategy`` and ``TargetOracle`` ask it: the
@@ -370,14 +446,8 @@ class TestSharedCoreQueries:
         return sorted(seen, key=lambda c: (c.red, c.blue, c.alice_skips_used,
                                            c.bob_skips_used))
 
-    @pytest.mark.parametrize("kind", ["plain", "connected", "target",
-                                      "skip11", "skip10"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_any_position_matches_unpruned(self, kind, seed):
-        rng = random.Random(f"{kind}/{seed}")
-        n = rng.randint(5, 7)
-        g = random_connected_gnm(n, rng.randint(n - 1, n + 2), rng)
-        x = rng.randrange(1, 1 << n)
+    def _check_every_position(self, g, kind, rng):
+        x = rng.randrange(1, 1 << g.n)
         variant = {"plain": PLAIN, "connected": CONNECTED, "target": TargetSet(x),
                    "skip11": SkipBudget(1, 1, x), "skip10": SkipBudget(1, 0, x)}[kind]
         positions = self._reachable(g, variant)
@@ -387,6 +457,60 @@ class TestSharedCoreQueries:
         for cfg in positions:
             pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
             assert pruned.exact(*pos) == reference.search_plain(*pos), (g.edges(), cfg)
+
+    @pytest.mark.parametrize("kind", ["plain", "connected", "target",
+                                      "skip11", "skip10"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_position_matches_unpruned(self, kind, seed):
+        rng = random.Random(f"{kind}/{seed}")
+        n = rng.randint(5, 7)
+        g = random_connected_gnm(n, rng.randint(n - 1, n + 2), rng)
+        self._check_every_position(g, kind, rng)
+
+    @pytest.mark.parametrize("kind", ["plain", "connected", "target",
+                                      "skip11", "skip10"])
+    @pytest.mark.parametrize("family", TWIN_RICH)
+    def test_twin_rich_position_matches_unpruned(self, kind, family):
+        # dense and twin-rich graphs, where the counting cutoff and the twin
+        # move skip do most of the pruning
+        rng = random.Random(f"{family}/{kind}")
+        self._check_every_position(_twin_rich(family, rng), kind, rng)
+
+    @pytest.mark.parametrize("variant", [PLAIN, CONNECTED], ids=["plain", "connected"])
+    def test_cutoff_boundary(self, variant):
+        # at k = 2 * fa - alice a fresh core settles the position without
+        # expanding it; one below, the value still matches the reference
+        seen = {0: 0, -1: 0}
+        for family in TWIN_RICH:
+            for seed in range(3):
+                g = _twin_rich(family, random.Random(f"{family}/{seed}"))
+                reference = _Core(g, variant, use_pruning=False)
+                for cfg in self._reachable(g, variant):
+                    margin = _cutoff_margin(g, cfg)
+                    if margin not in seen:
+                        continue
+                    seen[margin] += 1
+                    pos = (cfg.red, cfg.blue, 0, 0)
+                    fresh = _Core(g, variant)
+                    assert fresh.exact(*pos) == reference.search_plain(*pos), \
+                        (g.edges(), cfg)
+                    if margin == 0:
+                        assert fresh.expanded == 0, (g.edges(), cfg)
+        assert seen[0] and seen[-1]
+
+
+class TestTwinClasses:
+    def test_false_twins_and_target_membership(self):
+        star = complete_bipartite(1, 3).graph
+        # leaves 1, 2, 3 share the open neighbourhood {0}
+        assert _Core(star, PLAIN)._twins == ((0b100, 0b10), (0b1000, 0b110))
+        # leaf 2 is in x, leaves 1 and 3 are not
+        assert _Core(star, TargetSet(0b101))._twins == ((0b1000, 0b10),)
+
+    def test_true_twins(self):
+        # each column of the two-row king's grid shares a closed neighbourhood
+        assert _Core(king2(3), PLAIN)._twins == ((0b10, 0b1), (0b1000, 0b100),
+                                                 (0b100000, 0b10000))
 
 
 class TestConnectedVariantEndings:
