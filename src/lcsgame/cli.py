@@ -1,8 +1,8 @@
 """Command-line front end: solve, verify, qgraph, reduce, generate, bench.
 
 Exit codes: 0 on success, 2 on domain errors (bad flags, malformed files,
-capacity violations), 3 when a state or time budget ran out.  All reports
-are stable line-oriented text.
+capacity violations), 3 when a state or time budget ran out, 4 on an
+internal error.  All reports are stable line-oriented text.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, TypeError, FormatError, CapacityError, OSError) as exc:
+    except (ValueError, FormatError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

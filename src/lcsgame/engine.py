@@ -18,10 +18,16 @@ the two loops read the uncoloured mask directly.
 ``AndOrSearch`` is the one memoised win/lose search; the source games of
 the reductions, the head analysis and CDS forcing each supply its
 ``expand``.
+
+``Budget`` is the one state budget and deadline of a call: every search the
+call starts -- solver cores, AND/OR searches, the strategy verifier --
+charges the same object, so the call's ``max_states`` and ``time_limit``
+cover all of them together.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -164,6 +170,35 @@ class InternalError(RuntimeError):
     """A broken internal invariant: a bug in lcsgame, not bad input."""
 
 
+class Budget:
+    """The state budget and deadline of one call, shared by every search it
+    starts.  ``tick`` charges one expanded state: more than ``max_states``
+    raises ``BudgetExceededError``, and so does passing the deadline, which
+    is read every 2048 states.  ``spent`` counts the states charged."""
+
+    __slots__ = ("max_states", "time_limit", "deadline", "spent", "check_at")
+
+    def __init__(self, max_states: float, time_limit: float | None = None):
+        self.max_states = max_states
+        self.time_limit = time_limit
+        self.deadline = None if time_limit is None else time.monotonic() + time_limit
+        self.spent = 0
+        # one comparison per state: the count past which to look at the
+        # state budget or the clock
+        self.check_at = max_states if time_limit is None else min(max_states, 2047)
+
+    def tick(self) -> None:
+        self.spent += 1
+        if self.spent > self.check_at:
+            if self.spent > self.max_states:
+                raise BudgetExceededError(
+                    f"more than {self.max_states} states expanded")
+            if time.monotonic() > self.deadline:
+                raise BudgetExceededError(
+                    f"time limit of {self.time_limit} s reached")
+            self.check_at = min(self.max_states, self.spent + 2047)
+
+
 class AndOrSearch:
     """Memoised AND/OR search of a win/lose game over hashable positions.
 
@@ -173,15 +208,14 @@ class AndOrSearch:
     At an OR node the protagonist moves and wins if some child wins; at an
     AND node the opponent moves and the protagonist wins only if every child
     does.  Every position is memoised, and the memo is read before
-    ``expand`` runs.  ``max_states`` bounds the positions expanded into
-    children, on either side.
+    ``expand`` runs.  Each position expanded into children, on either side,
+    charges ``budget`` (unbounded by default).
     """
 
     def __init__(self, expand: Callable[[Hashable], object],
-                 max_states: int | None = None):
+                 budget: Budget | None = None):
         self.expand = expand
-        self.max_states = max_states
-        self.expanded = 0
+        self.budget = Budget(math.inf) if budget is None else budget
         self.memo: dict[Hashable, bool] = {}
 
     def wins(self, pos: Hashable) -> bool:
@@ -192,10 +226,7 @@ class AndOrSearch:
         if isinstance(node, bool):
             result = node
         else:
-            self.expanded += 1
-            if self.max_states is not None and self.expanded > self.max_states:
-                raise BudgetExceededError(
-                    f"search exceeded state budget of {self.max_states}")
+            self.budget.tick()
             # the node takes the mover's wanted outcome once a child gives it
             or_node, children = node
             result = not or_node
@@ -221,14 +252,6 @@ class AndOrSearch:
             if self.wins(child) == or_node:
                 return mv
         return None
-
-
-def _deadline(time_limit: float | None) -> float | None:
-    return None if time_limit is None else time.monotonic() + time_limit
-
-
-def _time_left(deadline: float | None) -> float | None:
-    return None if deadline is None else deadline - time.monotonic()
 
 
 def _legal_masks(g: Graph, variant: GameVariant, red: int, blue: int,
@@ -482,8 +505,8 @@ def verify_strategy_exhaustive(
     The fixed side's moves are forced; the opponent branches over all legal
     moves.  Returns the minimum final score when the fixed side is Alice and
     the maximum when it is Bob, memoised on (red, blue, skips used, private
-    state) at adversary decision points.  ``time_limit`` (seconds) is
-    checked every 2048 expanded states.
+    state) at adversary decision points.  One ``Budget`` of ``max_states``
+    and ``time_limit`` (seconds) covers the whole verification.
     """
     if objective is None:
         objective = lambda cfg: score(g, variant, cfg.red)
@@ -495,18 +518,13 @@ def verify_strategy_exhaustive(
     full = g.full_mask
     vertex_moves = [ColorVertex(v) for v in range(g.n)]
     memo: dict[Hashable, int] = {}
-    expanded = 0
-    deadline = _deadline(time_limit)
-    # one comparison per state: the next state count at which to look at
-    # the state budget or the clock
-    check_at = max_states if deadline is None else min(max_states, 2047)
+    tick = Budget(max_states, time_limit).tick
 
     def value(red: int, blue: int, ask: int, bsk: int, alice: bool,
               state: Hashable, last_adv: Move | None) -> int:
         """Play the fixed side's (forced) move, then branch over every
         adversary move; the final score once the game ends.  ``alice``:
         Alice is to move (turns alternate; a pass is a turn)."""
-        nonlocal expanded, check_at
         while True:
             if open_board:
                 mask, pass_ok = full & ~(red | blue), False
@@ -531,14 +549,7 @@ def verify_strategy_exhaustive(
         hit = memo.get(key)
         if hit is not None:
             return hit
-        expanded += 1
-        if expanded > check_at:
-            if expanded > max_states:
-                raise BudgetExceededError(
-                    f"verification exceeded {max_states} states")
-            if time.monotonic() > deadline:
-                raise BudgetExceededError("verification exceeded its time limit")
-            check_at = min(max_states, expanded + 2047)
+        tick()
         best = None
         while mask:
             bit = mask & -mask

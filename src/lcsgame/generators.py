@@ -9,6 +9,7 @@ format writer.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 
@@ -423,6 +424,10 @@ def generate(family: str, **params: int) -> FamilyGraph:
     unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)} for {family}")
+    missing = [p.name for p in inspect.signature(fn).parameters.values()
+               if p.default is p.empty and p.name not in params]
+    if missing:
+        raise ValueError(f"missing parameters {missing} for {family}")
     return fn(**params)
 
 

@@ -6,6 +6,9 @@ constant-size pieces), so the whole computation is linear in the tree size
 for fixed q.  The composed Alice strategy mirrors the per-case strategies:
 sub-strategies run against a *virtual* board that ignores her arbitrary
 moves, the standard device that keeps them sound when wrapped.
+
+One ``engine.Budget`` covers every search an evaluation starts: each exact
+solve, and each head's target-set solve and compound-skip searches.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from typing import Hashable, NoReturn, Union as TUnion
 
 from .engine import (
     PASS,
+    Budget,
     ColorVertex,
     GameConfig,
     InternalError,
     Plain,
     Strategy,
-    _deadline,
-    _time_left,
     lowest_legal_move,
 )
 from .graphs import (Graph, bits, induced, is_clique, is_connected, is_independent,
@@ -32,8 +34,8 @@ from .solver import (
     TargetOracle,
     _CompoundSkipGame,
     _Core,
-    analyze_head,
-    cg,
+    _analyze_head,
+    _cg,
 )
 
 
@@ -219,32 +221,30 @@ class _Eval:
     head: HeadAnalysis | None = None
     head_graph: Graph | None = None
     head_map: tuple[int, ...] = ()
-    # the solved core of a connected exact node, reused for play
+    # the core an exact node is played from: the one that solved it when its
+    # graph is connected, otherwise a fresh one
     core: _Core | None = None
 
 
-def _solve_induced(g: Graph, node: Node, mask: int, stats: EvalStats,
-                   state_cap: int, deadline: float | None, play: bool,
+def _solve_induced(g: Graph, node: Node, mask: int, budget: Budget, play: bool,
                    children: tuple[_Eval, ...] = ()) -> _Eval:
     """Exact evaluation of a node on the graph induced by ``mask``.  With
-    ``play``, and when that graph is connected, the solved core is kept for
-    ``_ExactStrategy``; a disconnected one is solved per component, so no
-    core covers it."""
+    ``play`` the node keeps a core for ``_ExactStrategy``: the solved one
+    when that graph is connected; a disconnected one is solved per
+    component, so it gets a fresh core."""
     sub, _ = induced(g, mask)
-    res = cg(sub, max_states=state_cap - stats.states_expanded,
-             time_limit=_time_left(deadline))
-    stats.states_expanded += res.states_expanded
-    core = res._core if play and res._component_map is None else None
+    res = _cg(sub, Plain(), budget)
+    core = None
+    if play:
+        core = (res._core if res._component_map is None
+                else _Core(sub, Plain(), budget=budget))
     return _Eval(res.value, node, mask, children=children, core=core)
 
 
-def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
-              state_cap: int, deadline: float | None = None,
+def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
               play: bool = False) -> _Eval:
-    """Value of a tree node.  The exact solves it starts share ``deadline``
-    and one state budget: each may expand what is left of ``state_cap``
-    once ``stats.states_expanded`` is taken off.  ``max_states`` caps each
-    core that a head's target oracle solves later, during play.
+    """Value of a tree node.  Every exact solve and head analysis it starts
+    charges ``budget``.
 
     ``play`` marks a node the composed strategy may play exactly: the root
     of a strategy's evaluation and, below it, the children of unions only.
@@ -253,23 +253,22 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
     evaluated."""
     stats.nodes_evaluated += 1
     if isinstance(node, Leaf):
-        return _solve_induced(g, node, node.vertices, stats, state_cap, deadline,
-                              play)
+        return _solve_induced(g, node, node.vertices, budget, play)
     if isinstance(node, UnionNode):
-        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline, play)
-        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline, play)
+        le = _evaluate(g, node.left, q, stats, budget, play)
+        re = _evaluate(g, node.right, q, stats, budget, play)
         best = le if le.value >= re.value else re
         return _Eval(best.value, node, le.mask | re.mask, best_child=best)
     if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, max_states, state_cap, deadline)
-        re = _evaluate(g, node.right, q, stats, max_states, state_cap, deadline)
+        le = _evaluate(g, node.left, q, stats, budget)
+        re = _evaluate(g, node.right, q, stats, budget)
         mask = le.mask | re.mask
         return _Eval((mask.bit_count() + 1) // 2, node, mask, children=(le, re))
     if not isinstance(node, (Spider, PseudoSpider)):
         raise TypeError(f"unknown node {node!r}")
     children = ()
     if node.r_tree is not None:
-        children = (_evaluate(g, node.r_tree, q, stats, max_states, state_cap, deadline),)
+        children = (_evaluate(g, node.r_tree, q, stats, budget),)
     mask = node.s | node.k | (children[0].mask if children else 0)
     n = mask.bit_count()
     if isinstance(node, Spider):
@@ -284,8 +283,7 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
     r_mask = mask & ~head_mask
     r_size = r_mask.bit_count()
     if r_size <= 2 * q:
-        return _solve_induced(g, node, mask, stats, state_cap, deadline, play,
-                              children)
+        return _solve_induced(g, node, mask, budget, play, children)
     sub, back = induced(g, mask)
     if not is_connected(sub):
         raise ValueError(
@@ -294,10 +292,7 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, max_states: int,
     head_graph, head_map = induced(g, head_mask)
     local = {orig: i for i, orig in enumerate(head_map)}
     k_local = mask_of(local[v] for v in bits(node.k))
-    head = analyze_head(head_graph, k_local, max_states=max_states,
-                        target_states=state_cap - stats.states_expanded,
-                        time_limit=_time_left(deadline))
-    stats.states_expanded += head.states_expanded
+    head = _analyze_head(head_graph, k_local, budget)
     if r_size % 2 == 0:
         value = head.c_star + r_size // 2
     elif head.exists_sa2:
@@ -318,19 +313,19 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
               time_limit: float | None = None) -> int:
     """Game value of a (q, q-4) graph, evaluated bottom-up over its tree.
 
-    ``max_states`` covers the whole evaluation: each exact solve, and each
-    head's target-set solve and compound-skip searches, gets only what the
-    earlier ones left.  ``time_limit`` covers the exact and target-set
-    solves.
+    ``max_states`` and ``time_limit`` cover the whole evaluation: each
+    exact solve, and each head's target-set solve and compound-skip
+    searches, draws on one ``Budget``.
     """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     if stats is None:
         stats = EvalStats()
-    return _evaluate(g, tree.root, tree.q, stats, max_states,
-                     stats.states_expanded + max_states,
-                     _deadline(time_limit)).value
+    budget = Budget(max_states, time_limit)
+    value = _evaluate(g, tree.root, tree.q, stats, budget).value
+    stats.states_expanded += budget.spent
+    return value
 
 
 # -- composed Alice strategy -----------------------------------------------------
@@ -457,20 +452,15 @@ class _MatchedStrategy(_WantStrategy):
 class _ExactStrategy(_WantStrategy):
     """Optimal play on a leaf or small-pseudo-spider node, from the memo.
 
-    ``core`` is the core that evaluated the node, when there is one: its
-    table already holds the node's solve, and its budget is reset so that
-    play may expand ``max_states`` more states, as a fresh core could."""
+    ``core`` is the node's core from the evaluation; when it solved the node
+    its table already holds the solve.  Play gets a budget of its own of the
+    evaluation's ``max_states``, as a fresh core would."""
 
-    def __init__(self, g: Graph, mask: int, max_states: int,
-                 core: _Core | None = None):
+    def __init__(self, g: Graph, mask: int, core: _Core):
         super().__init__(mask)
-        sub, self._back = induced(g, mask)
+        self._back = induced(g, mask)[1]
         self._fwd = {orig: i for i, orig in enumerate(self._back)}
-        if core is None:
-            core = _Core(sub, Plain(), max_states=max_states)
-        else:
-            core.max_states = core.expanded + max_states
-            core.deadline = None
+        core.budget = Budget(core.budget.max_states)
         self._core = core
 
     def want(self, vred, vblue):
@@ -616,12 +606,12 @@ class ComposedAliceStrategy(Strategy):
         return ColorVertex(w), state
 
 
-def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
+def _build_strategy(g: Graph, ev: _Eval) -> _NodeStrategy:
     node = ev.node
     if isinstance(node, Leaf):
-        return _ExactStrategy(g, ev.mask, max_states, ev.core)
+        return _ExactStrategy(g, ev.mask, ev.core)
     if isinstance(node, UnionNode):
-        sub = _build_strategy(g, ev.best_child, max_states)
+        sub = _build_strategy(g, ev.best_child)
         return _UnionStrategy(ev.mask, sub)
     if isinstance(node, JoinNode):
         a, b = ev.children[0].mask, ev.children[1].mask
@@ -635,7 +625,7 @@ def _build_strategy(g: Graph, ev: _Eval, max_states: int) -> _NodeStrategy:
         return _MatchedStrategy(g, ev.mask, node.s, node.k)
     if isinstance(node, PseudoSpider):
         if ev.head is None:  # small rest: exact play on the whole node
-            return _ExactStrategy(g, ev.mask, max_states, ev.core)
+            return _ExactStrategy(g, ev.mask, ev.core)
         head_mask = node.s | node.k
         r_size = (ev.mask & ~head_mask).bit_count()
         return _PseudoSpiderStrategy(g, ev.mask, head_mask, ev.head,
@@ -648,17 +638,17 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     """Alice strategy achieving cg_qgraph(g, tree) against any Bob.
 
     The evaluation behind it keeps one ``max_states`` budget, as in
-    ``cg_qgraph``; each exact core the strategy solves later, during play,
-    gets the full ``max_states`` again.  An exact node whose graph is
-    connected is played from the core that evaluated it, so it is not solved
-    twice.
+    ``cg_qgraph``; each exact node the strategy plays, and each head
+    oracle, gets a budget of its own of ``max_states`` during play.  An
+    exact node whose graph is connected is played from the core that
+    evaluated it, so it is not solved twice.
     """
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
-    stats = EvalStats()
-    ev = _evaluate(g, tree.root, tree.q, stats, max_states, max_states, play=True)
-    root = _build_strategy(g, ev, max_states)
+    ev = _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
+                   play=True)
+    root = _build_strategy(g, ev)
     return ComposedAliceStrategy(g, root, "qgraph-alice")
 
 

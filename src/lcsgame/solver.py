@@ -59,16 +59,20 @@ is the same.
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
 ``expand`` function over the memoised ``engine.AndOrSearch``.
+
+One ``engine.Budget`` covers every search a call starts: ``cg`` on a
+disconnected graph charges each component's core to it, and
+``analyze_head`` its target-set solve and its three compound-skip
+searches, so ``max_states`` and ``time_limit`` bound the call as a whole.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from .engine import (
     PASS,
     AndOrSearch,
-    BudgetExceededError,
+    Budget,
     ColorVertex,
     Connected,
     GameConfig,
@@ -80,8 +84,6 @@ from .engine import (
     SkipBudget,
     Strategy,
     TargetSet,
-    _deadline,
-    _time_left,
     apply_move,
     score,
 )
@@ -117,11 +119,12 @@ def _variant_kind(variant: GameVariant) -> tuple[int, int]:
 
 
 class _Core:
-    """Search core over one graph/variant; owns the transposition table."""
+    """Search core over one graph/variant; owns the transposition table.
+    Each expanded state charges ``budget`` (by default a fresh
+    ``Budget(DEFAULT_MAX_STATES)``), which other searches may share."""
 
     def __init__(self, g: Graph, variant: GameVariant, *,
-                 use_pruning: bool = True, max_states: int = DEFAULT_MAX_STATES,
-                 time_limit: float | None = None):
+                 use_pruning: bool = True, budget: Budget | None = None):
         if g.n > SOLVER_CAPACITY:
             raise CapacityError(
                 f"solver requires n <= {SOLVER_CAPACITY}, got {g.n}")
@@ -135,9 +138,7 @@ class _Core:
         self.a_budget = variant.alice_budget if self.kind == _SKIP_K else 0
         self.b_budget = variant.bob_budget if self.kind == _SKIP_K else 0
         self.use_pruning = use_pruning
-        self.max_states = max_states
-        self.deadline = _deadline(time_limit)
-        self.expanded = 0
+        self.budget = Budget(DEFAULT_MAX_STATES) if budget is None else budget
         # packed entries: value * 3 + flag
         self.tt: dict[int, int] = {}
         # the components of G - blue, by blue: the order alone when G - blue
@@ -211,15 +212,6 @@ class _Core:
                 else tuple((c, c.bit_count()) for c in comps))
         self._live[blue] = live
         return live
-
-    def _tick(self) -> None:
-        self.expanded += 1
-        if self.expanded > self.max_states:
-            raise BudgetExceededError(
-                f"solver exceeded state budget of {self.max_states}")
-        if self.deadline is not None and not self.expanded % 2048 \
-                and time.monotonic() > self.deadline:
-            raise BudgetExceededError("solver exceeded its time limit")
 
     # -- pruned search --------------------------------------------------------
 
@@ -304,7 +296,7 @@ class _Core:
             return lb
         if lb == ub:
             return lb
-        self._tick()
+        self.budget.tick()
 
         # move generation, neighbours of red first
         moves = self._twin_free(uncolored) if self._twins else uncolored
@@ -388,7 +380,7 @@ class _Core:
         hit = self.tt.get(key)
         if hit is not None:
             return hit // 3
-        self._tick()
+        self.budget.tick()
         if kind == _CONNECTED_K and alice and red:
             cand = g.neighborhood(red) & uncolored
         else:
@@ -417,8 +409,7 @@ class _Core:
         value is at least t; a probe that fails returns an upper bound r < t
         (the first one, the root's static bound) and the next probe asks at
         t = r, until one succeeds and the value is t.  The probes share the
-        table and the state count, so ``max_states`` and the deadline cover
-        the whole call."""
+        table and the core's budget."""
         if not self.use_pruning:
             return self.search_plain(red, blue, ask, bsk)
         reach, lc = self._red_summary(red)
@@ -541,49 +532,44 @@ class SolveResult:
         return OptimalStrategy(self._core, Player.BOB, name)
 
 
-def _solve_whole(g: Graph, variant: GameVariant, initial: GameConfig, *,
-                 use_pruning: bool, max_states: int,
-                 time_limit: float | None = None) -> SolveResult:
-    core = _Core(g, variant, use_pruning=use_pruning, max_states=max_states,
-                 time_limit=time_limit)
-    return SolveResult(core.exact_cfg(initial), core.expanded, core, initial)
-
-
 def cg(g: Graph, variant: GameVariant = Plain(), *,
        initial: GameConfig = GameConfig(),
        use_pruning: bool = True,
        max_states: int = DEFAULT_MAX_STATES,
-       time_limit: float | None = None,
-       split_components: bool = True) -> SolveResult:
+       time_limit: float | None = None) -> SolveResult:
     """Exact game value under optimal play (Alice maximises, Bob minimises).
 
     For the Plain variant on a disconnected graph each connected component
     is solved independently and the maximum taken; all other variants solve
     the whole graph.  The state budget and the time limit cover the whole
-    call: each component gets only what the earlier ones left.
+    call: every component draws on one ``Budget``.
     """
+    return _cg(g, variant, Budget(max_states, time_limit), initial, use_pruning)
+
+
+def _cg(g: Graph, variant: GameVariant, budget: Budget,
+        initial: GameConfig = GameConfig(), use_pruning: bool = True) -> SolveResult:
+    """``cg`` charging the caller's ``budget``; ``states_expanded`` is what
+    this solve added to it."""
     if g.n > SOLVER_CAPACITY:
         raise CapacityError(f"solver requires n <= {SOLVER_CAPACITY}, got {g.n}")
     initial.check(g)
-    if isinstance(variant, Plain) and split_components and initial == GameConfig():
+    start = budget.spent
+    if isinstance(variant, Plain) and initial == GameConfig():
         comps = components(g)
         if len(comps) > 1:
-            deadline = _deadline(time_limit)
             best = None
-            total = 0
             for comp in comps:
                 sub, back = induced(g, comp)
-                res = _solve_whole(sub, variant, GameConfig(),
-                                   use_pruning=use_pruning,
-                                   max_states=max_states - total,
-                                   time_limit=_time_left(deadline))
-                total += res.states_expanded
-                if best is None or res.value > best[0].value:
-                    best = (res, back)
-            res, back = best
-            return SolveResult(res.value, total, res._core, component_map=back)
-    return _solve_whole(g, variant, initial, use_pruning=use_pruning,
-                        max_states=max_states, time_limit=time_limit)
+                core = _Core(sub, variant, use_pruning=use_pruning, budget=budget)
+                value = core.exact(0, 0)
+                if best is None or value > best[0]:
+                    best = (value, core, back)
+            value, core, back = best
+            return SolveResult(value, budget.spent - start, core, component_map=back)
+    core = _Core(g, variant, use_pruning=use_pruning, budget=budget)
+    value = core.exact_cfg(initial)
+    return SolveResult(value, budget.spent - start, core, initial)
 
 
 def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -592,7 +578,7 @@ def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
     One null-window probe of the whole graph: ceil(n/2) is the static bound
     of the empty board, so the question is whether the value reaches it."""
     t = (g.n + 1) // 2
-    return _Core(g, Plain(), max_states=max_states).search(
+    return _Core(g, Plain(), budget=Budget(max_states)).search(
         0, 0, 0, 0, t - 1, t, 0, 0) >= t
 
 
@@ -635,7 +621,7 @@ def can_force_cds_within(g: Graph, r: int, *,
             return False
         return False, ((w, (red, blue | 1 << w)) for w in bits(uncolored))
 
-    return AndOrSearch(expand, max_states).wins((0, 0))
+    return AndOrSearch(expand, Budget(max_states)).wins((0, 0))
 
 
 # -- the one-skip-each head analysis ------------------------------------------
@@ -668,19 +654,20 @@ class HeadAnalysis:
 class TargetOracle:
     """Exact values and optimal moves of the target-set game from arbitrary
     positions, including positions reached after skipped turns (the skip
-    counts act as parity offsets)."""
+    counts act as parity offsets).  The cores of all offset pairs share one
+    ``Budget(max_states)``."""
 
     def __init__(self, g: Graph, x: int, max_states: int = DEFAULT_MAX_STATES):
         self.g = g
         self.x = x
         self._cores: dict[tuple[int, int], _Core] = {}
-        self.max_states = max_states
+        self.budget = Budget(max_states)
 
     def _core(self, a_off: int, b_off: int) -> _Core:
         core = self._cores.get((a_off, b_off))
         if core is None:
             variant = SkipBudget(min(a_off, 1), min(b_off, 1), self.x)
-            core = _Core(self.g, variant, max_states=self.max_states)
+            core = _Core(self.g, variant, budget=self.budget)
             self._cores[(a_off, b_off)] = core
         return core
 
@@ -711,7 +698,7 @@ class _CompoundSkipGame:
 
     def __init__(self, g: Graph, x: int, c_star: int, protagonist: Player,
                  strict: bool = True, protagonist_passes: bool = True,
-                 max_states: int | None = None):
+                 budget: Budget | None = None):
         self.g = g
         self.x = x
         self.c_star = c_star
@@ -720,7 +707,7 @@ class _CompoundSkipGame:
         # holding variant: the protagonist never passes, only defends the
         # straight value while punishing the opponent's pass by a point
         self.protagonist_passes = protagonist_passes
-        self.search = AndOrSearch(self._expand, max_states)
+        self.search = AndOrSearch(self._expand, budget)
 
     def _terminal_win(self, red: int, blue: int, a_p: int, b_p: int,
                       first: int) -> bool:
@@ -774,35 +761,33 @@ class _CompoundSkipGame:
 
 def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
                  max_states: int = DEFAULT_MAX_STATES,
-                 target_states: int | None = None,
                  time_limit: float | None = None) -> HeadAnalysis:
     """Analyse a constant-size head: the target-set value plus the existence
     of the two compound one-skip strategies used by the pseudo-spider rule.
 
     ``strict_pass_rule`` pins the reading where the player who benefits from
     the opponent's earlier pass must not pass afterwards; the relaxed
-    reading only demands the improved score.  ``target_states`` (default
-    ``max_states``) bounds the target-set solve and the compound-skip
-    searches together: each draws on what the earlier ones left, and
-    ``max_states`` caps each of them.  ``time_limit`` bounds the target-set
-    solve; ``max_states`` also bounds each core the returned oracle solves
-    later.
+    reading only demands the improved score.  ``max_states`` and
+    ``time_limit`` bound the target-set solve and the compound-skip searches
+    together.  The returned oracle, which solves later during play, gets a
+    budget of its own of ``max_states``.
     """
+    return _analyze_head(g1, k, Budget(max_states, time_limit), strict_pass_rule)
+
+
+def _analyze_head(g1: Graph, k: int, budget: Budget,
+                  strict_pass_rule: bool = True) -> HeadAnalysis:
+    """``analyze_head`` charging the caller's ``budget``; ``states_expanded``
+    is what the analysis added to it."""
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
-    if target_states is None:
-        target_states = max_states
-    target = cg(g1, TargetSet(k), max_states=target_states, time_limit=time_limit)
-    c_star = target.value
-    spent = target.states_expanded
+    start = budget.spent
+    c_star = _cg(g1, TargetSet(k), budget).value
 
     def solved(protagonist: Player, passes: bool = True):
-        nonlocal spent
         game = _CompoundSkipGame(g1, k, c_star, protagonist, strict_pass_rule,
-                                 passes, min(max_states, target_states - spent))
-        won = game.search.wins((0, 0, 0, 0, 0))
-        spent += game.search.expanded
-        return game, won
+                                 passes, budget)
+        return game, game.search.wins((0, 0, 0, 0, 0))
 
     sa2_game, exists_sa2 = solved(Player.ALICE)
     _, exists_sb2 = solved(Player.BOB)
@@ -814,8 +799,8 @@ def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
         hold_game, holds = solved(Player.ALICE, passes=False)
         if not holds:
             hold_game = None
-    oracle = TargetOracle(g1, k, max_states=max_states)
-    return HeadAnalysis(c_star, exists_sa2, exists_sb2, spent,
+    oracle = TargetOracle(g1, k, max_states=budget.max_states)
+    return HeadAnalysis(c_star, exists_sa2, exists_sb2, budget.spent - start,
                         _sa2_game=sa2_game if exists_sa2 else None,
                         _hold_game=hold_game,
                         _oracle=oracle)

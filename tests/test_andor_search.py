@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from lcsgame.engine import PASS, AndOrSearch, BudgetExceededError, Player
+from lcsgame.engine import PASS, AndOrSearch, Budget, BudgetExceededError, Player
 from lcsgame.generators import random_connected_gnm
 from lcsgame.graphs import Graph
 from lcsgame.reductions import CnfGameSolver, CnfInstance, HexGameSolver, HexInstance
@@ -82,11 +82,11 @@ class TestHelper:
 
     def test_budget_counts_both_sides(self):
         # from (3, True): (3, T), (2, F), (1, T), (1, F) are expanded
-        search = AndOrSearch(nim_expand, max_states=4)
+        search = AndOrSearch(nim_expand, Budget(4))
         assert search.wins((3, True)) is False
-        assert search.expanded == 4
+        assert search.budget.spent == 4
         with pytest.raises(BudgetExceededError):
-            AndOrSearch(nim_expand, max_states=3).wins((3, True))
+            AndOrSearch(nim_expand, Budget(3)).wins((3, True))
 
     def test_memo_read_before_expand(self):
         calls = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from lcsgame.cli import main
 from lcsgame.graphs import read_graph
 
@@ -203,7 +205,7 @@ class TestBench:
 class TestParameterValidation:
     def test_missing_family_params_exit_2(self, capsys):
         code, _, err = run(capsys, "generate", "spider_matched")
-        assert code == 2 and "error" in err
+        assert code == 2 and err.startswith("error: ") and "'k'" in err
 
     def test_skip_variant_parsing(self, capsys, tmp_path):
         f = tmp_path / "k2.g"
@@ -297,6 +299,17 @@ class TestExitCodes:
                            "--pv")
         assert code == 4 and err.startswith("internal error: ")
         assert "solver bug" in err
+
+    def test_type_error_is_not_exit_2(self, capsys, monkeypatch):
+        # a TypeError is a bug in lcsgame, not bad input: main lets it out
+        import lcsgame.cli
+
+        def broken(family, **params):
+            raise TypeError("broken generator")
+
+        monkeypatch.setattr(lcsgame.cli, "generate", broken)
+        with pytest.raises(TypeError, match="broken generator"):
+            main(["generate", "cycle", "n=5"])
 
     def test_failed_output_check_exit_4(self, capsys, tmp_path, monkeypatch):
         # a reduction whose own output check fails is an internal error

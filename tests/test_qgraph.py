@@ -173,7 +173,7 @@ class TestEvaluation:
         with pytest.raises(BudgetExceededError):
             alice_strategy_qgraph(g, t, max_states=one + 10)
 
-    def test_strategy_plays_a_leaf_from_its_evaluation_core(self, monkeypatch):
+    def test_strategy_plays_a_leaf_from_its_evaluation_core(self):
         # two disjoint C12 under a union: the leaf the strategy follows was
         # solved by the evaluation, and its first move reuses that table
         # instead of solving the leaf again in a fresh core
@@ -182,13 +182,12 @@ class TestEvaluation:
         t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12)))
         one = cg(Graph.from_edges(12, c12)).states_expanded
         strat = alice_strategy_qgraph(g, t, max_states=2 * one)
-        ticks = []
-        tick = _Core._tick
-        monkeypatch.setattr(_Core, "_tick",
-                            lambda self: ticks.append(1) or tick(self))
+        leaf = strat._root.child
         move, _ = strat.choose(g, PLAIN, GameConfig(), strat.initial_state(), None)
         assert move.v in range(12)
-        assert len(ticks) < one // 10
+        # play has a budget of its own, and the move barely charged it
+        assert leaf._core.budget.max_states == 2 * one
+        assert leaf._core.budget.spent < one // 10
 
     def test_head_analysis_draws_from_the_call_budget(self):
         # head: path 0-1-2 with K = {1}; seven rest vertices hang off 1
@@ -206,15 +205,17 @@ class TestEvaluation:
             cg_qgraph(g, t, max_states=stats.states_expanded - 1)
 
     def test_head_oracle_keeps_the_per_solve_budget(self):
-        # only the head analysis draws from what is left; the oracle's cores,
-        # solved later during play, keep the full max_states
+        # only the head analysis draws on the call's budget; the oracle,
+        # which solves later during play, gets a fresh max_states of its own
         g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
         need = analyze_head(g3, 0b010).states_expanded
-        head = analyze_head(g3, 0b010, max_states=1000, target_states=need)
+        head = analyze_head(g3, 0b010, max_states=need)
         assert head.c_star == analyze_head(g3, 0b010).c_star
-        assert head._oracle.max_states == 1000
+        assert head._oracle.budget.max_states == need
+        assert head._oracle.budget.spent == 0
+        assert head._oracle.value(0, 0) == head.c_star
         with pytest.raises(BudgetExceededError):
-            analyze_head(g3, 0b010, max_states=1000, target_states=need - 1)
+            analyze_head(g3, 0b010, max_states=need - 1)
 
     def test_disconnected_large_rest_pseudo_spider_rejected(self):
         # isolated S vertex: the large-rest rule requires a connected node

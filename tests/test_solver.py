@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lcsgame.engine import (
     CONNECTED,
     PLAIN,
+    AndOrSearch,
+    Budget,
     BudgetExceededError,
     GameConfig,
     Player,
@@ -36,6 +38,7 @@ from lcsgame.graphs import (
     mask_of,
 )
 from lcsgame.solver import (
+    TargetOracle,
     _Core,
     analyze_head,
     can_force_cds_within,
@@ -110,6 +113,67 @@ class TestKnownValues:
             cg(twice, max_states=one + 10)
 
 
+class TestBudget:
+    """One ``Budget`` is charged by every search that shares it."""
+
+    @staticmethod
+    def _chain_expand(pos):
+        # an OR root over 3000 OR nodes, each with one losing child: every
+        # one of the 3001 non-terminal positions is expanded
+        if pos == "lose":
+            return False
+        if pos == "root":
+            return True, ((i, i) for i in range(3000))
+        return True, ((0, "lose"),)
+
+    def test_shared_by_cores_and_and_or_search(self):
+        searches = (lambda b: _Core(cycle(8), PLAIN, budget=b).exact(0, 0),
+                    lambda b: _Core(path(7), CONNECTED, budget=b).exact(0, 0),
+                    lambda b: AndOrSearch(self._chain_expand, b).wins("root"))
+        counts = []
+        for search in searches:
+            budget = Budget(10**9)
+            search(budget)
+            counts.append(budget.spent)
+        assert min(counts) > 0
+        budget = Budget(sum(counts))
+        for search in searches:
+            search(budget)
+        assert budget.spent == sum(counts)
+        budget = Budget(sum(counts) - 1)
+        searches[0](budget)
+        searches[1](budget)
+        with pytest.raises(BudgetExceededError, match="states expanded"):
+            searches[2](budget)
+
+    def test_time_limit_read_every_2048_states(self):
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            AndOrSearch(self._chain_expand, Budget(10**9, time_limit=0)).wins("root")
+        budget = Budget(10**9, time_limit=0)
+        for _ in range(2047):
+            budget.tick()
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            budget.tick()
+
+    def test_target_oracle_cores_share_one_budget(self):
+        g, x = path(7), 0b0011100
+        spent = []
+        for off in ((0, 0), (1, 0)):
+            oracle = TargetOracle(g, x)
+            oracle.value(0, 0, *off)
+            spent.append(oracle.budget.spent)
+        assert min(spent) > 0
+        oracle = TargetOracle(g, x)
+        oracle.value(0, 0)
+        oracle.value(0, 0, 1, 0)
+        assert oracle.budget.spent == sum(spent)
+        assert len(oracle._cores) == 2
+        oracle = TargetOracle(g, x, max_states=sum(spent) - 1)
+        oracle.value(0, 0)
+        with pytest.raises(BudgetExceededError):
+            oracle.value(0, 0, 1, 0)
+
+
 class TestNaiveOracleEquivalence:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -175,7 +239,7 @@ class TestStructuralInvariants:
             m = rng.randint(0, max(0, n * (n - 1) // 2 - 2 * n))
             all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph.from_edges(n, rng.sample(all_edges, min(m, len(all_edges))))
-            whole = cg(g, split_components=False).value
+            whole = _Core(g, PLAIN).exact(0, 0)
             split = cg(g).value
             per_comp = max(cg(induced(g, c)[0]).value for c in components(g))
             assert whole == split == per_comp
@@ -302,9 +366,25 @@ class TestHeadAnalysis:
         assert a.c_star == b.c_star
 
     def test_compound_skip_searches_keep_the_state_budget(self):
+        # the compound-skip searches draw on max_states after the target-set
+        # solve: a budget that covers the solve alone runs out in them
         g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+        solve = cg(g3, TargetSet(0b010)).states_expanded
+        need = analyze_head(g3, 0b010).states_expanded
+        assert solve < need
+        assert analyze_head(g3, 0b010, max_states=need).states_expanded == need
         with pytest.raises(BudgetExceededError):
-            analyze_head(g3, 0b010, max_states=1, target_states=10_000)
+            analyze_head(g3, 0b010, max_states=need - 1)
+
+    def test_compound_skip_searches_keep_the_time_limit(self):
+        # the target-set solve expands fewer than the 2048 states between
+        # clock reads, the whole analysis more: a spent time limit stops
+        # the compound-skip searches
+        g = path(8)
+        assert cg(g, TargetSet(0b1)).states_expanded < 2048
+        assert analyze_head(g, 0b1).states_expanded > 2048
+        with pytest.raises(BudgetExceededError, match="time limit"):
+            analyze_head(g, 0b1, time_limit=0)
 
     def test_target_outside_head_rejected(self):
         with pytest.raises(ValueError):
@@ -495,7 +575,7 @@ class TestSharedCoreQueries:
                     assert fresh.exact(*pos) == reference.search_plain(*pos), \
                         (g.edges(), cfg)
                     if margin == 0:
-                        assert fresh.expanded == 0, (g.edges(), cfg)
+                        assert fresh.budget.spent == 0, (g.edges(), cfg)
         assert seen[0] and seen[-1]
 
 
