@@ -2,6 +2,7 @@
 largest-connected-subgraph game."""
 
 from .engine import (
+    ARBITRARY,
     CONNECTED,
     PASS,
     PLAIN,

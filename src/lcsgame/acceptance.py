@@ -46,6 +46,7 @@ from .qgraph import (
     validate_tree,
 )
 from .reductions import (
+    CnfGameSolver,
     CnfInstance,
     HexGameSolver,
     HexInstance,
@@ -53,12 +54,11 @@ from .reductions import (
     build_planar,
     build_split,
     lift_strategy,
-    solve_poscnf,
 )
 from .solver import can_force_cds_within, cg, is_a_perfect
 from .strategies import (
     CubicBob,
-    alice_degree_sum,
+    DegreeSumAlice,
     builtin_strategy,
     find_suitable_matching,
 )
@@ -168,7 +168,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
         if not is_a_perfect(g):
             c.expect(False, f"sample {i} (n={g.n}) is not A-perfect")
     for i, g in enumerate(samples[:20]):
-        v = verify_strategy_exhaustive(g, PLAIN, alice_degree_sum(g), Player.ALICE)
+        v = verify_strategy_exhaustive(g, PLAIN, DegreeSumAlice(g), Player.ALICE)
         c.expect(v == (g.n + 1) // 2,
                  f"degree-sum sample {i}: guaranteed {v}, want {(g.n + 1) // 2}")
     c.note("200 samples A-perfect; degree-sum strategy exact on 20")
@@ -430,7 +430,7 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     c = _Check()
     checked = 0
     for cnf in _all_cnf_instances():
-        winner = solve_poscnf(cnf)
+        winner = CnfGameSolver(cnf).winner
         for build in (build_bipartite, build_split):
             out = build(cnf)  # structural assertions run inside the builders
             v = cg(out.g).value

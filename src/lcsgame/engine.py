@@ -7,10 +7,15 @@ the target set.  Turn order is never stored: whoever has taken fewer turns
 (counting a pass as a turn) moves next, so a configuration alone determines
 the mover.
 
-``GameConfig`` and ``Move`` objects are the public currency.  Inside, the
-strategy verifier and the playout loop work on packed ints -- the red and
-blue masks plus the skips each player has used -- and build a configuration
-or a move only where a strategy's ``choose`` or an objective reads it.
+Inside ``lcsgame`` a move is a vertex index or ``PASS``.  A strategy's
+``choose`` answers with one of those or with ``ARBITRARY``, the "colour an
+arbitrary vertex" of the paper's proofs, and only the engine resolves it:
+the lowest-index legal vertex, or a pass when no vertex is legal.
+``ColorVertex`` remains only at the public boundary: ``legal_moves``,
+``apply_move``, match traces and principal variations.  The strategy
+verifier and the playout loop work on packed ints -- the red and blue masks
+plus the skips each player has used -- and build a ``GameConfig`` only where
+a strategy's ``choose`` or an objective reads it.
 Legality comes from one helper, ``_legal_masks``; under the variants in
 ``_OPEN_BOARD``, where every uncoloured vertex is legal and nobody passes,
 the two loops read the uncoloured mask directly.
@@ -78,6 +83,16 @@ class _PassType:
 
 PASS = _PassType()
 Move = Union[ColorVertex, _PassType]
+
+
+class _ArbitraryType:
+    """Singleton strategy answer that leaves the move to the engine."""
+
+    def __repr__(self) -> str:
+        return "Arbitrary"
+
+
+ARBITRARY = _ArbitraryType()
 
 
 # -- variants ---------------------------------------------------------------
@@ -291,14 +306,6 @@ def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
     return moves
 
 
-def lowest_legal_move(g: Graph, variant: GameVariant, cfg: GameConfig) -> Move:
-    """The lowest-index legal vertex, or Pass when no vertex is legal."""
-    mask, _ = _cfg_masks(g, variant, cfg)
-    if mask:
-        return ColorVertex((mask & -mask).bit_length() - 1)
-    return PASS
-
-
 def apply_move(cfg: GameConfig, mover: Player, move: Move) -> GameConfig:
     """New configuration after *mover* plays *move*; inputs are unmodified."""
     if mover is not cfg.mover():
@@ -346,13 +353,18 @@ def score(g: Graph, variant: GameVariant, red: int) -> int:
 # -- strategies -------------------------------------------------------------
 
 
+Answer = Union[int, _PassType, _ArbitraryType]
+
+
 class Strategy:
     """Deterministic move chooser with explicit, hashable private state.
 
     ``choose`` is called only on the strategy's own turns and receives the
-    opponent's most recent move (None on the opening turn).  It must return
-    a legal move plus the successor private state; identical inputs must
-    yield identical outputs.
+    opponent's most recent move: a vertex index, ``PASS``, or None on the
+    opening turn.  It returns its answer -- a legal vertex index, ``PASS``
+    or ``ARBITRARY`` (the engine plays the lowest-index legal vertex, or
+    passes when no vertex is legal) -- plus the successor private state;
+    identical inputs must yield identical outputs.
     """
 
     name = "strategy"
@@ -361,7 +373,8 @@ class Strategy:
         return None
 
     def choose(self, g: Graph, variant: GameVariant, cfg: GameConfig,
-               state: Hashable, last_opp: Move | None) -> tuple[Move, Hashable]:
+               state: Hashable, last_opp: int | _PassType | None
+               ) -> tuple[Answer, Hashable]:
         raise NotImplementedError
 
 
@@ -369,7 +382,8 @@ class FunctionStrategy(Strategy):
     """Stateless strategy from a plain chooser function."""
 
     def __init__(self, name: str,
-                 fn: Callable[[Graph, GameVariant, GameConfig, Move | None], Move]):
+                 fn: Callable[[Graph, GameVariant, GameConfig,
+                               int | _PassType | None], Answer]):
         self.name = name
         self._fn = fn
 
@@ -379,8 +393,7 @@ class FunctionStrategy(Strategy):
 
 def lowest_index_strategy() -> Strategy:
     """Colour the lowest-index legal vertex; pass only when forced."""
-    return FunctionStrategy(
-        "lowest", lambda g, variant, cfg, last_opp: lowest_legal_move(g, variant, cfg))
+    return FunctionStrategy("lowest", lambda g, variant, cfg, last_opp: ARBITRARY)
 
 
 def first_move_strategy(first: int) -> Strategy:
@@ -388,11 +401,10 @@ def first_move_strategy(first: int) -> Strategy:
     first_bit = 1 << first if first >= 0 else 0
 
     def fn(g, variant, cfg, last_opp):
-        if cfg.red == 0:
-            mask, _ = _cfg_masks(g, variant, cfg)
-            if mask & first_bit:
-                return ColorVertex(first)
-        return lowest_legal_move(g, variant, cfg)
+        # with no red vertex yet, every uncoloured vertex is legal
+        if cfg.red == 0 and g.full_mask & ~cfg.colored & first_bit:
+            return first
+        return ARBITRARY
 
     return FunctionStrategy(f"first:{first}", fn)
 
@@ -454,24 +466,28 @@ def play_match(g: Graph, variant: GameVariant, alice: Strategy, bob: Strategy) -
     """
     cfg = EMPTY_CONFIG
     states = {Player.ALICE: alice.initial_state(), Player.BOB: bob.initial_state()}
-    last: dict[Player, Move | None] = {Player.ALICE: None, Player.BOB: None}
+    last: dict[Player, int | _PassType | None] = {Player.ALICE: None, Player.BOB: None}
     moves: list[tuple[Player, Move]] = []
     turn = 0
     while True:
-        mover = cfg.mover()
-        legal = legal_moves(g, variant, cfg)
-        if not legal:
+        mask, pass_ok = _cfg_masks(g, variant, cfg)
+        if not (mask or pass_ok):
             break
+        mover = cfg.mover()
         strat = alice if mover is Player.ALICE else bob
         turn += 1
-        move, states[mover] = strat.choose(g, variant, cfg, states[mover],
-                                           last[mover.opponent])
-        if move not in legal:
-            raise StrategyError(
-                f"turn {turn}: strategy {strat.name!r} for {mover.name} "
-                f"returned illegal move {move}")
+        answer, states[mover] = strat.choose(g, variant, cfg, states[mover],
+                                             last[mover.opponent])
+        try:
+            bit = _fixed_move_bit(strat, answer, mask, pass_ok)
+        except StrategyError as exc:
+            raise StrategyError(f"turn {turn} ({mover.name}): {exc}") from None
+        if bit:
+            v = bit.bit_length() - 1
+            move, last[mover] = ColorVertex(v), v
+        else:
+            move = last[mover] = PASS
         cfg = apply_move(cfg, mover, move)
-        last[mover] = move
         moves.append((mover, move))
     return MatchTrace(moves, cfg, score(g, variant, cfg.red))
 
@@ -483,15 +499,18 @@ DEFAULT_VERIFY_BUDGET = 500_000_000
 
 def _fixed_move_bit(fixed: Strategy, move: object, mask: int,
                     pass_ok: bool) -> int:
-    """The bit a fixed strategy's move colours (0 for a pass), after checking
-    it against the mover's legal masks."""
-    if move is PASS:
+    """The bit a strategy's answer colours (0 for a pass), checked against
+    the mover's legal masks, which must allow some move.  The one place
+    ``ARBITRARY`` is resolved: the lowest legal vertex, else a pass."""
+    if type(move) is int:  # a bool is not a vertex
+        if move >= 0 and mask >> move & 1:
+            return 1 << move
+    elif move is ARBITRARY:
+        return mask & -mask
+    elif move is PASS:
         if pass_ok:
             return 0
-    elif (isinstance(move, ColorVertex) and isinstance(move.v, int)
-          and move.v >= 0 and mask >> move.v & 1):
-        return 1 << move.v
-    raise StrategyError(f"strategy {fixed.name!r} returned illegal move {move}")
+    raise StrategyError(f"strategy {fixed.name!r} returned illegal move {move!r}")
 
 
 def verify_strategy_exhaustive(
@@ -516,12 +535,11 @@ def verify_strategy_exhaustive(
     # off the strategy benchmark
     open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
-    vertex_moves = [ColorVertex(v) for v in range(g.n)]
     memo: dict[Hashable, int] = {}
     tick = Budget(max_states, time_limit).tick
 
     def value(red: int, blue: int, ask: int, bsk: int, alice: bool,
-              state: Hashable, last_adv: Move | None) -> int:
+              state: Hashable, last_adv: int | _PassType | None) -> int:
         """Play the fixed side's (forced) move, then branch over every
         adversary move; the final score once the game ends.  ``alice``:
         Alice is to move (turns alternate; a pass is a turn)."""
@@ -554,7 +572,7 @@ def verify_strategy_exhaustive(
         while mask:
             bit = mask & -mask
             mask ^= bit
-            last = vertex_moves[bit.bit_length() - 1]
+            last = bit.bit_length() - 1
             if alice:
                 val = value(red | bit, blue, ask, bsk, False, state, last)
             else:
@@ -591,11 +609,10 @@ def random_playouts(
     alice_fixed = fixed_side is Player.ALICE
     open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
-    vertex_moves = [ColorVertex(v) for v in range(g.n)]
     out = []
     for _ in range(n_playouts):
         state = fixed.initial_state()
-        last_adv: Move | None = None
+        last_adv: int | _PassType | None = None
         red = blue = ask = bsk = 0
         free = list(range(g.n))
         alice = True  # turns alternate; a pass is a turn
@@ -611,7 +628,7 @@ def random_playouts(
                                            state, last_adv)
                 bit = _fixed_move_bit(fixed, move, mask, pass_ok)
                 if bit and open_board:
-                    free.remove(move.v)
+                    free.remove(bit.bit_length() - 1)
             else:
                 cands = free if open_board else list(bits(mask))
                 idx = rng.randrange(len(cands) + pass_ok)
@@ -619,7 +636,7 @@ def random_playouts(
                     bit, last_adv = 0, PASS
                 else:
                     v = cands.pop(idx)
-                    bit, last_adv = 1 << v, vertex_moves[v]
+                    bit, last_adv = 1 << v, v
             if alice:
                 red |= bit
                 ask += not bit

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from typing import Hashable, NoReturn, Union as TUnion
 
 from .engine import (
+    ARBITRARY,
     PASS,
     Budget,
-    ColorVertex,
     GameConfig,
     InternalError,
     Plain,
     Strategy,
-    lowest_legal_move,
 )
 from .graphs import (Graph, bits, induced, is_clique, is_connected, is_independent,
                      lowest_bit_index, mask_of)
@@ -37,6 +36,7 @@ from .solver import (
     _analyze_head,
     _cg,
 )
+from .strategies import SpiderPriority
 
 
 # -- tree nodes ----------------------------------------------------------------
@@ -417,36 +417,17 @@ class _AntimatchedStrategy(_WantStrategy):
 
 
 class _MatchedStrategy(_WantStrategy):
-    """Exhaust K, then dodge the S-vertices matched to blue K vertices.
-
-    The matching is read off the adjacency (each S vertex's unique K
-    neighbour), which also covers spiders declared antimatched on |K| = 2,
-    where the declared bijection is the complement of the real matching.
-    """
+    """Exhaust K, then dodge the S-vertices matched to blue K vertices
+    (``strategies.SpiderPriority``), finally concede those."""
 
     def __init__(self, g: Graph, mask: int, s: int, k: int):
         super().__init__(mask)
-        self.k = k
-        self.fmap = []
-        for sv in bits(s):
-            nk = g.adj[sv] & k
-            if nk.bit_count() != 1:
-                raise ValueError("exhaust strategy needs a matched spider")
-            self.fmap.append((sv, (nk & -nk).bit_length() - 1))
+        self.priority = SpiderPriority(g, s, k)
 
     def want(self, vred, vblue):
         avail = self.mask & ~vred & ~vblue
-        w = lowest_bit_index(self.k & avail)
-        if w is not None:
-            return w
-        bad = 0
-        for sv, kv in self.fmap:
-            if vblue >> kv & 1:
-                bad |= 1 << sv
-        w = lowest_bit_index(avail & ~bad)
-        if w is not None:
-            return w
-        return lowest_bit_index(avail)
+        w = self.priority.pick(avail, vblue)
+        return lowest_bit_index(avail) if w is None else w
 
 
 class _ExactStrategy(_WantStrategy):
@@ -467,7 +448,7 @@ class _ExactStrategy(_WantStrategy):
         lred = mask_of(self._fwd[v] for v in bits(vred))
         lblue = mask_of(self._fwd[v] for v in bits(vblue))
         move = self._core.best_move(lred, lblue, 0, 0, self._core.exact(lred, lblue))
-        return None if move is None else self._back[move.v]
+        return None if move is None else self._back[move]
 
 
 class _UnionStrategy(_NodeStrategy):
@@ -572,7 +553,7 @@ class _PseudoSpiderStrategy(_NodeStrategy):
                 move = self.sa2_game.winning_move(vred, vblue, a_p, b_p,
                                                   first, prefer_pass=False)
             if move is not PASS:
-                return self._play_head_vertex(move.v, state, board)
+                return self._play_head_vertex(move, state, board)
             return None, state
         if self.mode == _NEITHER_MODE:
             # holding play: the straight value must stay intact while any
@@ -580,7 +561,7 @@ class _PseudoSpiderStrategy(_NodeStrategy):
             # condition picks the move, not just the current value
             move = self.hold_game.winning_move(vred, vblue, a_p, b_p, first,
                                                prefer_pass=False)
-            return self._play_head_vertex(move.v, state, board)
+            return self._play_head_vertex(move, state, board)
         lv = self.oracle.best_vertex(vred, vblue, a_p, b_p)
         return self._play_head_vertex(lv, state, board)
 
@@ -598,12 +579,10 @@ class ComposedAliceStrategy(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if last_opp is not None and last_opp is not PASS \
-                and self._root.mask >> last_opp.v & 1:
-            state = self._root.saw_opponent(state, last_opp.v)
+                and self._root.mask >> last_opp & 1:
+            state = self._root.saw_opponent(state, last_opp)
         w, state = self._root.next_move(state, cfg, g)
-        if w is None:
-            return lowest_legal_move(g, variant, cfg), state
-        return ColorVertex(w), state
+        return (ARBITRARY if w is None else w), state
 
 
 def _build_strategy(g: Graph, ev: _Eval) -> _NodeStrategy:

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .engine import (
+    ARBITRARY,
     PASS,
     AndOrSearch,
-    ColorVertex,
     GameConfig,
     InternalError,
     Player,
     Strategy,
-    lowest_legal_move,
 )
 from .graphs import (
     FormatError,
@@ -136,11 +135,6 @@ class CnfGameSolver:
         return lowest_bit_index(free) if v is None else v
 
 
-def solve_poscnf(cnf: CnfInstance) -> Player:
-    """Winner of the POS CNF game; an empty formula is vacuously true."""
-    return CnfGameSolver(cnf).winner
-
-
 class HexGameSolver:
     """Memoised AND/OR search for Generalised Hex; s and t start red."""
 
@@ -180,10 +174,6 @@ class HexGameSolver:
             raise ValueError("no free vertex")
         v = self.search.move((red, blue))
         return lowest_bit_index(free) if v is None else v
-
-
-def solve_hex(hx: HexInstance) -> Player:
-    return HexGameSolver(hx).winner
 
 
 # -- builders -----------------------------------------------------------------------
@@ -356,19 +346,19 @@ class CnfLift(Strategy):
             # Alice's opening: her first variable of the winning strategy
             x, state = self._respond_variable(state, None)
             if x is not None and not (cfg.colored >> x & 1):
-                return ColorVertex(x), state
-            return lowest_legal_move(g, variant, cfg), state
-        v = last_opp.v if last_opp is not PASS else None
-        if v is not None and (self.var_mask >> v & 1):
-            x, state = self._respond_variable(state, v)
+                return x, state
+            return ARBITRARY, state
+        if last_opp is PASS:
+            return ARBITRARY, state
+        if self.var_mask >> last_opp & 1:
+            x, state = self._respond_variable(state, last_opp)
             if x is not None and not (cfg.colored >> x & 1):
-                return ColorVertex(x), state
-            return lowest_legal_move(g, variant, cfg), state
-        if v is not None:
-            partner = self.red.pair_partner.get(v)
-            if partner is not None and not (cfg.colored >> partner & 1):
-                return ColorVertex(partner), state
-        return lowest_legal_move(g, variant, cfg), state
+                return x, state
+            return ARBITRARY, state
+        partner = self.red.pair_partner.get(last_opp)
+        if partner is not None and not (cfg.colored >> partner & 1):
+            return partner, state
+        return ARBITRARY, state
 
 
 _HEX = -1  # PlanarBobLift group marker: a vertex of the embedded hex board
@@ -403,25 +393,19 @@ class PlanarBobLift(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if last_opp is None or last_opp is PASS:
-            return lowest_legal_move(g, variant, cfg), state
-        v = last_opp.v
-        group = self._group[v]
+            return ARBITRARY, state
+        group = self._group[last_opp]
         if group == _HEX:
             hred, hblue = state
-            hred |= 1 << v
-            free = self.source.playable & ~hred & ~hblue
-            if free:
+            hred |= 1 << last_opp
+            if self.source.playable & ~hred & ~hblue:
                 w = self.source.best_vertex(hred, hblue)
                 hblue |= 1 << w
-                state = (hred, hblue)
                 if not (cfg.colored >> w & 1):
-                    return ColorVertex(w), state
-                return lowest_legal_move(g, variant, cfg), state
-            return lowest_legal_move(g, variant, cfg), (hred, hblue)
+                    return w, (hred, hblue)
+            return ARBITRARY, (hred, hblue)
         w = lowest_bit_index(group & ~cfg.colored)
-        if w is not None:
-            return ColorVertex(w), state
-        return lowest_legal_move(g, variant, cfg), state
+        return (ARBITRARY if w is None else w), state
 
 
 _A_OPEN_S, _A_HUB_S, _A_THIRD, _A_T, _A_HUB_T, _A_FIFTH = range(6)
@@ -473,65 +457,46 @@ class PlanarAliceLift(Strategy):
     def choose(self, g, variant, cfg, state, last_opp):
         phase, hred, hblue = state
         r = self.red
+        w = None
         if phase == _A_OPEN_S:
             state = (_A_HUB_S, hred, hblue)
             if not (cfg.colored >> r.s_vertex & 1):
-                return ColorVertex(r.s_vertex), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_HUB_S:
+                w = r.s_vertex
+        elif phase == _A_HUB_S:
             state = (_A_THIRD, hred, hblue)
             w = lowest_bit_index(self.s_hubs & ~cfg.colored)
-            if w is not None:
-                return ColorVertex(w), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_THIRD:
+        elif phase == _A_THIRD:
             w = lowest_bit_index(self.s_hubs & ~cfg.colored)
             if w is not None:
-                return ColorVertex(w), (_A_LEAF_S, hred, hblue)
-            state = (_A_T, hred, hblue)
-            if not (cfg.colored >> r.t_vertex & 1):
-                return ColorVertex(r.t_vertex), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_T:
+                state = (_A_LEAF_S, hred, hblue)
+            else:
+                state = (_A_T, hred, hblue)
+                if not (cfg.colored >> r.t_vertex & 1):
+                    w = r.t_vertex
+        elif phase == _A_T:
             state = (_A_HUB_T, hred, hblue)
             w = lowest_bit_index(self.t_hubs & ~cfg.colored)
-            if w is not None:
-                return ColorVertex(w), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_HUB_T:
+        elif phase == _A_HUB_T:
             w = lowest_bit_index(self.t_hubs & ~cfg.colored)
             if w is not None:
-                return ColorVertex(w), (_A_LEAF_T, hred, hblue)
-            # Bob spent his first four moves on the hubs: play the hex game
-            w, state = self._hex_respond((_A_HEX, hred, hblue), None, cfg)
-            if w is not None:
-                return ColorVertex(w), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_LEAF_S:
+                state = (_A_LEAF_T, hred, hblue)
+            else:
+                # Bob spent his first four moves on the hubs: play the hex game
+                w, state = self._hex_respond((_A_HEX, hred, hblue), None, cfg)
+        elif phase == _A_LEAF_S:
             w = self._my_hub_leaves(self.s_hubs, cfg)
-            if w is not None:
-                return ColorVertex(w), state
-            return lowest_legal_move(g, variant, cfg), state
-        if phase == _A_LEAF_T:
+        elif phase == _A_LEAF_T:
             w = self._my_hub_leaves(self.t_hubs, cfg)
-            if w is not None:
-                return ColorVertex(w), state
-            return lowest_legal_move(g, variant, cfg), state
-        # hex phase
-        if last_opp is not None and last_opp is not PASS:
-            v = last_opp.v
+        elif last_opp is not None and last_opp is not PASS:  # hex phase
+            v = last_opp
             if r.hex_vertices >> v & 1 and v not in (r.s_vertex, r.t_vertex):
                 w, state = self._hex_respond(state, v, cfg)
-                if w is not None:
-                    return ColorVertex(w), state
-                return lowest_legal_move(g, variant, cfg), state
-            for hub, leaves in r.hub_leaves.items():
-                if leaves >> v & 1:
-                    w = lowest_bit_index(leaves & ~cfg.colored)
-                    if w is not None:
-                        return ColorVertex(w), state
-                    break
-        return lowest_legal_move(g, variant, cfg), state
+            else:
+                for leaves in r.hub_leaves.values():
+                    if leaves >> v & 1:
+                        w = lowest_bit_index(leaves & ~cfg.colored)
+                        break
+        return (ARBITRARY if w is None else w), state
 
 
 def lift_strategy(reduction: ReductionOutput, side: Player, source) -> Strategy:

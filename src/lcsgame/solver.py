@@ -84,6 +84,7 @@ from .engine import (
     SkipBudget,
     Strategy,
     TargetSet,
+    _PassType,
     apply_move,
     score,
 )
@@ -424,17 +425,18 @@ class _Core:
         return self.exact(cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
 
     def best_move(self, red: int, blue: int, ask: int, bsk: int,
-                  t: int) -> Move | None:
+                  t: int) -> int | _PassType | None:
         """First legal move, by vertex index with Pass last, whose successor
-        keeps the position's exact value ``t`` (None when there is no legal
-        move).  A null-window search decides each successor: an Alice move
-        keeps ``t`` when it is worth at least ``t``, a Bob move at most ``t``."""
+        keeps the position's exact value ``t`` (a vertex index or Pass; None
+        when there is no legal move).  A null-window search decides each
+        successor: an Alice move keeps ``t`` when it is worth at least ``t``,
+        a Bob move at most ``t``."""
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
         cand = self._twin_free(self.full_mask & ~(red | blue))
         if self.kind == _CONNECTED_K and alice and red:
             cand &= reach
-        moves: list[Move] = [ColorVertex(v) for v in bits(cand)]
+        moves: list[int | _PassType] = list(bits(cand))
         if self.kind == _SKIP_K and ((ask < self.a_budget) if alice
                                      else (bsk < self.b_budget)):
             moves.append(PASS)
@@ -442,11 +444,11 @@ class _Core:
             if move is PASS:
                 child = (red, blue, ask + alice, bsk + (not alice), reach, lc)
             elif alice:
-                bit = 1 << move.v
-                child = (red | bit, blue, ask, bsk, reach | self.adj[move.v],
+                bit = 1 << move
+                child = (red | bit, blue, ask, bsk, reach | self.adj[move],
                          self._grown_lc(red, bit, reach, lc))
             else:
-                child = (red, blue | 1 << move.v, ask, bsk, reach, lc)
+                child = (red, blue | 1 << move, ask, bsk, reach, lc)
             if not self.use_pruning:
                 keep = self.search_plain(*child[:4]) == t
             elif alice:
@@ -512,11 +514,11 @@ class SolveResult:
                                           cfg.bob_skips_used, self.value)
             if chosen is None:
                 break
-            cfg = apply_move(cfg, cfg.mover(), chosen)
+            move = chosen if chosen is PASS else ColorVertex(chosen)
+            cfg = apply_move(cfg, cfg.mover(), move)
             if self._component_map is not None and chosen is not PASS:
-                line.append(ColorVertex(self._component_map[chosen.v]))
-            else:
-                line.append(chosen)
+                move = ColorVertex(self._component_map[chosen])
+            line.append(move)
         return line
 
     def alice_strategy(self, name: str = "optimal-alice") -> Strategy:
@@ -679,7 +681,7 @@ class TargetOracle:
     def best_vertex(self, red: int, blue: int, a_off: int = 0, b_off: int = 0) -> int:
         # the offsets use up the core's pass budgets, so the move is a vertex
         core = self._core(a_off, b_off)
-        return core.best_move(red, blue, a_off, b_off, core.exact(red, blue, a_off, b_off)).v
+        return core.best_move(red, blue, a_off, b_off, core.exact(red, blue, a_off, b_off))
 
 
 class _CompoundSkipGame:
@@ -749,14 +751,15 @@ class _CompoundSkipGame:
         return alice == pro_alice, children()
 
     def winning_move(self, red: int, blue: int, a_p: int, b_p: int,
-                     first: int, prefer_pass: bool) -> Move:
-        """Protagonist's winning move; Pass is preferred when requested and
-        winning, otherwise the lowest-index winning vertex is played."""
+                     first: int, prefer_pass: bool) -> int | _PassType:
+        """Protagonist's winning move, a vertex index or Pass; Pass is
+        preferred when requested and winning, otherwise the lowest-index
+        winning vertex is played."""
         move = self.search.move((red, blue, a_p, b_p, first),
                                 PASS if prefer_pass else None)
         if move is None:
             raise RuntimeError("position is not winning for the protagonist")
-        return move if move is PASS else ColorVertex(move)
+        return move
 
 
 def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,

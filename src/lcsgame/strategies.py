@@ -4,7 +4,8 @@ Most Bob strategies are pairing strategies: answer the opponent's move at v
 by claiming v's designated partner.  One generic pairing engine hosts those;
 bespoke classes exist only where a strategy needs private state (the cubic
 Bob's committed component, lifted source-game states).  Every "arbitrary"
-move in a proof is resolved to the lowest-index legal vertex.
+move in a proof is answered with ``engine.ARBITRARY``, which the engine
+resolves to the lowest-index legal vertex.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from .engine import (
+    ARBITRARY,
     PASS,
-    ColorVertex,
     Strategy,
-    lowest_legal_move,
+    first_move_strategy,
+    lowest_index_strategy,
 )
 from .graphs import (
     Graph,
@@ -25,6 +27,7 @@ from .graphs import (
     component_of,
     components_within,
     is_connected,
+    is_connected_within,
     lowest_bit_index,
     mask_of,
 )
@@ -68,25 +71,19 @@ class PairingStrategy(Strategy):
         plan = self.plan
         if last_opp is None or cfg.colored == 0:
             if plan.opening is not None and not (cfg.colored >> plan.opening & 1):
-                return ColorVertex(plan.opening), None
-            return lowest_legal_move(g, variant, cfg), None
-        if last_opp is PASS:
-            return lowest_legal_move(g, variant, cfg), None
-        v = last_opp.v
-        resp = plan.triggers.get(v)
+                return plan.opening, None
+            return ARBITRARY, None
+        # a pass has no triggers and no partner
+        resp = plan.triggers.get(last_opp)
         if resp is not None:
             for w in resp:
                 if not (cfg.colored >> w & 1):
-                    return ColorVertex(w), None
-            return lowest_legal_move(g, variant, cfg), None
-        partner = self._partner.get(v)
+                    return w, None
+            return ARBITRARY, None
+        partner = self._partner.get(last_opp)
         if partner is not None and not (cfg.colored >> partner & 1):
-            return ColorVertex(partner), None
-        return lowest_legal_move(g, variant, cfg), None
-
-
-def make_pairing_strategy(plan: PairingPlan) -> Strategy:
-    return PairingStrategy(plan)
+            return partner, None
+        return ARBITRARY, None
 
 
 # -- degree-based Alice strategies -------------------------------------------
@@ -105,15 +102,9 @@ class MaxDegreeAlice(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if not (cfg.colored >> self.hub & 1):
-            return ColorVertex(self.hub), None
+            return self.hub, None
         w = lowest_bit_index(g.adj[self.hub] & ~cfg.colored)
-        if w is not None:
-            return ColorVertex(w), None
-        return lowest_legal_move(g, variant, cfg), None
-
-
-def alice_max_degree(g: Graph) -> Strategy:
-    return MaxDegreeAlice(g)
+        return (ARBITRARY if w is None else w), None
 
 
 class DegreeSumAlice(Strategy):
@@ -137,9 +128,9 @@ class DegreeSumAlice(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if not (cfg.colored >> self.hub & 1):
-            return ColorVertex(self.hub), None
+            return self.hub, None
         if not (cfg.red >> self.hub & 1):
-            return lowest_legal_move(g, variant, cfg), None
+            return ARBITRARY, None
         comp = component_of(g.adj, 1 << self.hub, cfg.red)
         dominated = g.closed_neighborhood(comp)
         r_uncol = g.full_mask & ~dominated & ~cfg.colored
@@ -147,13 +138,8 @@ class DegreeSumAlice(Strategy):
             v = (r_uncol & -r_uncol).bit_length() - 1
             w_cands = g.adj[v] & dominated & ~cfg.colored
             if w_cands:
-                w = (w_cands & -w_cands).bit_length() - 1
-                return ColorVertex(w), None
-        return lowest_legal_move(g, variant, cfg), None
-
-
-def alice_degree_sum(g: Graph) -> Strategy:
-    return DegreeSumAlice(g)
+                return (w_cands & -w_cands).bit_length() - 1, None
+        return ARBITRARY, None
 
 
 # -- the cubic Bob strategy ----------------------------------------------------
@@ -202,64 +188,73 @@ class CubicBob(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if last_opp is None or last_opp is PASS:
-            return lowest_legal_move(g, variant, cfg), state
-        v = last_opp.v
+            return ARBITRARY, state
+        v = last_opp
         partner = self.partner.get(v)
         if partner is not None:
             if not (cfg.colored >> partner & 1):
-                return ColorVertex(partner), state
-            return lowest_legal_move(g, variant, cfg), state
+                return partner, state
+            return ARBITRARY, state
         # exterior vertex: commit if needed, then exhaust that side's exteriors
         if state == 0:
             state = 1 if (self.sides[0] >> v & 1) else 2
         avail = self.exterior[state - 1] & ~cfg.colored
         if avail:
             if self.exterior_rule == "lowest":
-                w = (avail & -avail).bit_length() - 1
-            else:
-                w = avail.bit_length() - 1
-            return ColorVertex(w), state
-        return lowest_legal_move(g, variant, cfg), state
+                return (avail & -avail).bit_length() - 1, state
+            return avail.bit_length() - 1, state
+        return ARBITRARY, state
 
 
 # -- the spider priority strategy ---------------------------------------------
+
+
+class SpiderPriority:
+    """The matched-spider move priority: the clique K first, then any vertex
+    except the S vertices matched to blue K vertices.
+
+    The matching is read off the adjacency (the unique K neighbour of each
+    S vertex), so an antimatched bijection on |K| = 2, which is really a
+    matched spider, works too.
+    """
+
+    def __init__(self, g: Graph, s: int, k: int):
+        self.k = k
+        self.pairs = []
+        for sv in bits(s):
+            nk = g.adj[sv] & k
+            if nk.bit_count() != 1:
+                raise ValueError("spider exhaust strategies need a matched spider")
+            self.pairs.append((sv, (nk & -nk).bit_length() - 1))
+
+    def pick(self, avail: int, blue: int) -> int | None:
+        """The lowest vertex of ``avail`` by that priority; None when only
+        S vertices matched to blue K vertices are left."""
+        w = lowest_bit_index(self.k & avail)
+        if w is None:
+            bad = 0
+            for sv, kv in self.pairs:
+                if blue >> kv & 1:
+                    bad |= 1 << sv
+            w = lowest_bit_index(avail & ~bad)
+        return w
 
 
 class SpiderExhaust(Strategy):
     """Priority play on a matched spider: exhaust the clique K, then avoid the
     S-vertices matched to blue clique vertices, finally concede those.
 
-    Used by both sides; the same priorities prove both bounds of the
-    matched-spider value.  The matching is derived from adjacency (the
-    unique K neighbour of each S vertex), so an antimatched bijection on
-    |K| = 2, which is really a matched spider, works too.
+    Used by both sides; the same priorities (``SpiderPriority``) prove both
+    bounds of the matched-spider value.
     """
 
-    def __init__(self, g: Graph, s_list: tuple[int, ...], k_list: tuple[int, ...],
-                 side_name: str):
+    def __init__(self, g: Graph, s: int, k: int, side_name: str):
         self.name = f"spider_exhaust_{side_name}"
-        self.s_mask = mask_of(s_list)
-        self.k_mask = mask_of(k_list)
-        self.fmap = {}
-        for sv in s_list:
-            nk = g.adj[sv] & self.k_mask
-            if nk.bit_count() != 1:
-                raise ValueError(
-                    "spider exhaust strategies need a matched spider")
-            self.fmap[sv] = (nk & -nk).bit_length() - 1
+        self.priority = SpiderPriority(g, s, k)
 
     def choose(self, g, variant, cfg, state, last_opp):
-        w = lowest_bit_index(self.k_mask & ~cfg.colored)
-        if w is not None:
-            return ColorVertex(w), None
-        bad_s = 0
-        for s, k in self.fmap.items():
-            if cfg.blue >> k & 1:
-                bad_s |= 1 << s
-        w = lowest_bit_index(g.full_mask & ~bad_s & ~cfg.colored)
-        if w is not None:
-            return ColorVertex(w), None
-        return lowest_legal_move(g, variant, cfg), None
+        w = self.priority.pick(g.full_mask & ~cfg.colored, cfg.blue)
+        return (ARBITRARY if w is None else w), None
 
 
 # -- named builtin strategies ----------------------------------------------------
@@ -284,7 +279,7 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
         pairs = _meta_pairs(doc)
         if not pairs:
             raise ValueError("regular4_alice needs column pairs in meta")
-        return make_pairing_strategy(PairingPlan(
+        return PairingStrategy(PairingPlan(
             pairs=tuple(pairs), opening=0, name=name))
     if name == "regular5_alice":
         pairs = _meta_pairs(doc)
@@ -295,7 +290,7 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
                 triggers[v] = tuple(w for w in members if w != v)
         if not pairs or not triggers:
             raise ValueError("regular5_alice needs pair and group meta")
-        return make_pairing_strategy(PairingPlan(
+        return PairingStrategy(PairingPlan(
             pairs=tuple(pairs), triggers=triggers, opening=0, name=name))
     if name == "clique_chain_bob":
         triggers = {}
@@ -309,7 +304,7 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
                 triggers[v] = tuple(w for w in members if w != v)
         if not triggers:
             raise ValueError("clique_chain_bob needs chain meta")
-        return make_pairing_strategy(PairingPlan(triggers=triggers, name=name))
+        return PairingStrategy(PairingPlan(triggers=triggers, name=name))
     if name == "cubic_bob":
         if matching is None:
             matching = find_suitable_matching(g)
@@ -331,32 +326,29 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
             if left is not None:
                 cand.append(left)
             triggers[v] = tuple(cand)
-        return make_pairing_strategy(PairingPlan(triggers=triggers, name=name))
+        return PairingStrategy(PairingPlan(triggers=triggers, name=name))
     if name == "king_mirror_alice":
         pairs = _meta_pairs(doc)
         if not pairs:
             raise ValueError("king_mirror_alice needs column pairs in meta")
-        return make_pairing_strategy(PairingPlan(
+        return PairingStrategy(PairingPlan(
             pairs=tuple(pairs), opening=0, name=name))
     if name in ("spider_exhaust_bob", "spider_exhaust_alice"):
         fmap = {s: k for s, k in doc.meta.get("fmap", [])}
-        s_list = tuple(sorted(fmap))
-        k_list = tuple(sorted(fmap.values()))
         if not fmap:
             raise ValueError("spider strategies need fmap meta")
-        return SpiderExhaust(g, s_list, k_list, name.rsplit("_", 1)[1])
+        return SpiderExhaust(g, mask_of(fmap), mask_of(fmap.values()),
+                             name.rsplit("_", 1)[1])
     if name == "hex_patch_bob":
         pairs = [(a, b) for a, b in doc.meta.get("medge", [])]
-        return make_pairing_strategy(PairingPlan(pairs=tuple(pairs), name=name))
+        return PairingStrategy(PairingPlan(pairs=tuple(pairs), name=name))
     if name == "alice_max_degree":
-        return alice_max_degree(g)
+        return MaxDegreeAlice(g)
     if name == "alice_degree_sum":
-        return alice_degree_sum(g)
+        return DegreeSumAlice(g)
     if name == "lowest":
-        from .engine import lowest_index_strategy
         return lowest_index_strategy()
     if name.startswith("first:"):
-        from .engine import first_move_strategy
         return first_move_strategy(int(name.split(":", 1)[1]))
     raise ValueError(f"unknown strategy name {name!r}")
 
@@ -411,15 +403,10 @@ def find_suitable_matching(g: Graph) -> Matching | None:
             ext_b = True
         if not ext_b:
             continue
-        if not _side_connected(g, side_a, side_b):
+        # connectivity inside each side ignoring cut edges equals connectivity
+        # of the induced subgraphs, since cut edges leave the side
+        if not (is_connected_within(g.adj, side_a)
+                and is_connected_within(g.adj, side_b)):
             continue
         return Matching.of(g, cut)
     return None
-
-
-def _side_connected(g: Graph, side_a: int, side_b: int) -> bool:
-    from .graphs import is_connected_within
-    # connectivity inside each side ignoring cut edges equals connectivity of
-    # the induced subgraphs, since cut edges leave the side
-    return (is_connected_within(g.adj, side_a)
-            and is_connected_within(g.adj, side_b))

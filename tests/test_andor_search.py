@@ -381,7 +381,7 @@ ROOT = (frozenset(), frozenset(), 0, 0, 0)
 
 
 def game_move_name(move):
-    return "pass" if move is PASS else move.v
+    return "pass" if move is PASS else move
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -199,7 +199,7 @@ class TestPlayMatch:
             name = "cheater"
 
             def choose(self, g, variant, cfg, state, last_opp):
-                return ColorVertex(0), None  # replays vertex 0 forever
+                return 0, None  # replays vertex 0 forever
 
         with pytest.raises(StrategyError, match="turn 3"):
             play_match(path(3), PLAIN, Cheater(), lowest_index_strategy())
@@ -209,6 +209,19 @@ class TestPlayMatch:
                            lowest_index_strategy(), lowest_index_strategy())
         # both colour once; passes only when no vertices remain
         assert trace.final.colored == 0b11
+
+    def test_arbitrary_on_a_full_board_passes(self):
+        trace = play_match(complete(2), SkipBudget(1, 1, 0b11),
+                           lowest_index_strategy(), lowest_index_strategy())
+        assert trace.moves == [(Player.ALICE, ColorVertex(0)), (Player.BOB, ColorVertex(1)),
+                               (Player.ALICE, PASS), (Player.BOB, PASS)]
+
+    def test_arbitrary_is_the_lowest_neighbour_of_red_when_connected(self):
+        # after A v3, B v0 the lowest uncoloured vertex is 1, but Alice's
+        # lowest legal vertex is 2
+        trace = play_match(path(5), CONNECTED,
+                           first_move_strategy(3), lowest_index_strategy())
+        assert format_trace(trace) == "A v3\nB v0\nA v2\nB v1\nA v4\nscore 3\n"
 
 
 class TestTraceFormat:

@@ -4,8 +4,9 @@ The references below re-derive legality from Python sets and explicit turn
 counts (whoever has taken fewer turns moves; passes are turns that colour
 nothing) and share no code with ``engine``'s mask helpers.  They branch and
 draw over the same move order as ``legal_moves`` (vertex index, Pass
-last), so the packed loops must reproduce their values and seeded scores
-exactly.
+last), and resolve a strategy's ``ARBITRARY`` to the first legal move
+themselves, so the packed loops must reproduce their values and seeded
+scores exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from lcsgame.engine import (
+    ARBITRARY,
     CONNECTED,
     PASS,
     PLAIN,
@@ -28,6 +30,7 @@ from lcsgame.engine import (
     TargetSet,
     first_move_strategy,
     lowest_index_strategy,
+    play_match,
     random_playouts,
     verify_strategy_exhaustive,
 )
@@ -45,7 +48,7 @@ def ref_legal(g, variant, pos):
     if isinstance(variant, Connected) and alice and red:
         adj = adj_dict(g)
         free = [v for v in free if adj[v] & red]
-    moves = [ColorVertex(v) for v in free]
+    moves = list(free)
     if isinstance(variant, SkipBudget):
         if alice:
             skipped, budget = a_turns - len(red), variant.alice_budget
@@ -60,11 +63,21 @@ def ref_play(pos, move):
     red, blue, (a_turns, b_turns) = pos
     if a_turns == b_turns:
         if move is not PASS:
-            red = red | {move.v}
+            red = red | {move}
         return red, blue, (a_turns + 1, b_turns)
     if move is not PASS:
-        blue = blue | {move.v}
+        blue = blue | {move}
     return red, blue, (a_turns, b_turns + 1)
+
+
+def ref_resolve(legal, move):
+    """The move a strategy's answer plays: ``ARBITRARY`` is the first legal
+    move; a vertex must be an int, not a bool."""
+    if move is ARBITRARY:
+        return legal[0]
+    if not (move is PASS or type(move) is int) or move not in legal:
+        raise StrategyError(f"illegal move {move!r}")
+    return move
 
 
 def ref_config(pos) -> GameConfig:
@@ -90,9 +103,7 @@ def ref_verify(g, variant, fixed, side, objective):
         alice = pos[2][0] == pos[2][1]
         if alice == alice_fixed:
             move, state = fixed.choose(g, variant, ref_config(pos), state, last_adv)
-            if move not in legal:
-                raise StrategyError(f"illegal move {move}")
-            return value(ref_play(pos, move), state, None)
+            return value(ref_play(pos, ref_resolve(legal, move)), state, None)
         vals = [value(ref_play(pos, m), state, m) for m in legal]
         return min(vals) if alice_fixed else max(vals)
 
@@ -112,8 +123,7 @@ def ref_playouts(g, variant, fixed, side, count, seed):
             if (pos[2][0] == pos[2][1]) == alice_fixed:
                 move, state = fixed.choose(g, variant, ref_config(pos), state,
                                            last_adv)
-                if move not in legal:
-                    raise StrategyError(f"illegal move {move}")
+                move = ref_resolve(legal, move)
             else:
                 move = last_adv = legal[rng.randrange(len(legal))]
             pos = ref_play(pos, move)
@@ -137,7 +147,7 @@ class Scripted(Strategy):
         blue = frozenset(v for v in range(g.n) if cfg.blue >> v & 1)
         turns = (len(red) + cfg.alice_skips_used, len(blue) + cfg.bob_skips_used)
         moves = ref_legal(g, variant, (red, blue, turns))
-        salt = 0 if last_opp is None else g.n + 1 if last_opp is PASS else last_opp.v + 1
+        salt = 0 if last_opp is None else g.n + 1 if last_opp is PASS else last_opp + 1
         state = (3 * state + salt) % 5
         return moves[state % len(moves)], state
 
@@ -152,7 +162,7 @@ class Grudge(Strategy):
 
     def choose(self, g, variant, cfg, state, last_opp):
         if state is None and last_opp is not None:
-            state = g.n if last_opp is PASS else last_opp.v
+            state = g.n if last_opp is PASS else last_opp
         red = frozenset(v for v in range(g.n) if cfg.red >> v & 1)
         blue = frozenset(v for v in range(g.n) if cfg.blue >> v & 1)
         turns = (len(red) + cfg.alice_skips_used, len(blue) + cfg.bob_skips_used)
@@ -249,11 +259,13 @@ BAD_CASES = {
     "pass_not_allowed": (PLAIN, Player.ALICE, Bad(PASS)),
     "pass_over_budget": (SkipBudget(1, 0, 0b11111), Player.BOB, Bad(PASS)),
     "second_pass": (SkipBudget(1, 1, 0b11111), Player.ALICE, Bad(PASS)),
-    "coloured_vertex": (PLAIN, Player.ALICE, Bad(ColorVertex(0))),
-    "vertex_out_of_range": (PLAIN, Player.BOB, Bad(ColorVertex(5))),
-    "non_neighbour": (CONNECTED, Player.ALICE,
-                      Bad(ColorVertex(4), opening=ColorVertex(0))),
+    "coloured_vertex": (PLAIN, Player.ALICE, Bad(0)),
+    "vertex_out_of_range": (PLAIN, Player.BOB, Bad(5)),
+    "non_neighbour": (CONNECTED, Player.ALICE, Bad(4, opening=0)),
     "none": (PLAIN, Player.BOB, Bad(None)),
+    # legal as the index 1, but a move object or a bool is no vertex index
+    "move_object": (PLAIN, Player.ALICE, Bad(ColorVertex(1))),
+    "bool": (PLAIN, Player.ALICE, Bad(True)),
 }
 
 
@@ -269,3 +281,23 @@ def test_playouts_reject_illegal_move(case):
     variant, side, strat = BAD_CASES[case]
     with pytest.raises(StrategyError, match="bad"):
         random_playouts(path(5), variant, strat, side, 5, seed=1)
+
+
+class Highest(Strategy):
+    """Colours the highest uncoloured vertex, so that under Connected Bob
+    does not block Alice's only neighbour."""
+
+    name = "highest"
+
+    def choose(self, g, variant, cfg, state, last_opp):
+        return (g.full_mask & ~cfg.colored).bit_length() - 1, state
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CASES))
+def test_play_match_rejects_illegal_move(case):
+    variant, side, strat = BAD_CASES[case]
+    players = (strat, Highest())
+    if side is Player.BOB:
+        players = players[::-1]
+    with pytest.raises(StrategyError, match=r"turn \d+ .*bad"):
+        play_match(path(5), variant, *players)

@@ -184,7 +184,7 @@ class TestEvaluation:
         strat = alice_strategy_qgraph(g, t, max_states=2 * one)
         leaf = strat._root.child
         move, _ = strat.choose(g, PLAIN, GameConfig(), strat.initial_state(), None)
-        assert move.v in range(12)
+        assert move in range(12)
         # play has a budget of its own, and the move barely charged it
         assert leaf._core.budget.max_states == 2 * one
         assert leaf._core.budget.spent < one // 10

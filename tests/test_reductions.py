@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from lcsgame.engine import (
+    ARBITRARY,
     PLAIN,
     Player,
     play_match,
@@ -25,8 +26,6 @@ from lcsgame.reductions import (
     hex_from_document,
     lift_strategy,
     parse_cnf,
-    solve_hex,
-    solve_poscnf,
 )
 from lcsgame.graphs import parse_graph
 from lcsgame.solver import cg
@@ -52,13 +51,13 @@ class TestCnfInstances:
 
 class TestPosCnf:
     def test_single_clause_single_var(self):
-        assert solve_poscnf(CnfInstance.of(2, [(0,)])) is Player.ALICE
+        assert CnfGameSolver(CnfInstance.of(2, [(0,)])).winner is Player.ALICE
 
     def test_two_singleton_clauses(self):
-        assert solve_poscnf(CnfInstance.of(2, [(0,), (1,)])) is Player.BOB
+        assert CnfGameSolver(CnfInstance.of(2, [(0,), (1,)])).winner is Player.BOB
 
     def test_empty_formula_vacuous(self):
-        assert solve_poscnf(CnfInstance.of(2, [])) is Player.ALICE
+        assert CnfGameSolver(CnfInstance.of(2, [])).winner is Player.ALICE
 
     def test_variable_cap(self):
         with pytest.raises(ValueError):
@@ -73,13 +72,13 @@ class TestPosCnf:
 class TestHexGame:
     def test_middle_of_p3(self):
         hx = HexInstance(Graph.from_edges(3, [(0, 2), (2, 1)]), 0, 1)
-        assert solve_hex(hx) is Player.ALICE
+        assert HexGameSolver(hx).winner is Player.ALICE
 
     def test_two_disjoint_paths(self):
-        assert solve_hex(hex_two_paths()) is Player.ALICE
+        assert HexGameSolver(hex_two_paths()).winner is Player.ALICE
 
     def test_single_long_path(self):
-        assert solve_hex(hex_path4()) is Player.BOB
+        assert HexGameSolver(hex_path4()).winner is Player.BOB
 
     def test_size_cap(self):
         g = Graph.from_edges(19, [(i, i + 1) for i in range(18)])
@@ -115,7 +114,7 @@ class TestBipartiteBuild:
 
     def test_outcome_equivalence_sample(self):
         cnf = CnfInstance.of(2, [(0, 1)])
-        assert solve_poscnf(cnf) is Player.ALICE
+        assert CnfGameSolver(cnf).winner is Player.ALICE
         out = build_bipartite(cnf)
         assert cg(out.g).value >= out.k
 
@@ -132,7 +131,7 @@ class TestSplitBuild:
     def test_outcome_equivalence_small(self):
         for clauses in ([(0,)], [(0, 1)], [(0,), (1,)], [(0, 1), (1,)]):
             cnf = CnfInstance.of(2, clauses)
-            winner = solve_poscnf(cnf)
+            winner = CnfGameSolver(cnf).winner
             out = build_split(cnf)
             assert (winner is Player.ALICE) == (cg(out.g).value >= out.k)
 
@@ -213,7 +212,7 @@ class TestLifts:
     def test_planar_alice_vs_hub_grabbing_bob(self):
         # a Bob that contests the pendant stars first pushes Alice into the
         # lifted hex line; she must still reach the threshold
-        from lcsgame.engine import Strategy, ColorVertex, legal_moves
+        from lcsgame.engine import Strategy
 
         hx = HexInstance(Graph.from_edges(3, [(0, 2), (2, 1)]), 0, 1)
         out = build_planar(hx)
@@ -227,9 +226,8 @@ class TestLifts:
             def choose(self, g, variant, cfg, state, last_opp):
                 avail = stars & ~cfg.colored
                 if avail:
-                    return ColorVertex((avail & -avail).bit_length() - 1), None
-                for m in legal_moves(g, variant, cfg):
-                    return m, None
+                    return (avail & -avail).bit_length() - 1, None
+                return ARBITRARY, None
 
         trace = play_match(out.g, PLAIN, alice, HubGrabber())
         assert trace.score >= out.k
@@ -301,7 +299,7 @@ class TestLiftGuaranteesExhaustive:
 
 class TestPlanarLiftsAdversarial:
     def _targeted_adversaries(self, out, side):
-        from lcsgame.engine import Strategy, ColorVertex, legal_moves
+        from lcsgame.engine import Strategy
 
         masks = {
             "hex-first": out.hex_vertices,
@@ -316,9 +314,8 @@ class TestPlanarLiftsAdversarial:
                 def choose(self, g, variant, cfg, state, last_opp):
                     avail = prio & ~cfg.colored
                     if avail:
-                        return ColorVertex((avail & -avail).bit_length() - 1), None
-                    for m in legal_moves(g, variant, cfg):
-                        return m, None
+                        return (avail & -avail).bit_length() - 1, None
+                    return ARBITRARY, None
 
             t = Targeted()
             t.name = name

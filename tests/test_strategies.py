@@ -7,10 +7,11 @@ import random
 import pytest
 
 from lcsgame.engine import (
+    ARBITRARY,
     PLAIN,
-    ColorVertex,
     GameConfig,
     Player,
+    _fixed_move_bit,
     first_move_strategy,
     lowest_index_strategy,
     play_match,
@@ -31,12 +32,12 @@ from lcsgame.graphs import Graph, Matching, mask_of
 from lcsgame.solver import cg
 from lcsgame.strategies import (
     CubicBob,
+    DegreeSumAlice,
+    MaxDegreeAlice,
     PairingPlan,
-    alice_degree_sum,
-    alice_max_degree,
+    PairingStrategy,
     builtin_strategy,
     find_suitable_matching,
-    make_pairing_strategy,
 )
 
 
@@ -62,31 +63,33 @@ def petersen():
 class TestPairingEngine:
     def test_partner_response(self):
         plan = PairingPlan(pairs=((0, 1), (2, 3)))
-        bob = make_pairing_strategy(plan)
+        bob = PairingStrategy(plan)
         g = cycle(4)
         cfg = GameConfig(red=1)  # Alice played 0
-        move, _ = bob.choose(g, PLAIN, cfg, None, ColorVertex(0))
-        assert move == ColorVertex(1)
+        move, _ = bob.choose(g, PLAIN, cfg, None, 0)
+        assert move == 1
 
     def test_fallback_when_partner_taken(self):
         plan = PairingPlan(pairs=((0, 1),))
-        bob = make_pairing_strategy(plan)
+        bob = PairingStrategy(plan)
         g = cycle(4)
         cfg = GameConfig(red=mask_of([0, 1]), blue=mask_of([2]))
-        move, _ = bob.choose(g, PLAIN, cfg, None, ColorVertex(0))
-        assert move == ColorVertex(3)
+        move, _ = bob.choose(g, PLAIN, cfg, None, 0)
+        assert move is ARBITRARY
+        # which the engine resolves to the lowest legal vertex, 3
+        assert _fixed_move_bit(bob, move, g.full_mask & ~cfg.colored, False) == 1 << 3
 
     def test_trigger_precedes_pairing(self):
         plan = PairingPlan(pairs=((0, 1),), triggers={0: (3, 2)})
-        bob = make_pairing_strategy(plan)
+        bob = PairingStrategy(plan)
         g = cycle(4)
-        move, _ = bob.choose(g, PLAIN, GameConfig(red=1), None, ColorVertex(0))
-        assert move == ColorVertex(3)
+        move, _ = bob.choose(g, PLAIN, GameConfig(red=1), None, 0)
+        assert move == 3
 
     def test_opening_move(self):
-        alice = make_pairing_strategy(PairingPlan(pairs=((0, 1),), opening=2))
+        alice = PairingStrategy(PairingPlan(pairs=((0, 1),), opening=2))
         move, _ = alice.choose(cycle(4), PLAIN, GameConfig(), None, None)
-        assert move == ColorVertex(2)
+        assert move == 2
 
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -103,28 +106,28 @@ class TestMaxDegreeAlice:
     def test_star_value(self):
         fg = complete_bipartite(1, 6)
         v = verify_strategy_exhaustive(fg.graph, PLAIN,
-                                       alice_max_degree(fg.graph), Player.ALICE)
+                                       MaxDegreeAlice(fg.graph), Player.ALICE)
         assert v == 4  # floor(6/2) + 1
 
     def test_k2(self):
         v = verify_strategy_exhaustive(complete(2), PLAIN,
-                                       alice_max_degree(complete(2)), Player.ALICE)
+                                       MaxDegreeAlice(complete(2)), Player.ALICE)
         assert v == 1
 
     def test_petersen_lower_bound(self):
         v = verify_strategy_exhaustive(petersen(), PLAIN,
-                                       alice_max_degree(petersen()), Player.ALICE)
+                                       MaxDegreeAlice(petersen()), Player.ALICE)
         assert v >= 2
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            alice_max_degree(Graph.from_edges(0, []))
+            MaxDegreeAlice(Graph.from_edges(0, []))
 
 
 class TestDegreeSumAlice:
     def test_k4(self):
         v = verify_strategy_exhaustive(complete(4), PLAIN,
-                                       alice_degree_sum(complete(4)), Player.ALICE)
+                                       DegreeSumAlice(complete(4)), Player.ALICE)
         assert v == 2
 
     def test_wheel_w5(self):
@@ -132,7 +135,7 @@ class TestDegreeSumAlice:
         hub = [(0, 1 + i) for i in range(5)]
         g = Graph.from_edges(6, rim + hub)
         assert g.max_degree + g.min_degree >= g.n
-        v = verify_strategy_exhaustive(g, PLAIN, alice_degree_sum(g), Player.ALICE)
+        v = verify_strategy_exhaustive(g, PLAIN, DegreeSumAlice(g), Player.ALICE)
         assert v == 3
 
     def test_random_dense_graph_n9(self):
@@ -142,14 +145,14 @@ class TestDegreeSumAlice:
             g = random_connected_gnm(9, rng.randint(20, 36), rng)
             if g.max_degree + g.min_degree >= 9:
                 break
-        v = verify_strategy_exhaustive(g, PLAIN, alice_degree_sum(g), Player.ALICE)
+        v = verify_strategy_exhaustive(g, PLAIN, DegreeSumAlice(g), Player.ALICE)
         assert v == 5 == cg(g).value
 
     def test_precondition_refused(self):
         with pytest.raises(ValueError):
-            alice_degree_sum(cycle(6))
+            DegreeSumAlice(cycle(6))
         with pytest.raises(ValueError):
-            alice_degree_sum(Graph.from_edges(4, [(0, 1), (2, 3)]))
+            DegreeSumAlice(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 class TestBuiltinStrategies:
