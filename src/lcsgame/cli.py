@@ -1,8 +1,9 @@
 """Command-line front end: solve, verify, qgraph, reduce, generate, bench.
 
 Exit codes: 0 on success, 2 on domain errors (bad flags, malformed files,
-capacity violations), 3 when a state or time budget ran out, 4 on an
-internal error.  All reports are stable line-oriented text.
+capacity violations, a strategy that plays an illegal move under the chosen
+variant), 3 when a state or time budget ran out, 4 on an internal error.
+All reports are stable line-oriented text.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .engine import (
     InternalError,
     Player,
     SkipBudget,
+    StrategyError,
     TargetSet,
 )
 from .generators import FAMILIES, generate
@@ -250,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FormatError, CapacityError, OSError) as exc:
+    except (ValueError, FormatError, CapacityError, OSError, StrategyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

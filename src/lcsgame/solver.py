@@ -26,17 +26,35 @@ The static bound of Plain and Connected reads the components of G - blue
 from a cache keyed by blue: their order alone when G - blue is connected,
 otherwise their (mask, order) pairs.
 
-Two exact reductions cut the tree further, on no extra path:
+Four exact reductions cut the tree further, on no extra path:
 
-- Counting cutoff (Plain and Connected).  Let red be connected, k the
+- Neighbour-count bound (Plain and Connected).  Let red be connected, k the
   number of uncoloured neighbours of red, and fa the number of moves Alice
-  has left.  If k >= 2 * fa - 1 with Alice to move (k >= 2 * fa with Bob to
-  move), the value is rc + fa, the static bound, and ``search`` returns it
-  without computing the bound or storing an entry.  Alice always plays an
-  uncoloured neighbour of red: before her last move, her earlier moves and
-  Bob's have used at most 2 * fa - 1 (2 * fa) of the k starting neighbours
-  and her moves only add new ones, so one is left, red stays connected, and
-  it ends with rc + fa vertices.
+  has left.  Alice can keep playing uncoloured neighbours of red: each of
+  her moves uses one of the k and adds only new ones, and each Bob move
+  uses at most one, so her i-th such move is there while the 2i - 1 - alice
+  moves before it have not used all k.  That gives her (k + alice) // 2 of
+  them (at most fa), red stays connected, and the value is at least
+  ``lb = rc + min(fa, (k + alice) // 2)``, which replaces ``lc`` as the
+  lower bound.  When (k + alice) // 2 >= fa, lb is the static bound rc + fa
+  and ``search`` returns it without computing the upper bound or storing an
+  entry (the counting cutoff).
+- Dead components (Plain and Connected).  The final largest red component
+  lies in one component C of G - blue and has at most
+  min(|C|, |C & red| + fa) vertices there; C is dead when that is at most
+  lc.  Colouring a vertex of a dead component changes neither the score,
+  which is lc or is made in a live component, nor any other component, so
+  it is a pass.  A dead move v is never better than a live move w, by
+  strategy stealing: after w, the mover follows their best strategy for
+  the line after v with v and w swapped, so the two boards differ only in
+  that w is the mover's and v has the colour w gets on the other line; v
+  stays dead, and an extra red (blue) vertex never hurts Alice (Bob).  So
+  dead vertices are dropped from the moves; if every uncoloured vertex is
+  dead, ub <= lc and ``search`` returns before it generates moves.  In
+  Connected the swap needs Alice's moves to stay out of dead components,
+  which holds while red is connected: her moves touch red, whose component
+  is live at every position that is not terminal.  So Connected drops dead
+  moves only then; a given initial position may have red apart.
 - Twin move skip (every variant).  Vertices u < v are twins when
   N(u) - v == N(v) - u (equal open or equal closed neighbourhoods) and,
   for TargetSet and SkipBudget, both or neither lie in x.  Swapping them is
@@ -46,15 +64,29 @@ Two exact reductions cut the tree further, on no extra path:
   uncoloured.  Twins are found once per core by grouping the neighbourhood
   masks.  Both the lower twin and v are neighbours of red or neither is, so
   the skip also keeps the Connected move rule and the near/far move order.
+- Symmetric move skip (every variant).  An automorphism s of G that keeps
+  membership in x and fixes every coloured vertex fixes the position, so
+  the moves v and s(v) lead to images of each other and have the same
+  value; the move v is not searched when s(v) < v.  A twin swap or such an
+  automorphism maps each component of G - blue onto one of the same order
+  and red count, so the lower move is dead exactly when v is.  With every
+  skip at once, each skipped live move leads by a strictly decreasing chain
+  of equal-valued moves to a lower live one that is searched, and any set
+  of automorphisms is sound.  ``_automorphism_masks`` finds them (one per
+  coset of the twin swaps, a bounded number) once per core, when ``exact``
+  sees between two probes that the core has expanded ``_SYMMETRY_AFTER``
+  states; a small search never pays for them.  The table keys stay the
+  plain positions.
 
 Optimal moves (principal variations, extracted strategies, oracle moves)
 come from one routine, ``_Core.best_move``: given the exact value t of a
 position, it returns the first legal move, by vertex index with Pass last,
 whose successor keeps t, deciding each successor with a null-window search
 (is it >= t after an Alice move, <= t after a Bob move) instead of solving
-it exactly.  It skips twin moves as ``search`` does: the lower twin of a
-value-keeping move keeps the value too and comes first, so the move chosen
-is the same.
+it exactly.  It skips twin and symmetric moves as ``search`` does: the
+lower twin or image of a value-keeping move keeps the value too and comes
+first, so the move chosen is the same.  It keeps the moves into dead
+components, which may keep the value and come first.
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
@@ -106,6 +138,12 @@ _EXACT, _LOWER, _UPPER = 0, 1, 2
 
 _PLAIN_K, _TARGET_K, _CONNECTED_K, _SKIP_K = 0, 1, 2, 3
 
+# states a core expands before ``exact`` looks for the automorphisms of G
+_SYMMETRY_AFTER = 2048
+# the automorphism search stops after this many maps or candidate images
+_SYMMETRY_MAPS = 64
+_SYMMETRY_STEPS = 20_000
+
 
 def _variant_kind(variant: GameVariant) -> tuple[int, int]:
     if isinstance(variant, Plain):
@@ -117,6 +155,87 @@ def _variant_kind(variant: GameVariant) -> tuple[int, int]:
     if isinstance(variant, SkipBudget):
         return _SKIP_K, variant.x
     raise TypeError(f"unknown variant {variant!r}")
+
+
+def _twin_lower(adj: list[int], x: int) -> tuple[tuple[int, int], ...]:
+    """``(bit, lower)`` for each vertex v that has twins below it: ``lower``
+    is the mask of the vertices u < v with N(u) - v == N(v) - u (equal open
+    neighbourhoods, or equal closed ones) that agree with v on membership in
+    ``x``.  Swapping u and v is then an automorphism that keeps the score."""
+    seen: dict[tuple[int, bool, bool], int] = {}
+    twins = []
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        in_x = bool(x & bit)
+        lower = 0
+        for key in ((nbrs, False, in_x), (nbrs | bit, True, in_x)):
+            mates = seen.get(key, 0)
+            lower |= mates
+            seen[key] = mates | bit
+        if lower:
+            twins.append((bit, lower))
+    return tuple(twins)
+
+
+def _automorphism_masks(g: Graph, x: int = 0) -> tuple[tuple[int, int], ...]:
+    """``(fixed, down)`` for non-identity automorphisms of G that keep
+    membership in ``x``: ``fixed`` masks the vertices the map fixes, ``down``
+    those it sends to a lower index.
+
+    Backtracking maps the vertices in index order, each to an unused vertex
+    of the same colour (degree, sorted neighbour degrees, membership in x)
+    whose adjacency to the images so far matches.  The twin swaps are left to
+    the twin move skip: each vertex must map above the image of its next
+    lower twin, so every coset of the twin swaps gives one map, the one that
+    keeps twins in order.  The search stops after ``_SYMMETRY_MAPS`` maps or
+    ``_SYMMETRY_STEPS`` candidate images, so it may return part of the
+    group; the move skip is sound with any set of automorphisms."""
+    adj = g.adj
+    n = g.n
+    deg = [a.bit_count() for a in adj]
+    colour = [(deg[v], tuple(sorted(deg[w] for w in bits(adj[v]))), x >> v & 1)
+              for v in range(n)]
+    classes: dict[tuple, int] = {}
+    for v, c in enumerate(colour):
+        classes[c] = classes.get(c, 0) | 1 << v
+    prev_twin = [-1] * n
+    for bit, lower in _twin_lower(adj, x):
+        prev_twin[bit.bit_length() - 1] = lower.bit_length() - 1
+    image = [0] * n
+    maps: list[tuple[int, int]] = []
+    steps = 0
+
+    def extend(v: int, used: int) -> bool:
+        """Map v, v + 1, ...; False once a bound stops the search."""
+        nonlocal steps
+        if v == n:
+            fixed = down = 0
+            for u, w in enumerate(image):
+                if w == u:
+                    fixed |= 1 << u
+                elif w < u:
+                    down |= 1 << u
+            if fixed != g.full_mask:
+                maps.append((fixed, down))
+            return len(maps) < _SYMMETRY_MAPS
+        want = 0  # the images of v's lower neighbours
+        for u in bits(adj[v] & ((1 << v) - 1)):
+            want |= 1 << image[u]
+        free = classes[colour[v]] & ~used
+        if prev_twin[v] >= 0:
+            free &= -(2 << image[prev_twin[v]])
+        for w in bits(free):
+            steps += 1
+            if steps > _SYMMETRY_STEPS:
+                return False
+            if adj[w] & used == want:
+                image[v] = w
+                if not extend(v + 1, used | 1 << w):
+                    return False
+        return True
+
+    extend(0, 0)
+    return tuple(maps)
 
 
 class _Core:
@@ -147,27 +266,11 @@ class _Core:
         self._live: dict[int, int | tuple[tuple[int, int], ...]] = {}
         # lc of a disconnected red set after an adjacent Alice move, by red
         self._lc: dict[int, int] = {}
-        self._twins = self._twin_lower()
-
-    def _twin_lower(self) -> tuple[tuple[int, int], ...]:
-        """``(bit, lower)`` for each vertex v that has twins below it:
-        ``lower`` is the mask of the vertices u < v with N(u) - v == N(v) - u
-        (equal open neighbourhoods, or equal closed ones) that agree with v
-        on membership in ``x``.  Swapping u and v is then an automorphism
-        that keeps the score."""
-        seen: dict[tuple[int, bool, bool], int] = {}
-        twins = []
-        for v, nbrs in enumerate(self.adj):
-            bit = 1 << v
-            in_x = bool(self.x & bit)
-            lower = 0
-            for key in ((nbrs, False, in_x), (nbrs | bit, True, in_x)):
-                mates = seen.get(key, 0)
-                lower |= mates
-                seen[key] = mates | bit
-            if lower:
-                twins.append((bit, lower))
-        return tuple(twins)
+        self._twins = _twin_lower(self.adj, self.x)
+        # (fixed, down) per automorphism of G and x (see
+        # ``_automorphism_masks``); None until ``exact`` looks for them
+        self._syms: tuple[tuple[int, int], ...] | None = None
+        self._spent0 = self.budget.spent
 
     # -- red-set summaries carried down the search ----------------------------
 
@@ -206,6 +309,15 @@ class _Core:
                 moves &= ~bit
         return moves
 
+    def _symmetric_free(self, colored: int, moves: int) -> int:
+        """``moves`` without each vertex that an automorphism fixing every
+        ``colored`` vertex sends to a lower one: its move leads to the image
+        of that lower move."""
+        for fixed, down in self._syms:
+            if not colored & ~fixed:
+                moves &= ~down
+        return moves
+
     def _live_components(self, blue: int) -> int | tuple[tuple[int, int], ...]:
         """The cache entry of G - blue (see ``_live``), filled on a miss."""
         comps = components_within(self.adj, self.full_mask & ~blue)
@@ -224,8 +336,8 @@ class _Core:
         After the terminal tests the transposition table is probed first;
         the counting cutoff (see the module docstring) and the static bounds
         (``ub`` from the live components of G - blue, or from the colourable
-        vertices, and ``lb`` from the score so far) are only computed when
-        it does not settle the position."""
+        vertices, and ``lb`` from the neighbour count or the score so far)
+        are only computed when it does not settle the position."""
         uncolored = self.full_mask & ~(red | blue)
         rc = red.bit_count()
         alice = (rc + ask) == (blue.bit_count() + bsk)
@@ -260,21 +372,23 @@ class _Core:
                     beta = v
 
         u = uncolored.bit_count()
+        lb = lc
+        dead = 0
         if kind == _SKIP_K:
             ub = rc + u
         else:
             fa = (u + 1) // 2 if alice else u // 2
-            # counting cutoff: with red connected and enough uncoloured
-            # neighbours, Alice keeps red connected to the end and meets the
-            # static bound rc + fa
-            if self.tracks_lc and lc == rc and \
-                    (reach & uncolored).bit_count() >= 2 * fa - alice:
-                return rc + fa
+            if self.tracks_lc and lc == rc:
+                # neighbour count: Alice keeps taking free neighbours of red
+                lb = rc + ((reach & uncolored).bit_count() + alice) // 2
+                # counting cutoff: she takes one on each of her moves
+                if lb >= rc + fa:
+                    return rc + fa
             if kind == _TARGET_K:
                 ub = (rc + fa) if self.x else 0
             else:
                 # the final largest red component lies inside one component
-                # of G - blue
+                # of G - blue; a component that cannot beat lc is dead
                 live = self._live.get(blue)
                 if live is None:
                     live = self._live_components(blue)
@@ -288,9 +402,10 @@ class _Core:
                             b = order
                         if b > ub:
                             ub = b
+                        if b <= lc:
+                            dead |= comp
         if ub <= alpha:
             return ub
-        lb = lc
         if not self.tracks_lc and rc >= beta:
             lb = score(self.g, self.variant, red)
         if lb >= beta:
@@ -299,8 +414,14 @@ class _Core:
             return lb
         self.budget.tick()
 
-        # move generation, neighbours of red first
+        # move generation, neighbours of red first, without the moves the
+        # dead components, twins and automorphisms make redundant (see the
+        # module docstring)
         moves = self._twin_free(uncolored) if self._twins else uncolored
+        if dead and (kind == _PLAIN_K or lc == rc):
+            moves &= ~dead
+        if self._syms:
+            moves = self._symmetric_free(red | blue, moves)
         near = reach & moves
         far = 0 if kind == _CONNECTED_K and alice and red else moves & ~near
         a0, b0 = alpha, beta
@@ -420,6 +541,9 @@ class _Core:
             if r >= t:
                 return t
             t = r
+            if self._syms is None and \
+                    self.budget.spent - self._spent0 >= _SYMMETRY_AFTER:
+                self._syms = _automorphism_masks(self.g, self.x)
 
     def exact_cfg(self, cfg: GameConfig) -> int:
         return self.exact(cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
@@ -434,6 +558,8 @@ class _Core:
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
         cand = self._twin_free(self.full_mask & ~(red | blue))
+        if self._syms:
+            cand = self._symmetric_free(red | blue, cand)
         if self.kind == _CONNECTED_K and alice and red:
             cand &= reach
         moves: list[int | _PassType] = list(bits(cand))

@@ -18,9 +18,9 @@ from lcsgame.engine import (
     apply_move,
     legal_moves,
 )
-from lcsgame.generators import random_connected_gnm
-from lcsgame.graphs import Graph, components
-from lcsgame.solver import TargetOracle, _Core, cg
+from lcsgame.generators import cartesian_grid, king_grid_2rows, random_connected_gnm
+from lcsgame.graphs import Graph, components, mask_of
+from lcsgame.solver import TargetOracle, _automorphism_masks, _Core, cg
 
 
 def reference_move(core: _Core, cfg: GameConfig):
@@ -114,3 +114,28 @@ class TestStrategyMoves:
                 ref = _Core(g, SkipBudget(a_off, b_off, x), use_pruning=False)
                 want = reference_move(ref, GameConfig(red, blue, a_off, b_off))
                 assert oracle.best_vertex(red, blue, a_off, b_off) == want.v
+
+    def test_symmetric_move_skip_keeps_the_move(self):
+        # the lower image of a value-keeping move keeps the value too and
+        # comes first, so skipping the higher one leaves the move unchanged;
+        # the maps are installed at once, as a large search would have them
+        rng = random.Random(34)
+        graphs = [Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+                  Graph.from_edges(6, [(i, i + 1) for i in range(5)]),
+                  cartesian_grid(2, 3).graph, cartesian_grid(3, 3).graph,
+                  king_grid_2rows(3).graph]
+        for g in graphs:
+            # a degree class keeps every automorphism of G
+            x = mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 2)
+            for variant in (PLAIN, CONNECTED, TargetSet(x), SkipBudget(1, 1, x)):
+                core = _Core(g, variant)
+                core._syms = _automorphism_masks(g, core.x)
+                assert core._syms
+                ref = _Core(g, variant, use_pruning=False)
+                for cfg in [GameConfig()] + [random_position(g, variant, rng)
+                                             for _ in range(20)]:
+                    want = reference_move(ref, cfg)
+                    pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
+                    got = core.best_move(*pos, core.exact(*pos))
+                    assert got == (want if want is None or want is PASS else want.v), \
+                        (g.edges(), variant, cfg)

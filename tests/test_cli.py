@@ -285,6 +285,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--graph", str(f))
         assert code == 2 and err.startswith("error: ")
 
+    def test_illegal_strategy_move_exit_2(self, capsys, tmp_path):
+        # the mirror strategy answers across the board, which the Connected
+        # variant forbids: the strategy does not apply, it is no bug
+        f = tmp_path / "king5.g"
+        run(capsys, "generate", "king_grid_2rows", "cols=5", "--out", str(f))
+        code, _, err = run(capsys, "verify", "--graph", str(f),
+                           "--alice", "king_mirror_alice", "--variant", "connected")
+        assert code == 2 and err.startswith("error: ")
+        assert "'king_mirror_alice' returned illegal move" in err
+
     def test_budget_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", "--graph", self._c5(capsys, tmp_path),
                            "--max-states", "1")

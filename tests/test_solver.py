@@ -25,7 +25,12 @@ from lcsgame.engine import (
     score,
     verify_strategy_exhaustive,
 )
-from lcsgame.generators import cartesian_grid, complete_bipartite, random_connected_gnm
+from lcsgame.generators import (
+    cartesian_grid,
+    complete_bipartite,
+    king_grid_2rows,
+    random_connected_gnm,
+)
 from lcsgame.graphs import (
     CapacityError,
     Graph,
@@ -38,7 +43,9 @@ from lcsgame.graphs import (
     mask_of,
 )
 from lcsgame.solver import (
+    _SYMMETRY_MAPS,
     TargetOracle,
+    _automorphism_masks,
     _Core,
     analyze_head,
     can_force_cds_within,
@@ -505,6 +512,24 @@ def _cutoff_margin(g, cfg):
     return (g.neighborhood(red) & uncolored).bit_count() - (2 * fa - alice)
 
 
+def _neighbour_count_bound(g, cfg):
+    """rc + (k + alice) // 2 for a connected non-empty red set: Alice can
+    keep taking uncoloured neighbours of red that many times."""
+    uncolored = g.full_mask & ~(cfg.red | cfg.blue)
+    alice = cfg.mover() is Player.ALICE
+    k = (g.neighborhood(cfg.red) & uncolored).bit_count()
+    return cfg.red.bit_count() + (k + alice) // 2
+
+
+SYMMETRIC = {
+    **{f"C{n}": (lambda n=n: cycle(n)) for n in (5, 6, 7)},
+    **{f"P{n}": (lambda n=n: path(n)) for n in (5, 6, 7)},
+    **{f"grid{r}x{c}": (lambda r=r, c=c: cartesian_grid(r, c).graph)
+       for r, c in ((2, 3), (3, 3), (2, 4))},
+    "king2x3": lambda: king2(3),
+}
+
+
 class TestSharedCoreQueries:
     """``exact`` from every reachable position, asked in a shuffled order on
     one pruned core, as ``OptimalStrategy`` and ``TargetOracle`` ask it: the
@@ -526,13 +551,23 @@ class TestSharedCoreQueries:
         return sorted(seen, key=lambda c: (c.red, c.blue, c.alice_skips_used,
                                            c.bob_skips_used))
 
-    def _check_every_position(self, g, kind, rng):
+    def _check_every_position(self, g, kind, rng, symmetric=False):
         x = rng.randrange(1, 1 << g.n)
+        if symmetric:
+            # a degree class is a union of orbits, so every automorphism of G
+            # keeps membership in it
+            degree = g.adj[rng.randrange(g.n)].bit_count()
+            x = mask_of(v for v in range(g.n) if g.adj[v].bit_count() == degree)
         variant = {"plain": PLAIN, "connected": CONNECTED, "target": TargetSet(x),
                    "skip11": SkipBudget(1, 1, x), "skip10": SkipBudget(1, 0, x)}[kind]
         positions = self._reachable(g, variant)
         rng.shuffle(positions)
         pruned = _Core(g, variant)
+        if symmetric:
+            # installed before the first probe: the lazy trigger would not
+            # fire on searches this small
+            pruned._syms = _automorphism_masks(g, pruned.x)
+            assert pruned._syms
         reference = _Core(g, variant, use_pruning=False)
         for cfg in positions:
             pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
@@ -556,27 +591,57 @@ class TestSharedCoreQueries:
         rng = random.Random(f"{family}/{kind}")
         self._check_every_position(_twin_rich(family, rng), kind, rng)
 
+    @pytest.mark.parametrize("kind", ["plain", "connected", "target",
+                                      "skip11", "skip10"])
+    @pytest.mark.parametrize("name", list(SYMMETRIC))
+    def test_symmetric_position_matches_unpruned(self, kind, name):
+        # the symmetric move skip, with the core's automorphisms in place
+        # from the first probe on
+        rng = random.Random(f"{name}/{kind}")
+        self._check_every_position(SYMMETRIC[name](), kind, rng, symmetric=True)
+
     @pytest.mark.parametrize("variant", [PLAIN, CONNECTED], ids=["plain", "connected"])
     def test_cutoff_boundary(self, variant):
         # at k = 2 * fa - alice a fresh core settles the position without
-        # expanding it; one below, the value still matches the reference
+        # expanding it; one below, the value still matches the reference.
+        # Below the cutoff, a null-window probe at the neighbour-count bound
+        # rc + (k + alice) // 2 settles without expanding the position too.
         seen = {0: 0, -1: 0}
+        probes = 0
         for family in TWIN_RICH:
             for seed in range(3):
                 g = _twin_rich(family, random.Random(f"{family}/{seed}"))
                 reference = _Core(g, variant, use_pruning=False)
                 for cfg in self._reachable(g, variant):
                     margin = _cutoff_margin(g, cfg)
+                    pos = (cfg.red, cfg.blue, 0, 0)
+                    if margin is not None and margin < 0:
+                        fresh = _Core(g, variant)
+                        t = _neighbour_count_bound(g, cfg)
+                        reach, lc = fresh._red_summary(cfg.red)
+                        assert fresh.search(*pos, t - 1, t, reach, lc) >= t, \
+                            (g.edges(), cfg)
+                        assert fresh.budget.spent == 0, (g.edges(), cfg)
+                        assert reference.search_plain(*pos) >= t, (g.edges(), cfg)
+                        probes += 1
                     if margin not in seen:
                         continue
                     seen[margin] += 1
-                    pos = (cfg.red, cfg.blue, 0, 0)
                     fresh = _Core(g, variant)
                     assert fresh.exact(*pos) == reference.search_plain(*pos), \
                         (g.edges(), cfg)
                     if margin == 0:
                         assert fresh.budget.spent == 0, (g.edges(), cfg)
-        assert seen[0] and seen[-1]
+        assert seen[0] and seen[-1] and probes
+
+    def test_connected_alice_keeps_moves_into_dead_components(self):
+        # red {0} and {2, 3} are apart, as only a given initial position has
+        # them: 0's component {0, 1} cannot beat lc = 2, yet 1 is Connected
+        # Alice's only legal move, and the path 4..7 is live
+        g = Graph.from_edges(11, [(0, 1), (1, 8), (2, 3), (3, 9), (9, 4), (4, 5),
+                                  (5, 6), (6, 7), (7, 10)])
+        cfg = GameConfig(red=0b1101, blue=0b111 << 8)
+        assert cg(g, CONNECTED, initial=cfg).value == 2
 
 
 class TestTwinClasses:
@@ -591,6 +656,42 @@ class TestTwinClasses:
         # each column of the two-row king's grid shares a closed neighbourhood
         assert _Core(king2(3), PLAIN)._twins == ((0b10, 0b1), (0b1000, 0b100),
                                                  (0b100000, 0b10000))
+
+
+class TestAutomorphismMasks:
+    def test_grid_3x5_has_three_maps(self):
+        # the two mirror images and the half turn
+        assert len(_automorphism_masks(cartesian_grid(3, 5).graph)) == 3
+
+    @pytest.mark.parametrize("cols", [3, 5, 6])
+    def test_king_grid_only_the_left_right_flip(self, cols):
+        # swapping the rows is the twin swap of every column, so the one map
+        # is the flip that keeps each column's top vertex on top
+        ((fixed, down),) = _automorphism_masks(king_grid_2rows(cols).graph)
+        image = [2 * (cols - 1 - v // 2) + v % 2 for v in range(2 * cols)]
+        assert fixed == mask_of(v for v in range(2 * cols) if image[v] == v)
+        assert down == mask_of(v for v in range(2 * cols) if image[v] < v)
+
+    def test_asymmetric_graph_has_none(self):
+        # the spider with legs of lengths 1, 2 and 3
+        spider = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        assert _automorphism_masks(spider) == ()
+
+    def test_x_that_breaks_the_symmetry_has_none(self):
+        # only the identity fixes a corner of the 3x5 grid
+        assert _automorphism_masks(cartesian_grid(3, 5).graph, x=1) == ()
+
+    def test_huge_group_stops_at_its_bound(self):
+        # 12 disjoint triangles: 12! maps even after the twin swaps
+        triangles = Graph.from_edges(36, [(3 * i + a, 3 * i + b) for i in range(12)
+                                          for a, b in ((0, 1), (0, 2), (1, 2))])
+        maps = _automorphism_masks(triangles)
+        assert len(maps) == _SYMMETRY_MAPS
+        for fixed, down in maps:
+            # each triangle stays in order and moves as a whole
+            for i in range(12):
+                tri = 0b111 << 3 * i
+                assert fixed & tri in (0, tri) and down & tri in (0, tri)
 
 
 class TestConnectedVariantEndings:
