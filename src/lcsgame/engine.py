@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Hashable, Union
@@ -146,13 +147,13 @@ class GameConfig:
         # object.__setattr__; filling the instance dict directly takes about
         # a tenth off the strategy benchmark, which builds one configuration
         # per strategy turn.  A test keeps the parameters equal to the fields.
+        # ``colored`` (red | blue) is stored here, not derived by a property:
+        # every strategy reads it on every turn.  It is not a field, so
+        # equality, hashing and ``replace`` see the four fields alone.
         d = self.__dict__
         d["red"], d["blue"] = red, blue
         d["alice_skips_used"], d["bob_skips_used"] = alice_skips_used, bob_skips_used
-
-    @property
-    def colored(self) -> int:
-        return self.red | self.blue
+        d["colored"] = red | blue
 
     def mover(self) -> Player:
         a_turns = self.red.bit_count() + self.alice_skips_used
@@ -160,10 +161,19 @@ class GameConfig:
         return Player.ALICE if a_turns == b_turns else Player.BOB
 
     def check(self, g: Graph) -> None:
+        """Raise ValueError unless the position lies on g and alternating
+        play from Alice can reach it: Alice has taken as many turns as Bob,
+        or one more.  The solver's bounds assume alternating turns."""
         if self.red & self.blue:
             raise ValueError("red and blue sets intersect")
-        if (self.red | self.blue) & ~g.full_mask:
+        if self.colored & ~g.full_mask:
             raise ValueError("coloured vertices outside graph")
+        lead = (self.red.bit_count() + self.alice_skips_used
+                - self.blue.bit_count() - self.bob_skips_used)
+        if lead not in (0, 1):
+            raise ValueError(
+                f"turn counts out of order: Alice has taken {lead:+d} turns "
+                "more than Bob (alternating play gives 0 or +1)")
 
 
 EMPTY_CONFIG = GameConfig()
@@ -223,7 +233,8 @@ class AndOrSearch:
     At an OR node the protagonist moves and wins if some child wins; at an
     AND node the opponent moves and the protagonist wins only if every child
     does.  Every position is memoised, and the memo is read before
-    ``expand`` runs.  Each position expanded into children, on either side,
+    ``expand`` runs; so is every answer of ``move``, by position and
+    preferred move.  Each position expanded into children, on either side,
     charges ``budget`` (unbounded by default).
     """
 
@@ -232,6 +243,7 @@ class AndOrSearch:
         self.expand = expand
         self.budget = Budget(math.inf) if budget is None else budget
         self.memo: dict[Hashable, bool] = {}
+        self.moves: dict[tuple[Hashable, object], object] = {}
 
     def wins(self, pos: Hashable) -> bool:
         hit = self.memo.get(pos)
@@ -257,16 +269,21 @@ class AndOrSearch:
         gives the mover the outcome it wants: a protagonist win at an OR
         node, a loss at an AND node.  None at a decided position and when no
         move does."""
+        key = (pos, first)
+        if key in self.moves:
+            return self.moves[key]
         node = self.expand(pos)
-        if isinstance(node, bool):
-            return None
-        or_node, children = node
-        if first is not None:
-            children = sorted(children, key=lambda mc: mc[0] != first)
-        for mv, child in children:
-            if self.wins(child) == or_node:
-                return mv
-        return None
+        found = None
+        if not isinstance(node, bool):
+            or_node, children = node
+            if first is not None:
+                children = sorted(children, key=lambda mc: mc[0] != first)
+            for mv, child in children:
+                if self.wins(child) == or_node:
+                    found = mv
+                    break
+        self.moves[key] = found
+        return found
 
 
 def _legal_masks(g: Graph, variant: GameVariant, red: int, blue: int,
@@ -527,8 +544,6 @@ def verify_strategy_exhaustive(
     state) at adversary decision points.  One ``Budget`` of ``max_states``
     and ``time_limit`` (seconds) covers the whole verification.
     """
-    if objective is None:
-        objective = lambda cfg: score(g, variant, cfg.red)
     alice_fixed = fixed_side is Player.ALICE
     minimise = alice_fixed
     # skipping the _legal_masks call on an open board takes about a tenth
@@ -537,6 +552,7 @@ def verify_strategy_exhaustive(
     full = g.full_mask
     memo: dict[Hashable, int] = {}
     tick = Budget(max_states, time_limit).tick
+    choose = fixed.choose
 
     def value(red: int, blue: int, ask: int, bsk: int, alice: bool,
               state: Hashable, last_adv: int | _PassType | None) -> int:
@@ -549,12 +565,19 @@ def verify_strategy_exhaustive(
             else:
                 mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice)
             if not (mask or pass_ok):
+                if objective is None:
+                    return score(g, variant, red)
                 return objective(GameConfig(red, blue, ask, bsk))
             if alice != alice_fixed:
                 break
-            move, state = fixed.choose(g, variant, GameConfig(red, blue, ask, bsk),
-                                       state, last_adv)
-            bit = _fixed_move_bit(fixed, move, mask, pass_ok)
+            move, state = choose(g, variant, GameConfig(red, blue, ask, bsk),
+                                 state, last_adv)
+            # a legal vertex index inline; ARBITRARY, PASS and illegal
+            # answers go to _fixed_move_bit
+            if type(move) is int and move >= 0 and mask >> move & 1:
+                bit = 1 << move
+            else:
+                bit = _fixed_move_bit(fixed, move, mask, pass_ok)
             if alice:  # a pass colours no bit and uses a skip
                 red |= bit
                 ask += not bit
@@ -602,10 +625,15 @@ def random_playouts(
     turn.  On an open board (Plain, TargetSet) the draw indexes a sorted
     list of the uncoloured vertices kept across turns; under the other
     variants, a list of the legal vertices built for the turn.
+
+    The draw runs the body of ``random.Random._randbelow_with_getrandbits``,
+    which ``randrange(n)`` calls, inline on a bound ``getrandbits``: the
+    stream, and so every seeded score, is the same as with
+    ``Random(seed).randrange``, without that call's argument checks on every
+    adversary turn.
     """
-    if objective is None:
-        objective = lambda cfg: score(g, variant, cfg.red)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    choose = fixed.choose
     alice_fixed = fixed_side is Player.ALICE
     open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
@@ -624,14 +652,24 @@ def random_playouts(
             if not (mask or pass_ok):
                 break
             if alice == alice_fixed:
-                move, state = fixed.choose(g, variant, GameConfig(red, blue, ask, bsk),
-                                           state, last_adv)
-                bit = _fixed_move_bit(fixed, move, mask, pass_ok)
+                move, state = choose(g, variant, GameConfig(red, blue, ask, bsk),
+                                     state, last_adv)
+                # a legal vertex index inline; ARBITRARY, PASS and illegal
+                # answers go to _fixed_move_bit
+                if type(move) is int and move >= 0 and mask >> move & 1:
+                    bit = 1 << move
+                else:
+                    bit = _fixed_move_bit(fixed, move, mask, pass_ok)
+                    move = bit.bit_length() - 1
                 if bit and open_board:
-                    free.remove(bit.bit_length() - 1)
+                    del free[bisect_left(free, move)]
             else:
                 cands = free if open_board else list(bits(mask))
-                idx = rng.randrange(len(cands) + pass_ok)
+                n = len(cands) + pass_ok
+                k = n.bit_length()
+                idx = getrandbits(k)
+                while idx >= n:
+                    idx = getrandbits(k)
                 if idx == len(cands):
                     bit, last_adv = 0, PASS
                 else:
@@ -644,5 +682,8 @@ def random_playouts(
                 blue |= bit
                 bsk += not bit
             alice = not alice
-        out.append(objective(GameConfig(red, blue, ask, bsk)))
+        if objective is None:
+            out.append(score(g, variant, red))
+        else:
+            out.append(objective(GameConfig(red, blue, ask, bsk)))
     return out

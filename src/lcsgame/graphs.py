@@ -194,9 +194,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def largest_component_order(adj: tuple[int, ...], within: int) -> int:
+    """Order of the largest component of the induced subgraph on *within*.
+    The loop stops once the vertices not yet counted are no more than the
+    best order found: no component among them can beat it."""
     best = 0
     rest = within
-    while rest:
+    while rest.bit_count() > best:
         low = rest & -rest
         comp = component_of(adj, low, within)
         rest &= ~comp

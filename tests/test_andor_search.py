@@ -88,6 +88,38 @@ class TestHelper:
         with pytest.raises(BudgetExceededError):
             AndOrSearch(nim_expand, Budget(3)).wins((3, True))
 
+    def test_move_is_memoised_by_position_and_first(self):
+        calls = []
+
+        def expand(pos):
+            calls.append(pos)
+            return nim_expand(pos)
+        search = AndOrSearch(expand)
+        assert search.move((7, True)) == 1
+        assert search.move((6, True)) is None
+        before, spent = len(calls), search.budget.spent
+        assert spent > 0
+        assert search.move((7, True)) == 1
+        assert search.move((6, True)) is None
+        assert len(calls) == before and search.budget.spent == spent
+        # another preferred move is a question of its own: the position is
+        # expanded again, and its answer does not replace the first one
+        assert search.move((7, True), first=2) == 1
+        assert len(calls) == before + 1
+
+        def both_win(pos):
+            calls.append(pos)
+            if pos == "end":
+                return True
+            return True, (("a", "end"), ("b", "end"))
+        search = AndOrSearch(both_win)
+        assert search.move("root") == "a"
+        assert search.move("root", first="b") == "b"
+        before = len(calls)
+        assert search.move("root") == "a"
+        assert search.move("root", first="b") == "b"
+        assert len(calls) == before
+
     def test_memo_read_before_expand(self):
         calls = []
 

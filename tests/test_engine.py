@@ -67,6 +67,13 @@ class TestGameConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.red = 3
 
+    def test_colored_is_stored_and_not_a_field(self):
+        cfg = GameConfig(0b101, 0b10)
+        assert cfg.colored == 0b111
+        assert dataclasses.replace(cfg, blue=0b1000).colored == 0b1101
+        assert "colored" not in {f.name for f in dataclasses.fields(GameConfig)}
+        assert EMPTY_CONFIG.colored == 0
+
 
 class TestLegalMoves:
     def test_plain_everything_uncolored(self):

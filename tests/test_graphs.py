@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from lcsgame.graphs import (
     Planarity,
     bits,
     components,
+    components_within,
     delete_edge,
     delete_vertices,
     diameter,
@@ -224,6 +227,25 @@ class TestHelpers:
     def test_largest_component_order(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         assert largest_component_order(g.adj, mask_of([0, 1, 2])) == 2
+
+    def test_largest_component_order_early_exit(self):
+        # the loop stops once the uncounted vertices are no more than the
+        # best order so far; it must agree with the largest of all components
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(1, 16)
+            p = rng.choice((0.1, 0.2, 0.35, 0.6))
+            g = Graph.from_edges(n, [(u, v) for u in range(n)
+                                     for v in range(u + 1, n) if rng.random() < p])
+            for within in (0, g.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                want = max((c.bit_count() for c in components_within(g.adj, within)),
+                           default=0)
+                assert largest_component_order(g.adj, within) == want
+        # the largest component holds the highest vertex, so it is found last
+        g = path(8)
+        within = mask_of([0, 2, 4, 5, 6, 7])
+        assert largest_component_order(g.adj, within) == 4
+        assert largest_component_order(g.adj, 0) == 0
 
 
 class TestTextFormat:

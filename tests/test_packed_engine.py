@@ -263,6 +263,8 @@ BAD_CASES = {
     "vertex_out_of_range": (PLAIN, Player.BOB, Bad(5)),
     "non_neighbour": (CONNECTED, Player.ALICE, Bad(4, opening=0)),
     "none": (PLAIN, Player.BOB, Bad(None)),
+    # ``mask >> -1`` raises ValueError, so the index's sign is tested first
+    "negative_index": (PLAIN, Player.ALICE, Bad(-1)),
     # legal as the index 1, but a move object or a bool is no vertex index
     "move_object": (PLAIN, Player.ALICE, Bad(ColorVertex(1))),
     "bool": (PLAIN, Player.ALICE, Bad(True)),

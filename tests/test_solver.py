@@ -462,6 +462,32 @@ class TestConsistencyKnobs:
         res = cg(g, initial=GameConfig(red=1, blue=2))
         assert res.value == 2
 
+    def test_unreachable_turn_order_rejected(self):
+        # two blue vertices against one red: Bob would have moved twice in a
+        # row, which alternating play never gives; the pruned search read 2
+        # here and the unpruned one 1
+        g = Graph.from_edges(6, [(0, 2), (0, 5), (2, 3), (2, 5), (4, 5)])
+        initial = GameConfig(red=0b100, blue=0b11)
+        for pruning in (True, False):
+            with pytest.raises(ValueError, match="turn"):
+                cg(g, initial=initial, use_pruning=pruning)
+        for cfg in (GameConfig(red=0b11), GameConfig(blue=0b1),
+                    GameConfig(red=0b1, alice_skips_used=1),
+                    GameConfig(blue=0b1, bob_skips_used=1)):
+            with pytest.raises(ValueError, match="turn"):
+                cfg.check(g)
+
+    def test_reachable_mid_game_positions_accepted(self):
+        g = Graph.from_edges(6, [(0, 2), (0, 5), (2, 3), (2, 5), (4, 5)])
+        variant = SkipBudget(1, 1, g.full_mask)
+        for initial, v in ((GameConfig(red=0b100, blue=0b1), PLAIN),  # Alice to move
+                           (GameConfig(red=0b10100, blue=0b1), PLAIN),  # Bob to move
+                           (GameConfig(red=0b100, blue=0b1, alice_skips_used=1,
+                                       bob_skips_used=1), variant),
+                           (GameConfig(red=0b100, bob_skips_used=1), variant)):
+            assert cg(g, v, initial=initial).value == \
+                cg(g, v, initial=initial, use_pruning=False).value
+
 
 def _cotree(n, rng):
     """A seeded cograph: vertex groups merged pairwise by disjoint union or
