@@ -11,14 +11,15 @@ Inside ``lcsgame`` a move is a vertex index or ``PASS``.  A strategy's
 ``choose`` answers with one of those or with ``ARBITRARY``, the "colour an
 arbitrary vertex" of the paper's proofs, and only the engine resolves it:
 the lowest-index legal vertex, or a pass when no vertex is legal.
-``ColorVertex`` remains only at the public boundary: ``legal_moves``,
-``apply_move``, match traces and principal variations.  The strategy
-verifier and the playout loop work on packed ints -- the red and blue masks
-plus the skips each player has used -- and build a ``GameConfig`` only where
-a strategy's ``choose`` or an objective reads it.
+``GameConfig`` and ``ColorVertex`` remain only at the public boundary:
+``legal_moves``, ``apply_move``, match traces and principal variations.
+Inside, a position is packed: the tuple ``(red, blue, ask, bsk)`` of the red
+and blue masks and the skips Alice and Bob have used.  The strategy
+verifier, the playout loop and ``play_match`` keep it in locals, and a
+strategy's ``choose`` and the verifier's objective receive it as that tuple.
 Legality comes from one helper, ``_legal_masks``; under the variants in
 ``_OPEN_BOARD``, where every uncoloured vertex is legal and nobody passes,
-the two loops read the uncoloured mask directly.
+the verifier and the playouts read the uncoloured mask directly.
 
 ``AndOrSearch`` is the one memoised win/lose search; the source games of
 the reductions, the head analysis and CDS forcing each supply its
@@ -141,19 +142,9 @@ class GameConfig:
     alice_skips_used: int = 0
     bob_skips_used: int = 0
 
-    def __init__(self, red: int = 0, blue: int = 0,
-                 alice_skips_used: int = 0, bob_skips_used: int = 0):
-        # the generated frozen __init__ sets each field through
-        # object.__setattr__; filling the instance dict directly takes about
-        # a tenth off the strategy benchmark, which builds one configuration
-        # per strategy turn.  A test keeps the parameters equal to the fields.
-        # ``colored`` (red | blue) is stored here, not derived by a property:
-        # every strategy reads it on every turn.  It is not a field, so
-        # equality, hashing and ``replace`` see the four fields alone.
-        d = self.__dict__
-        d["red"], d["blue"] = red, blue
-        d["alice_skips_used"], d["bob_skips_used"] = alice_skips_used, bob_skips_used
-        d["colored"] = red | blue
+    @property
+    def colored(self) -> int:
+        return self.red | self.blue
 
     def mover(self) -> Player:
         a_turns = self.red.bit_count() + self.alice_skips_used
@@ -306,17 +297,14 @@ def _legal_masks(g: Graph, variant: GameVariant, red: int, blue: int,
     raise TypeError(f"unknown variant {variant!r}")
 
 
-def _cfg_masks(g: Graph, variant: GameVariant, cfg: GameConfig) -> tuple[int, bool]:
-    return _legal_masks(g, variant, cfg.red, cfg.blue, cfg.alice_skips_used,
-                        cfg.bob_skips_used, cfg.mover() is Player.ALICE)
-
-
 def legal_moves(g: Graph, variant: GameVariant, cfg: GameConfig) -> list[Move]:
     """Legal moves for the derived mover, ordered by vertex index, Pass last.
 
     An empty list signals that the game is over for the mover.
     """
-    mask, pass_ok = _cfg_masks(g, variant, cfg)
+    mask, pass_ok = _legal_masks(g, variant, cfg.red, cfg.blue,
+                                 cfg.alice_skips_used, cfg.bob_skips_used,
+                                 cfg.mover() is Player.ALICE)
     moves: list[Move] = [ColorVertex(v) for v in bits(mask)]
     if pass_ok:
         moves.append(PASS)
@@ -371,17 +359,20 @@ def score(g: Graph, variant: GameVariant, red: int) -> int:
 
 
 Answer = Union[int, _PassType, _ArbitraryType]
+# a packed position: red mask, blue mask, skips Alice and Bob have used
+Position = tuple[int, int, int, int]
 
 
 class Strategy:
     """Deterministic move chooser with explicit, hashable private state.
 
-    ``choose`` is called only on the strategy's own turns and receives the
-    opponent's most recent move: a vertex index, ``PASS``, or None on the
-    opening turn.  It returns its answer -- a legal vertex index, ``PASS``
-    or ``ARBITRARY`` (the engine plays the lowest-index legal vertex, or
-    passes when no vertex is legal) -- plus the successor private state;
-    identical inputs must yield identical outputs.
+    ``choose`` is called only on the strategy's own turns.  It receives the
+    position packed as ``pos = (red, blue, ask, bsk)`` and the opponent's
+    most recent move: a vertex index, ``PASS``, or None on the opening turn.
+    It returns its answer -- a legal vertex index, ``PASS`` or ``ARBITRARY``
+    (the engine plays the lowest-index legal vertex, or passes when no
+    vertex is legal) -- plus the successor private state; identical inputs
+    must yield identical outputs.
     """
 
     name = "strategy"
@@ -389,37 +380,48 @@ class Strategy:
     def initial_state(self) -> Hashable:
         return None
 
-    def choose(self, g: Graph, variant: GameVariant, cfg: GameConfig,
+    def choose(self, g: Graph, variant: GameVariant, pos: Position,
                state: Hashable, last_opp: int | _PassType | None
                ) -> tuple[Answer, Hashable]:
         raise NotImplementedError
 
 
 class FunctionStrategy(Strategy):
-    """Stateless strategy from a plain chooser function."""
+    """Stateless strategy from a plain chooser function, which receives
+    ``choose``'s arguments less the private state."""
 
     def __init__(self, name: str,
-                 fn: Callable[[Graph, GameVariant, GameConfig,
+                 fn: Callable[[Graph, GameVariant, Position,
                                int | _PassType | None], Answer]):
         self.name = name
         self._fn = fn
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        return self._fn(g, variant, cfg, last_opp), None
+    def choose(self, g, variant, pos, state, last_opp):
+        return self._fn(g, variant, pos, last_opp), None
+
+
+def virtual_answer(pos: Position, w: int) -> int | None:
+    """Alice's real answer when her strategy wants ``w`` on a virtual board
+    that ignores her own arbitrary moves: ``w`` while it is uncoloured, None
+    (play arbitrarily) when it is already red, one of those arbitrary moves.
+    A blue ``w`` means the virtual board has lost track of the real one."""
+    if pos[1] >> w & 1:
+        raise InternalError("virtual board desynchronised from the real one")
+    return None if pos[0] >> w & 1 else w
 
 
 def lowest_index_strategy() -> Strategy:
     """Colour the lowest-index legal vertex; pass only when forced."""
-    return FunctionStrategy("lowest", lambda g, variant, cfg, last_opp: ARBITRARY)
+    return FunctionStrategy("lowest", lambda g, variant, pos, last_opp: ARBITRARY)
 
 
 def first_move_strategy(first: int) -> Strategy:
     """Open at a designated vertex, then play lowest-index legal vertices."""
     first_bit = 1 << first if first >= 0 else 0
 
-    def fn(g, variant, cfg, last_opp):
+    def fn(g, variant, pos, last_opp):
         # with no red vertex yet, every uncoloured vertex is legal
-        if cfg.red == 0 and g.full_mask & ~cfg.colored & first_bit:
+        if pos[0] == 0 and g.full_mask & ~pos[1] & first_bit:
             return first
         return ARBITRARY
 
@@ -481,32 +483,35 @@ def play_match(g: Graph, variant: GameVariant, alice: Strategy, bob: Strategy) -
     A strategy returning an illegal move aborts with a diagnostic naming
     the offending turn.
     """
-    cfg = EMPTY_CONFIG
     states = {Player.ALICE: alice.initial_state(), Player.BOB: bob.initial_state()}
     last: dict[Player, int | _PassType | None] = {Player.ALICE: None, Player.BOB: None}
     moves: list[tuple[Player, Move]] = []
-    turn = 0
+    red = blue = ask = bsk = 0
     while True:
-        mask, pass_ok = _cfg_masks(g, variant, cfg)
+        alice_moves = len(moves) % 2 == 0  # turns alternate; a pass is a turn
+        mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice_moves)
         if not (mask or pass_ok):
             break
-        mover = cfg.mover()
-        strat = alice if mover is Player.ALICE else bob
-        turn += 1
-        answer, states[mover] = strat.choose(g, variant, cfg, states[mover],
-                                             last[mover.opponent])
+        mover, strat = (Player.ALICE, alice) if alice_moves else (Player.BOB, bob)
+        answer, states[mover] = strat.choose(g, variant, (red, blue, ask, bsk),
+                                             states[mover], last[mover.opponent])
         try:
             bit = _fixed_move_bit(strat, answer, mask, pass_ok)
         except StrategyError as exc:
-            raise StrategyError(f"turn {turn} ({mover.name}): {exc}") from None
+            raise StrategyError(f"turn {len(moves) + 1} ({mover.name}): {exc}") from None
+        if alice_moves:
+            red |= bit
+            ask += not bit
+        else:
+            blue |= bit
+            bsk += not bit
         if bit:
             v = bit.bit_length() - 1
             move, last[mover] = ColorVertex(v), v
         else:
             move = last[mover] = PASS
-        cfg = apply_move(cfg, mover, move)
         moves.append((mover, move))
-    return MatchTrace(moves, cfg, score(g, variant, cfg.red))
+    return MatchTrace(moves, GameConfig(red, blue, ask, bsk), score(g, variant, red))
 
 
 # -- exhaustive one-sided verification ---------------------------------------
@@ -534,7 +539,7 @@ def verify_strategy_exhaustive(
     g: Graph, variant: GameVariant, fixed: Strategy, fixed_side: Player,
     *, max_states: int = DEFAULT_VERIFY_BUDGET,
     time_limit: float | None = None,
-    objective: Callable[[GameConfig], int] | None = None,
+    objective: Callable[[Position], int] | None = None,
 ) -> int:
     """Guaranteed value of a deterministic strategy against every opposing line.
 
@@ -542,7 +547,8 @@ def verify_strategy_exhaustive(
     moves.  Returns the minimum final score when the fixed side is Alice and
     the maximum when it is Bob, memoised on (red, blue, skips used, private
     state) at adversary decision points.  One ``Budget`` of ``max_states``
-    and ``time_limit`` (seconds) covers the whole verification.
+    and ``time_limit`` (seconds) covers the whole verification.  An
+    ``objective``, given the packed final position, replaces ``score``.
     """
     alice_fixed = fixed_side is Player.ALICE
     minimise = alice_fixed
@@ -567,11 +573,10 @@ def verify_strategy_exhaustive(
             if not (mask or pass_ok):
                 if objective is None:
                     return score(g, variant, red)
-                return objective(GameConfig(red, blue, ask, bsk))
+                return objective((red, blue, ask, bsk))
             if alice != alice_fixed:
                 break
-            move, state = choose(g, variant, GameConfig(red, blue, ask, bsk),
-                                 state, last_adv)
+            move, state = choose(g, variant, (red, blue, ask, bsk), state, last_adv)
             # a legal vertex index inline; ARBITRARY, PASS and illegal
             # answers go to _fixed_move_bit
             if type(move) is int and move >= 0 and mask >> move & 1:
@@ -616,7 +621,6 @@ def verify_strategy_exhaustive(
 def random_playouts(
     g: Graph, variant: GameVariant, fixed: Strategy, fixed_side: Player,
     n_playouts: int, seed: int = 0,
-    objective: Callable[[GameConfig], int] | None = None,
 ) -> list[int]:
     """Final scores of the fixed strategy against a uniform random adversary.
 
@@ -652,8 +656,8 @@ def random_playouts(
             if not (mask or pass_ok):
                 break
             if alice == alice_fixed:
-                move, state = choose(g, variant, GameConfig(red, blue, ask, bsk),
-                                     state, last_adv)
+                move, state = choose(g, variant, (red, blue, ask, bsk), state,
+                                     last_adv)
                 # a legal vertex index inline; ARBITRARY, PASS and illegal
                 # answers go to _fixed_move_bit
                 if type(move) is int and move >= 0 and mask >> move & 1:
@@ -682,8 +686,5 @@ def random_playouts(
                 blue |= bit
                 bsk += not bit
             alice = not alice
-        if objective is None:
-            out.append(score(g, variant, red))
-        else:
-            out.append(objective(GameConfig(red, blue, ask, bsk)))
+        out.append(score(g, variant, red))
     return out

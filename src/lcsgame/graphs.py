@@ -324,31 +324,24 @@ class Planarity(Enum):
     UNKNOWN = "unknown"
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
+class _MinorBudgetSpent(Exception):
+    """The minor searches of one planarity check ran out of steps."""
 
 
 def _find_minor(g: Graph, pattern_adj: list[int], k: int, sym_prev: list[int],
-                budget: _Budget) -> bool | None:
+                steps: Iterator[int]) -> bool:
     """Search for a minor with k branch sets and required adjacencies.
 
-    Returns True/False when the search completes, None when the budget runs
-    out.  All branch sets are seeded first, then grown one neighbour at a
-    time.  ``sym_prev[a]`` names an interchangeable earlier set whose seed
-    must precede a's seed (symmetry breaking within interchangeable groups
-    only, so the search stays complete).
+    Each search step takes one item of ``steps``; raises
+    ``_MinorBudgetSpent`` once they run out.  All branch sets are seeded
+    first, then grown one neighbour at a time.  ``sym_prev[a]`` names an
+    interchangeable earlier set whose seed must precede a's seed (symmetry
+    breaking within interchangeable groups only, so the search stays
+    complete).
     """
     need_edges = sum(a.bit_count() for a in pattern_adj) // 2
     if g.edge_count < need_edges or g.n < k:
         return False
-    exhausted = False
 
     def missing_pairs(branch: list[int]) -> list[tuple[int, int]]:
         out = []
@@ -369,52 +362,37 @@ def _find_minor(g: Graph, pattern_adj: list[int], k: int, sym_prev: list[int],
                 return False
         return True
 
-    def rec(branch: list[int], used: int) -> bool | None:
-        nonlocal exhausted
-        if not budget.spend():
-            exhausted = True
-            return None
+    def rec(branch: list[int], used: int) -> bool:
+        if next(steps, None) is None:
+            raise _MinorBudgetSpent
         empty = next((a for a in range(k) if branch[a] == 0), None)
         if empty is None:
             if not missing_pairs(branch):
                 return True
             # grow some branch set towards a missing contact
-            saw_none = False
             for a in range(k):
                 grow = g.neighborhood(branch[a]) & ~used
                 for v in bits(grow):
                     bit = 1 << v
                     branch[a] |= bit
-                    if feasible(branch, used | bit):
-                        r = rec(branch, used | bit)
-                        if r:
-                            branch[a] &= ~bit
-                            return True
-                        if r is None:
-                            saw_none = True
+                    if feasible(branch, used | bit) and rec(branch, used | bit):
+                        return True
                     branch[a] &= ~bit
-            return None if saw_none else False
+            return False
         lo = 0
         if sym_prev[empty] >= 0 and branch[sym_prev[empty]]:
             lo = lowest_bit_index(branch[sym_prev[empty]]) + 1
-        saw_none = False
         for v in range(lo, g.n):
             bit = 1 << v
             if used & bit:
                 continue
             branch[empty] = bit
-            if feasible(branch, used | bit):
-                r = rec(branch, used | bit)
-                if r:
-                    branch[empty] = 0
-                    return True
-                if r is None:
-                    saw_none = True
+            if feasible(branch, used | bit) and rec(branch, used | bit):
+                return True
             branch[empty] = 0
-        return None if saw_none else False
+        return False
 
-    res = rec([0] * k, 0)
-    return res
+    return rec([0] * k, 0)
 
 
 def _strip_leaves(g: Graph) -> Graph:
@@ -446,16 +424,14 @@ def planarity_check(g: Graph, budget: int = 50_000) -> Planarity:
         return Planarity.PLANAR
     k5 = [0b11111 & ~(1 << i) for i in range(5)]
     k33 = [(0b111000 if i < 3 else 0b000111) for i in range(6)]
-    shared = _Budget(budget)
-    r5 = _find_minor(core, k5, 5, [-1, 0, 1, 2, 3], shared)
-    if r5 is True:
-        return Planarity.NON_PLANAR
-    r33 = _find_minor(core, k33, 6, [-1, 0, 1, -1, 3, 4], shared)
-    if r33 is True:
-        return Planarity.NON_PLANAR
-    if r5 is False and r33 is False:
-        return Planarity.PLANAR
-    return Planarity.UNKNOWN
+    steps = iter(range(budget))  # shared by both searches
+    try:
+        if _find_minor(core, k5, 5, [-1, 0, 1, 2, 3], steps) or \
+                _find_minor(core, k33, 6, [-1, 0, 1, -1, 3, 4], steps):
+            return Planarity.NON_PLANAR
+    except _MinorBudgetSpent:
+        return Planarity.UNKNOWN
+    return Planarity.PLANAR
 
 
 # -- text format ------------------------------------------------------------

@@ -20,10 +20,10 @@ from .engine import (
     ARBITRARY,
     PASS,
     Budget,
-    GameConfig,
-    InternalError,
     Plain,
+    Position,
     Strategy,
+    virtual_answer,
 )
 from .graphs import (Graph, bits, induced, is_clique, is_connected, is_independent,
                      lowest_bit_index, mask_of)
@@ -332,9 +332,8 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
 
 # Node strategies run against a virtual board (vred, vblue restricted to the
 # node's vertices).  The wrapper advances vblue for every opponent move it
-# forwards; a want() answer already coloured on the real board must be red
-# (one of Alice's own arbitrary moves), gets marked virtually, and the real
-# move falls back to an arbitrary vertex.
+# forwards; a wanted vertex is marked virtually, and ``engine.virtual_answer``
+# reads the real packed position for the real move.
 
 
 class _NodeStrategy:
@@ -346,8 +345,8 @@ class _NodeStrategy:
     def saw_opponent(self, state: Hashable, v: int) -> Hashable:
         raise NotImplementedError
 
-    def next_move(self, state: Hashable, board: GameConfig,
-                  g: Graph) -> tuple[int | None, Hashable]:
+    def next_move(self, state: Hashable,
+                  pos: Position) -> tuple[int | None, Hashable]:
         raise NotImplementedError
 
 
@@ -367,18 +366,12 @@ class _WantStrategy(_NodeStrategy):
     def want(self, vred: int, vblue: int) -> int | None:
         raise NotImplementedError
 
-    def next_move(self, state, board, g):
+    def next_move(self, state, pos):
         vred, vblue = state
         w = self.want(vred, vblue)
         if w is None:
             return None, state
-        bit = 1 << w
-        state = (vred | bit, vblue)
-        if board.colored & bit:
-            if not (board.red & bit):
-                raise InternalError("virtual tracker desynchronised")
-            return None, state
-        return w, state
+        return virtual_answer(pos, w), (vred | 1 << w, vblue)
 
 
 class _JoinStrategy(_WantStrategy):
@@ -467,11 +460,11 @@ class _UnionStrategy(_NodeStrategy):
             return (self.child.saw_opponent(sub, v), True)
         return (sub, pending)
 
-    def next_move(self, state, board, g):
+    def next_move(self, state, pos):
         sub, pending = state
         if not pending:
             return None, state
-        w, sub = self.child.next_move(sub, board, g)
+        w, sub = self.child.next_move(sub, pos)
         return w, (sub, False)
 
 
@@ -526,34 +519,29 @@ class _PseudoSpiderStrategy(_NodeStrategy):
             return (vred, vblue, a_p, 1, 1)
         return state
 
-    def _play_head_vertex(self, lv: int, state, board):
+    def _play_head_vertex(self, lv: int, state, pos: Position):
         vred, vblue, a_p, b_p, first = state
         state = (vred | (1 << lv), vblue, a_p, b_p, first)
-        w = self._back[lv]
-        if board.colored >> w & 1:
-            if not (board.red >> w & 1):
-                raise InternalError("virtual head tracker desynchronised")
-            return None, state
-        return w, state
+        return virtual_answer(pos, self._back[lv]), state
 
-    def next_move(self, state, board, g):
+    def next_move(self, state, pos):
         vred, vblue, a_p, b_p, first = state
         head_avail = self.head_graph.full_mask & ~vred & ~vblue
         if not self._alice_turn(state) or not head_avail:
             # keep the head game frozen: mirror into R
-            w = lowest_bit_index(self.r_mask & ~board.colored)
+            w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
             return w, state
         if self.mode == _SA2_MODE and a_p == 0 and first == 0:
             move = self.sa2_game.winning_move(vred, vblue, a_p, b_p, first,
                                               prefer_pass=True)
             if move is PASS:
-                w = lowest_bit_index(self.r_mask & ~board.colored)
+                w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
                 if w is not None:
                     return w, (vred, vblue, 1, b_p, first)
                 move = self.sa2_game.winning_move(vred, vblue, a_p, b_p,
                                                   first, prefer_pass=False)
             if move is not PASS:
-                return self._play_head_vertex(move, state, board)
+                return self._play_head_vertex(move, state, pos)
             return None, state
         if self.mode == _NEITHER_MODE:
             # holding play: the straight value must stay intact while any
@@ -561,27 +549,26 @@ class _PseudoSpiderStrategy(_NodeStrategy):
             # condition picks the move, not just the current value
             move = self.hold_game.winning_move(vred, vblue, a_p, b_p, first,
                                                prefer_pass=False)
-            return self._play_head_vertex(move, state, board)
+            return self._play_head_vertex(move, state, pos)
         lv = self.oracle.best_vertex(vred, vblue, a_p, b_p)
-        return self._play_head_vertex(lv, state, board)
+        return self._play_head_vertex(lv, state, pos)
 
 
 class ComposedAliceStrategy(Strategy):
     """Adapter exposing a node-strategy tree as an engine strategy."""
 
-    def __init__(self, g: Graph, root: _NodeStrategy, name: str):
-        self._g = g
+    def __init__(self, root: _NodeStrategy, name: str):
         self._root = root
         self.name = name
 
     def initial_state(self):
         return self._root.initial()
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         if last_opp is not None and last_opp is not PASS \
                 and self._root.mask >> last_opp & 1:
             state = self._root.saw_opponent(state, last_opp)
-        w, state = self._root.next_move(state, cfg, g)
+        w, state = self._root.next_move(state, pos)
         return (ARBITRARY if w is None else w), state
 
 
@@ -628,7 +615,7 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     ev = _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
                    play=True)
     root = _build_strategy(g, ev)
-    return ComposedAliceStrategy(g, root, "qgraph-alice")
+    return ComposedAliceStrategy(root, "qgraph-alice")
 
 
 # -- text format --------------------------------------------------------------------

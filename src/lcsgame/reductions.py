@@ -16,10 +16,11 @@ from .engine import (
     ARBITRARY,
     PASS,
     AndOrSearch,
-    GameConfig,
     InternalError,
     Player,
+    Position,
     Strategy,
+    virtual_answer,
 )
 from .graphs import (
     FormatError,
@@ -341,22 +342,23 @@ class CnfLift(Strategy):
             false_mask |= 1 << x
         return x, (true_mask, false_mask)
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
+        colored = pos[0] | pos[1]
         if last_opp is None:
             # Alice's opening: her first variable of the winning strategy
             x, state = self._respond_variable(state, None)
-            if x is not None and not (cfg.colored >> x & 1):
+            if x is not None and not (colored >> x & 1):
                 return x, state
             return ARBITRARY, state
         if last_opp is PASS:
             return ARBITRARY, state
         if self.var_mask >> last_opp & 1:
             x, state = self._respond_variable(state, last_opp)
-            if x is not None and not (cfg.colored >> x & 1):
+            if x is not None and not (colored >> x & 1):
                 return x, state
             return ARBITRARY, state
         partner = self.red.pair_partner.get(last_opp)
-        if partner is not None and not (cfg.colored >> partner & 1):
+        if partner is not None and not (colored >> partner & 1):
             return partner, state
         return ARBITRARY, state
 
@@ -391,9 +393,10 @@ class PlanarBobLift(Strategy):
     def initial_state(self):
         return (0, 0)  # virtual hex red/blue (excluding the pre-red s, t)
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         if last_opp is None or last_opp is PASS:
             return ARBITRARY, state
+        colored = pos[0] | pos[1]
         group = self._group[last_opp]
         if group == _HEX:
             hred, hblue = state
@@ -401,10 +404,10 @@ class PlanarBobLift(Strategy):
             if self.source.playable & ~hred & ~hblue:
                 w = self.source.best_vertex(hred, hblue)
                 hblue |= 1 << w
-                if not (cfg.colored >> w & 1):
+                if not (colored >> w & 1):
                     return w, (hred, hblue)
             return ARBITRARY, (hred, hblue)
-        w = lowest_bit_index(group & ~cfg.colored)
+        w = lowest_bit_index(group & ~colored)
         return (ARBITRARY if w is None else w), state
 
 
@@ -431,14 +434,13 @@ class PlanarAliceLift(Strategy):
     def initial_state(self):
         return (_A_OPEN_S, 0, 0)  # phase, virtual hex red, virtual hex blue
 
-    def _my_hub_leaves(self, hubs: int, cfg: GameConfig) -> int | None:
-        mine = hubs & cfg.red
+    def _my_hub_leaves(self, hubs: int, pos: Position) -> int | None:
         pool = 0
-        for hub in bits(mine):
+        for hub in bits(hubs & pos[0]):
             pool |= self.red.hub_leaves[hub]
-        return lowest_bit_index(pool & ~cfg.colored)
+        return lowest_bit_index(pool & ~(pos[0] | pos[1]))
 
-    def _hex_respond(self, state, opp_vertex: int | None, cfg):
+    def _hex_respond(self, state, opp_vertex: int | None, pos: Position):
         phase, hred, hblue = state
         if opp_vertex is not None:
             hblue |= 1 << opp_vertex
@@ -447,54 +449,50 @@ class PlanarAliceLift(Strategy):
             return None, (phase, hred, hblue)
         w = self.source.best_vertex(hred, hblue)
         hred |= 1 << w
-        state = (phase, hred, hblue)
-        if cfg.colored >> w & 1:
-            if not (cfg.red >> w & 1):
-                raise InternalError("virtual hex tracker desynchronised")
-            return None, state
-        return w, state
+        return virtual_answer(pos, w), (phase, hred, hblue)
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         phase, hred, hblue = state
         r = self.red
+        colored = pos[0] | pos[1]
         w = None
         if phase == _A_OPEN_S:
             state = (_A_HUB_S, hred, hblue)
-            if not (cfg.colored >> r.s_vertex & 1):
+            if not (colored >> r.s_vertex & 1):
                 w = r.s_vertex
         elif phase == _A_HUB_S:
             state = (_A_THIRD, hred, hblue)
-            w = lowest_bit_index(self.s_hubs & ~cfg.colored)
+            w = lowest_bit_index(self.s_hubs & ~colored)
         elif phase == _A_THIRD:
-            w = lowest_bit_index(self.s_hubs & ~cfg.colored)
+            w = lowest_bit_index(self.s_hubs & ~colored)
             if w is not None:
                 state = (_A_LEAF_S, hred, hblue)
             else:
                 state = (_A_T, hred, hblue)
-                if not (cfg.colored >> r.t_vertex & 1):
+                if not (colored >> r.t_vertex & 1):
                     w = r.t_vertex
         elif phase == _A_T:
             state = (_A_HUB_T, hred, hblue)
-            w = lowest_bit_index(self.t_hubs & ~cfg.colored)
+            w = lowest_bit_index(self.t_hubs & ~colored)
         elif phase == _A_HUB_T:
-            w = lowest_bit_index(self.t_hubs & ~cfg.colored)
+            w = lowest_bit_index(self.t_hubs & ~colored)
             if w is not None:
                 state = (_A_LEAF_T, hred, hblue)
             else:
                 # Bob spent his first four moves on the hubs: play the hex game
-                w, state = self._hex_respond((_A_HEX, hred, hblue), None, cfg)
+                w, state = self._hex_respond((_A_HEX, hred, hblue), None, pos)
         elif phase == _A_LEAF_S:
-            w = self._my_hub_leaves(self.s_hubs, cfg)
+            w = self._my_hub_leaves(self.s_hubs, pos)
         elif phase == _A_LEAF_T:
-            w = self._my_hub_leaves(self.t_hubs, cfg)
+            w = self._my_hub_leaves(self.t_hubs, pos)
         elif last_opp is not None and last_opp is not PASS:  # hex phase
             v = last_opp
             if r.hex_vertices >> v & 1 and v not in (r.s_vertex, r.t_vertex):
-                w, state = self._hex_respond(state, v, cfg)
+                w, state = self._hex_respond(state, v, pos)
             else:
                 for leaves in r.hub_leaves.values():
                     if leaves >> v & 1:
-                        w = lowest_bit_index(leaves & ~cfg.colored)
+                        w = lowest_bit_index(leaves & ~colored)
                         break
         return (ARBITRARY if w is None else w), state
 
@@ -572,11 +570,6 @@ def hex_from_document(doc: GraphDocument) -> HexInstance:
     if len(s_lines) != 1 or len(t_lines) != 1:
         raise FormatError("hex input needs exactly one 's <v>' and one 't <v>' line")
     return HexInstance(doc.graph, s_lines[0][0], t_lines[0][0])
-
-
-def read_hex(path) -> HexInstance:
-    from .graphs import read_graph
-    return hex_from_document(read_graph(path))
 
 
 def format_hex(hx: HexInstance) -> str:

@@ -545,9 +545,6 @@ class _Core:
                     self.budget.spent - self._spent0 >= _SYMMETRY_AFTER:
                 self._syms = _automorphism_masks(self.g, self.x)
 
-    def exact_cfg(self, cfg: GameConfig) -> int:
-        return self.exact(cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
-
     def best_move(self, red: int, blue: int, ask: int, bsk: int,
                   t: int) -> int | _PassType | None:
         """First legal move, by vertex index with Pass last, whose successor
@@ -601,8 +598,7 @@ class OptimalStrategy(Strategy):
         self.side = side
         self.name = name
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        pos = (cfg.red, cfg.blue, cfg.alice_skips_used, cfg.bob_skips_used)
+    def choose(self, g, variant, pos, state, last_opp):
         return self._core.best_move(*pos, self._core.exact(*pos)), None
 
 
@@ -696,7 +692,8 @@ def _cg(g: Graph, variant: GameVariant, budget: Budget,
             value, core, back = best
             return SolveResult(value, budget.spent - start, core, component_map=back)
     core = _Core(g, variant, use_pruning=use_pruning, budget=budget)
-    value = core.exact_cfg(initial)
+    value = core.exact(initial.red, initial.blue, initial.alice_skips_used,
+                       initial.bob_skips_used)
     return SolveResult(value, budget.spent - start, core, initial)
 
 

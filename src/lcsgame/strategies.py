@@ -67,21 +67,22 @@ class PairingStrategy(Strategy):
             self._partner[u] = v
             self._partner[v] = u
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         plan = self.plan
-        if last_opp is None or cfg.colored == 0:
-            if plan.opening is not None and not (cfg.colored >> plan.opening & 1):
+        colored = pos[0] | pos[1]
+        if last_opp is None or colored == 0:
+            if plan.opening is not None and not (colored >> plan.opening & 1):
                 return plan.opening, None
             return ARBITRARY, None
         # a pass has no triggers and no partner
         resp = plan.triggers.get(last_opp)
         if resp is not None:
             for w in resp:
-                if not (cfg.colored >> w & 1):
+                if not (colored >> w & 1):
                     return w, None
             return ARBITRARY, None
         partner = self._partner.get(last_opp)
-        if partner is not None and not (cfg.colored >> partner & 1):
+        if partner is not None and not (colored >> partner & 1):
             return partner, None
         return ARBITRARY, None
 
@@ -100,10 +101,11 @@ class MaxDegreeAlice(Strategy):
         dmax = g.max_degree
         self.hub = next(v for v in range(g.n) if g.degree(v) == dmax)
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        if not (cfg.colored >> self.hub & 1):
+    def choose(self, g, variant, pos, state, last_opp):
+        colored = pos[0] | pos[1]
+        if not (colored >> self.hub & 1):
             return self.hub, None
-        w = lowest_bit_index(g.adj[self.hub] & ~cfg.colored)
+        w = lowest_bit_index(g.adj[self.hub] & ~colored)
         return (ARBITRARY if w is None else w), None
 
 
@@ -126,17 +128,19 @@ class DegreeSumAlice(Strategy):
         dmax = g.max_degree
         self.hub = next(v for v in range(g.n) if g.degree(v) == dmax)
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        if not (cfg.colored >> self.hub & 1):
+    def choose(self, g, variant, pos, state, last_opp):
+        red = pos[0]
+        colored = red | pos[1]
+        if not (colored >> self.hub & 1):
             return self.hub, None
-        if not (cfg.red >> self.hub & 1):
+        if not (red >> self.hub & 1):
             return ARBITRARY, None
-        comp = component_of(g.adj, 1 << self.hub, cfg.red)
+        comp = component_of(g.adj, 1 << self.hub, red)
         dominated = g.closed_neighborhood(comp)
-        r_uncol = g.full_mask & ~dominated & ~cfg.colored
+        r_uncol = g.full_mask & ~dominated & ~colored
         if r_uncol:
             v = (r_uncol & -r_uncol).bit_length() - 1
-            w_cands = g.adj[v] & dominated & ~cfg.colored
+            w_cands = g.adj[v] & dominated & ~colored
             if w_cands:
                 return (w_cands & -w_cands).bit_length() - 1, None
         return ARBITRARY, None
@@ -186,19 +190,20 @@ class CubicBob(Strategy):
     def initial_state(self) -> Hashable:
         return 0
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         if last_opp is None or last_opp is PASS:
             return ARBITRARY, state
         v = last_opp
+        colored = pos[0] | pos[1]
         partner = self.partner.get(v)
         if partner is not None:
-            if not (cfg.colored >> partner & 1):
+            if not (colored >> partner & 1):
                 return partner, state
             return ARBITRARY, state
         # exterior vertex: commit if needed, then exhaust that side's exteriors
         if state == 0:
             state = 1 if (self.sides[0] >> v & 1) else 2
-        avail = self.exterior[state - 1] & ~cfg.colored
+        avail = self.exterior[state - 1] & ~colored
         if avail:
             if self.exterior_rule == "lowest":
                 return (avail & -avail).bit_length() - 1, state
@@ -252,8 +257,9 @@ class SpiderExhaust(Strategy):
         self.name = f"spider_exhaust_{side_name}"
         self.priority = SpiderPriority(g, s, k)
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        w = self.priority.pick(g.full_mask & ~cfg.colored, cfg.blue)
+    def choose(self, g, variant, pos, state, last_opp):
+        blue = pos[1]
+        w = self.priority.pick(g.full_mask & ~(pos[0] | blue), blue)
         return (ARBITRARY if w is None else w), None
 
 

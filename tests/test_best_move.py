@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import astuple
 
 from lcsgame.engine import (
     CONNECTED,
@@ -25,9 +26,9 @@ from lcsgame.solver import TargetOracle, _automorphism_masks, _Core, cg
 
 def reference_move(core: _Core, cfg: GameConfig):
     """First value-keeping legal move, read off an unpruned core."""
-    target = core.exact_cfg(cfg)
+    target = core.exact(*astuple(cfg))
     for move in legal_moves(core.g, core.variant, cfg):
-        if core.exact_cfg(apply_move(cfg, cfg.mover(), move)) == target:
+        if core.exact(*astuple(apply_move(cfg, cfg.mover(), move))) == target:
             return move
     return None
 
@@ -93,7 +94,7 @@ class TestStrategyMoves:
                     continue
                 strat = (res.alice_strategy() if cfg.mover() is Player.ALICE
                          else res.bob_strategy())
-                assert strat.choose(g, variant, cfg, None, None)[0] == \
+                assert strat.choose(g, variant, astuple(cfg), None, None)[0] == \
                     (want if want is PASS else want.v)
 
     def test_target_oracle_matches_reference(self):

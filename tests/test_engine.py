@@ -53,8 +53,7 @@ def complete(n):
 
 class TestGameConfig:
     def test_init_parameters_are_the_fields(self):
-        # GameConfig writes its own __init__; it must take every field, in
-        # order and with its default
+        # the constructor takes every field, in order and with its default
         params = list(inspect.signature(GameConfig.__init__).parameters.values())[1:]
         assert [(p.name, p.default) for p in params] == \
             [(f.name, f.default) for f in dataclasses.fields(GameConfig)]
@@ -67,7 +66,7 @@ class TestGameConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.red = 3
 
-    def test_colored_is_stored_and_not_a_field(self):
+    def test_colored_is_derived_and_not_a_field(self):
         cfg = GameConfig(0b101, 0b10)
         assert cfg.colored == 0b111
         assert dataclasses.replace(cfg, blue=0b1000).colored == 0b1101
@@ -205,7 +204,7 @@ class TestPlayMatch:
         class Cheater(Strategy):
             name = "cheater"
 
-            def choose(self, g, variant, cfg, state, last_opp):
+            def choose(self, g, variant, pos, state, last_opp):
                 return 0, None  # replays vertex 0 forever
 
         with pytest.raises(StrategyError, match="turn 3"):
@@ -285,7 +284,7 @@ class TestVerifyExhaustive:
     def test_custom_objective(self):
         v = verify_strategy_exhaustive(
             complete(3), PLAIN, lowest_index_strategy(), Player.ALICE,
-            objective=lambda cfg: cfg.red.bit_count())
+            objective=lambda pos: pos[0].bit_count())
         assert v == 2
 
 

@@ -173,11 +173,7 @@ class TestPlanarity:
         assert planarity_check(Graph.from_edges(6, edges)) is Planarity.NON_PLANAR
 
     def test_petersen_nonplanar(self):
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, 5 + i) for i in range(5)]
-        g = Graph.from_edges(10, outer + inner + spokes)
-        assert planarity_check(g) is Planarity.NON_PLANAR
+        assert planarity_check(petersen()) is Planarity.NON_PLANAR
 
     def test_budget_exhaustion_reports_unknown(self):
         g = cycle(12)
@@ -186,6 +182,16 @@ class TestPlanarity:
                                + [(i, i + 12) for i in range(12)])
         assert planarity_check(big, budget=1) in (Planarity.UNKNOWN,
                                                   Planarity.PLANAR)
+        # the search runs out before it finds the minor: UNKNOWN, never PLANAR
+        assert planarity_check(petersen(), budget=10) is Planarity.UNKNOWN
+        assert planarity_check(petersen()) is Planarity.NON_PLANAR
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
 
 
 class TestMatching:

@@ -22,7 +22,6 @@ from lcsgame.engine import (
     PLAIN,
     ColorVertex,
     Connected,
-    GameConfig,
     Player,
     SkipBudget,
     Strategy,
@@ -80,10 +79,12 @@ def ref_resolve(legal, move):
     return move
 
 
-def ref_config(pos) -> GameConfig:
+def ref_config(pos) -> tuple[int, int, int, int]:
+    """The packed position ``choose`` receives: red and blue masks, skips
+    used by Alice and by Bob."""
     red, blue, (a_turns, b_turns) = pos
-    return GameConfig(sum(1 << v for v in red), sum(1 << v for v in blue),
-                      a_turns - len(red), b_turns - len(blue))
+    return (sum(1 << v for v in red), sum(1 << v for v in blue),
+            a_turns - len(red), b_turns - len(blue))
 
 
 def ref_score(g, variant, red) -> int:
@@ -131,6 +132,24 @@ def ref_playouts(g, variant, fixed, side, count, seed):
     return out
 
 
+def ref_match(g, variant, alice, bob):
+    pos, states, last = START, [alice.initial_state(), bob.initial_state()], [None, None]
+    while legal := ref_legal(g, variant, pos):
+        side = 0 if pos[2][0] == pos[2][1] else 1
+        move, states[side] = (alice, bob)[side].choose(
+            g, variant, ref_config(pos), states[side], last[1 - side])
+        last[side] = ref_resolve(legal, move)
+        pos = ref_play(pos, last[side])
+    return pos
+
+
+def ref_legal_packed(g, variant, pos):
+    red, blue, ask, bsk = pos
+    red = frozenset(v for v in range(g.n) if red >> v & 1)
+    blue = frozenset(v for v in range(g.n) if blue >> v & 1)
+    return ref_legal(g, variant, (red, blue, (len(red) + ask, len(blue) + bsk)))
+
+
 class Scripted(Strategy):
     """Deterministic and stateful, and passes whenever its pick lands on
     Pass.  The state hashes the opponent's moves so far into five values,
@@ -142,11 +161,8 @@ class Scripted(Strategy):
     def initial_state(self):
         return 0
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        red = frozenset(v for v in range(g.n) if cfg.red >> v & 1)
-        blue = frozenset(v for v in range(g.n) if cfg.blue >> v & 1)
-        turns = (len(red) + cfg.alice_skips_used, len(blue) + cfg.bob_skips_used)
-        moves = ref_legal(g, variant, (red, blue, turns))
+    def choose(self, g, variant, pos, state, last_opp):
+        moves = ref_legal_packed(g, variant, pos)
         salt = 0 if last_opp is None else g.n + 1 if last_opp is PASS else last_opp + 1
         state = (3 * state + salt) % 5
         return moves[state % len(moves)], state
@@ -160,16 +176,27 @@ class Grudge(Strategy):
 
     name = "grudge"
 
-    def choose(self, g, variant, cfg, state, last_opp):
+    def choose(self, g, variant, pos, state, last_opp):
         if state is None and last_opp is not None:
             state = g.n if last_opp is PASS else last_opp
-        red = frozenset(v for v in range(g.n) if cfg.red >> v & 1)
-        blue = frozenset(v for v in range(g.n) if cfg.blue >> v & 1)
-        turns = (len(red) + cfg.alice_skips_used, len(blue) + cfg.bob_skips_used)
-        moves = ref_legal(g, variant, (red, blue, turns))
+        moves = ref_legal_packed(g, variant, pos)
         if len(moves) <= 2 and state is not None and state % 2:
             return moves[-1], state
         return moves[0], state
+
+
+class Recorder(Strategy):
+    """Plays as ``inner`` and records every position ``choose`` receives."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.seen = inner, inner.name, set()
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def choose(self, g, variant, pos, state, last_opp):
+        self.seen.add(pos)
+        return self.inner.choose(g, variant, pos, state, last_opp)
 
 
 def seeded_graphs(count, seed=11):
@@ -221,7 +248,29 @@ class TestAgainstReference:
                 ref_verify(g, variant, strat, side,
                            lambda pos: want.add(ref_config(pos)) or 0)
                 verify_strategy_exhaustive(g, variant, strat, side,
-                                           objective=lambda cfg: got.add(cfg) or 0)
+                                           objective=lambda pos: got.add(pos) or 0)
+                assert got == want, (g.adj, variant, strat.name)
+
+    def test_choose_receives_the_reference_positions(self, kind, side):
+        # per loop, the packed positions handed to ``choose`` are the ones
+        # the set-based reference hands it
+        for i, (g, x) in enumerate(GRAPHS):
+            variant = make_variant(kind, x)
+            for strat in (Scripted(), Grudge()):
+                def seen(run):
+                    rec = Recorder(strat)
+                    run(rec)
+                    return rec.seen
+
+                def players(rec):
+                    return (rec, Scripted()) if side is Player.ALICE else (Scripted(), rec)
+
+                want = [seen(lambda s: ref_verify(g, variant, s, side, lambda pos: 0)),
+                        seen(lambda s: ref_playouts(g, variant, s, side, 25, seed=i)),
+                        seen(lambda s: ref_match(g, variant, *players(s)))]
+                got = [seen(lambda s: verify_strategy_exhaustive(g, variant, s, side)),
+                       seen(lambda s: random_playouts(g, variant, s, side, 25, seed=i)),
+                       seen(lambda s: play_match(g, variant, *players(s)))]
                 assert got == want, (g.adj, variant, strat.name)
 
     def test_seeded_playout_scores(self, kind, side):
@@ -245,8 +294,8 @@ class Bad(Strategy):
         self.move = move
         self.opening = opening
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        if self.opening is not None and cfg.red == 0 and cfg.blue == 0:
+    def choose(self, g, variant, pos, state, last_opp):
+        if self.opening is not None and pos[0] == 0 and pos[1] == 0:
             return self.opening, state
         return self.move, state
 
@@ -291,8 +340,8 @@ class Highest(Strategy):
 
     name = "highest"
 
-    def choose(self, g, variant, cfg, state, last_opp):
-        return (g.full_mask & ~cfg.colored).bit_length() - 1, state
+    def choose(self, g, variant, pos, state, last_opp):
+        return (g.full_mask & ~(pos[0] | pos[1])).bit_length() - 1, state
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CASES))

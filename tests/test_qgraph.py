@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lcsgame.engine import (PLAIN, BudgetExceededError, GameConfig, Player,
+from lcsgame.engine import (PLAIN, BudgetExceededError, Player,
                             verify_strategy_exhaustive)
 from lcsgame.generators import spider
 from lcsgame.graphs import Graph, bits
@@ -183,7 +183,7 @@ class TestEvaluation:
         one = cg(Graph.from_edges(12, c12)).states_expanded
         strat = alice_strategy_qgraph(g, t, max_states=2 * one)
         leaf = strat._root.child
-        move, _ = strat.choose(g, PLAIN, GameConfig(), strat.initial_state(), None)
+        move, _ = strat.choose(g, PLAIN, (0, 0, 0, 0), strat.initial_state(), None)
         assert move in range(12)
         # play has a budget of its own, and the move barely charged it
         assert leaf._core.budget.max_states == 2 * one

@@ -223,8 +223,8 @@ class TestLifts:
         class HubGrabber(Strategy):
             name = "hub-grabber"
 
-            def choose(self, g, variant, cfg, state, last_opp):
-                avail = stars & ~cfg.colored
+            def choose(self, g, variant, pos, state, last_opp):
+                avail = stars & ~(pos[0] | pos[1])
                 if avail:
                     return (avail & -avail).bit_length() - 1, None
                 return ARBITRARY, None
@@ -311,8 +311,8 @@ class TestPlanarLiftsAdversarial:
 
         def make(name, prio):
             class Targeted(Strategy):
-                def choose(self, g, variant, cfg, state, last_opp):
-                    avail = prio & ~cfg.colored
+                def choose(self, g, variant, pos, state, last_opp):
+                    avail = prio & ~(pos[0] | pos[1])
                     if avail:
                         return (avail & -avail).bit_length() - 1, None
                     return ARBITRARY, None

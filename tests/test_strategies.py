@@ -9,7 +9,6 @@ import pytest
 from lcsgame.engine import (
     ARBITRARY,
     PLAIN,
-    GameConfig,
     Player,
     _fixed_move_bit,
     first_move_strategy,
@@ -65,30 +64,30 @@ class TestPairingEngine:
         plan = PairingPlan(pairs=((0, 1), (2, 3)))
         bob = PairingStrategy(plan)
         g = cycle(4)
-        cfg = GameConfig(red=1)  # Alice played 0
-        move, _ = bob.choose(g, PLAIN, cfg, None, 0)
+        pos = (1, 0, 0, 0)  # Alice played 0
+        move, _ = bob.choose(g, PLAIN, pos, None, 0)
         assert move == 1
 
     def test_fallback_when_partner_taken(self):
         plan = PairingPlan(pairs=((0, 1),))
         bob = PairingStrategy(plan)
         g = cycle(4)
-        cfg = GameConfig(red=mask_of([0, 1]), blue=mask_of([2]))
-        move, _ = bob.choose(g, PLAIN, cfg, None, 0)
+        red, blue = mask_of([0, 1]), mask_of([2])
+        move, _ = bob.choose(g, PLAIN, (red, blue, 0, 0), None, 0)
         assert move is ARBITRARY
         # which the engine resolves to the lowest legal vertex, 3
-        assert _fixed_move_bit(bob, move, g.full_mask & ~cfg.colored, False) == 1 << 3
+        assert _fixed_move_bit(bob, move, g.full_mask & ~(red | blue), False) == 1 << 3
 
     def test_trigger_precedes_pairing(self):
         plan = PairingPlan(pairs=((0, 1),), triggers={0: (3, 2)})
         bob = PairingStrategy(plan)
         g = cycle(4)
-        move, _ = bob.choose(g, PLAIN, GameConfig(red=1), None, 0)
+        move, _ = bob.choose(g, PLAIN, (1, 0, 0, 0), None, 0)
         assert move == 3
 
     def test_opening_move(self):
         alice = PairingStrategy(PairingPlan(pairs=((0, 1),), opening=2))
-        move, _ = alice.choose(cycle(4), PLAIN, GameConfig(), None, None)
+        move, _ = alice.choose(cycle(4), PLAIN, (0, 0, 0, 0), None, None)
         assert move == 2
 
     def test_overlapping_pairs_rejected(self):
