@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .engine import (
     CONNECTED,
     PLAIN,
+    Budget,
     Player,
     random_playouts,
     verify_strategy_exhaustive,
@@ -40,6 +41,7 @@ from .qgraph import (
     Leaf,
     PseudoSpider,
     UnionNode,
+    _head,
     cg_qgraph,
     matched_spider_value,
     spider_tree,
@@ -55,7 +57,7 @@ from .reductions import (
     build_split,
     lift_strategy,
 )
-from .solver import can_force_cds_within, cg, is_a_perfect
+from .solver import DEFAULT_MAX_STATES, can_force_cds_within, cg, is_a_perfect
 from .strategies import (
     CubicBob,
     DegreeSumAlice,
@@ -336,19 +338,11 @@ def _random_pseudo_spider(rng: random.Random, big_r: bool):
 
 
 def _pseudo_spider_mode(g: Graph, tree: DecompositionTree) -> str:
-    from .graphs import induced
-    from .solver import analyze_head
     node = tree.root
-    head_mask = node.s | node.k
-    r_n = (g.full_mask & ~head_mask).bit_count()
+    r_n = (g.full_mask & ~(node.s | node.k)).bit_count()
     if r_n % 2 == 0:
         return "even"
-    hg, hmap = induced(g, head_mask)
-    local = {orig: i for i, orig in enumerate(hmap)}
-    k_local = 0
-    for v in bits(node.k):
-        k_local |= 1 << local[v]
-    h = analyze_head(hg, k_local)
+    h, _, _ = _head(g, node, Budget(DEFAULT_MAX_STATES))
     if h.exists_sa2:
         return "sa2"
     if h.exists_sb2:

@@ -43,22 +43,26 @@ from .strategies import builtin_strategy
 from .engine import verify_strategy_exhaustive
 
 
-def _read_vertex_set(path: str) -> int:
+def _read_vertex_set(path: str, n: int) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         verts = []
         for line in fh:
             line = line.split("#", 1)[0]
             verts.extend(int(x) for x in line.split())
+    for v in verts:
+        if not 0 <= v < n:
+            raise ValueError(
+                f"{path}: vertex {v} is not in the graph's range 0..{n - 1}")
     return mask_of(verts)
 
 
-def _parse_variant(spec: str):
+def _parse_variant(spec: str, n: int):
     if spec == "plain":
         return PLAIN
     if spec == "connected":
         return CONNECTED
     if spec.startswith("target:"):
-        return TargetSet(_read_vertex_set(spec[len("target:"):]))
+        return TargetSet(_read_vertex_set(spec[len("target:"):], n))
     if spec.startswith("skip:"):
         rest = spec[len("skip:"):]
         parts = rest.split(",", 2)
@@ -66,14 +70,14 @@ def _parse_variant(spec: str):
             raise ValueError(
                 "skip variant spec is skip:<a>,<b>,target:<file>")
         a, b = int(parts[0]), int(parts[1])
-        x = _read_vertex_set(parts[2][len("target:"):])
+        x = _read_vertex_set(parts[2][len("target:"):], n)
         return SkipBudget(a, b, x)
     raise ValueError(f"unknown variant {spec!r}")
 
 
 def _cmd_solve(args) -> int:
     doc = read_graph(args.graph)
-    variant = _parse_variant(args.variant)
+    variant = _parse_variant(args.variant, doc.graph.n)
     res = cg(doc.graph, variant, max_states=args.max_states,
              time_limit=args.time_limit, use_pruning=not args.no_pruning)
     print(f"c_g = {res.value}")
@@ -86,7 +90,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = read_graph(args.graph)
-    variant = _parse_variant(args.variant)
+    variant = _parse_variant(args.variant, doc.graph.n)
     if args.alice:
         side, name = Player.ALICE, args.alice
     else:

@@ -1,8 +1,12 @@
 """Decomposition-tree evaluation for graphs with few induced P4's.
 
 Trees are inputs, never computed: validation checks every structural axiom
-bottom-up, and evaluation spends O(1) work per node (exact solves touch only
-constant-size pieces), so the whole computation is linear in the tree size
+bottom-up.  Evaluation is one pass that returns the value and, when asked,
+the composed strategy, and only unions recurse, since only the union rule
+reads its children's values.  A join, a spider and a pseudo-spider are
+settled from their vertex sets (a pseudo-spider with |R| > 2q also from its
+head), so nothing below them is solved.  Exact solves touch only
+constant-size pieces, so the whole computation is linear in the tree size
 for fixed q.  The composed Alice strategy mirrors the per-case strategies:
 sub-strategies run against a *virtual* board that ignores her arbitrary
 moves, the standard device that keeps them sound when wrapped.
@@ -25,8 +29,8 @@ from .engine import (
     Strategy,
     virtual_answer,
 )
-from .graphs import (Graph, bits, induced, is_clique, is_connected, is_independent,
-                     lowest_bit_index, mask_of)
+from .graphs import (Graph, bits, induced, is_clique, is_connected_within,
+                     is_independent, lowest_bit_index, mask_of)
 from .solver import (
     DEFAULT_MAX_STATES,
     HeadAnalysis,
@@ -206,93 +210,82 @@ def matched_spider_value(n: int, k_size: int) -> int:
 
 @dataclass
 class EvalStats:
+    # the root and each node reached from it through unions alone; nothing
+    # below a join, a spider or a pseudo-spider is evaluated or counted
     nodes_evaluated: int = 0
     states_expanded: int = 0  # by the exact solves and head analyses
 
 
-@dataclass
-class _Eval:
-    value: int
-    node: Node
-    mask: int
-    # per-node extras used by the composed strategy
-    best_child: "_Eval | None" = None
-    children: tuple["_Eval", ...] = ()
-    head: HeadAnalysis | None = None
-    head_graph: Graph | None = None
-    head_map: tuple[int, ...] = ()
-    # the core an exact node is played from: the one that solved it when its
-    # graph is connected, otherwise a fresh one
-    core: _Core | None = None
+def _head(g: Graph, node: PseudoSpider,
+          budget: Budget) -> tuple[HeadAnalysis, Graph, tuple[int, ...]]:
+    """The head analysis of a pseudo-spider, with the head graph and the map
+    from its indices to the host graph's vertices."""
+    head_graph, head_map = induced(g, node.s | node.k)
+    k_local = mask_of(i for i, v in enumerate(head_map) if node.k >> v & 1)
+    return _analyze_head(head_graph, k_local, budget), head_graph, head_map
 
 
-def _solve_induced(g: Graph, node: Node, mask: int, budget: Budget, play: bool,
-                   children: tuple[_Eval, ...] = ()) -> _Eval:
-    """Exact evaluation of a node on the graph induced by ``mask``.  With
-    ``play`` the node keeps a core for ``_ExactStrategy``: the solved one
-    when that graph is connected; a disconnected one is solved per
-    component, so it gets a fresh core."""
-    sub, _ = induced(g, mask)
+def _solve_induced(g: Graph, mask: int, budget: Budget,
+                   play: bool) -> tuple[int, int, _NodeStrategy | None]:
+    """Exact evaluation of the graph induced by ``mask``.  With ``play`` the
+    strategy is played from the solved core when that graph is connected; a
+    disconnected one is solved per component, so it gets a fresh core."""
+    sub, back = induced(g, mask)
     res = _cg(sub, Plain(), budget)
-    core = None
-    if play:
-        core = (res._core if res._component_map is None
-                else _Core(sub, Plain(), budget=budget))
-    return _Eval(res.value, node, mask, children=children, core=core)
+    if not play:
+        return res.value, mask, None
+    core = (res._core if res._component_map is None
+            else _Core(sub, Plain(), budget=budget))
+    return res.value, mask, _ExactStrategy(mask, back, core)
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
-              play: bool = False) -> _Eval:
-    """Value of a tree node.  Every exact solve and head analysis it starts
-    charges ``budget``.
+              play: bool = False) -> tuple[int, int, _NodeStrategy | None]:
+    """``(value, mask, strategy)`` of a tree node: its game value, its vertex
+    mask and, only with ``play``, its node strategy.  Every exact solve and
+    head analysis it starts charges ``budget``.
 
-    ``play`` marks a node the composed strategy may play exactly: the root
-    of a strategy's evaluation and, below it, the children of unions only.
-    Such a node keeps the core of its exact solve; a union keeps only its
-    better child, so the other child's cores are freed as soon as it is
-    evaluated."""
+    Only unions recurse, since only the union rule reads its children's
+    values: a union takes the better child's value and strategy, and drops
+    the other child's cores as soon as that child is evaluated.  A join, a
+    spider and a pseudo-spider are settled from vertex sets (a pseudo-spider
+    with |R| > 2q also from its head), so no node below them is solved or
+    counted in ``stats.nodes_evaluated``."""
     stats.nodes_evaluated += 1
     if isinstance(node, Leaf):
-        return _solve_induced(g, node, node.vertices, budget, play)
+        return _solve_induced(g, node.vertices, budget, play)
     if isinstance(node, UnionNode):
-        le = _evaluate(g, node.left, q, stats, budget, play)
-        re = _evaluate(g, node.right, q, stats, budget, play)
-        best = le if le.value >= re.value else re
-        return _Eval(best.value, node, le.mask | re.mask, best_child=best)
+        lv, lm, ls = _evaluate(g, node.left, q, stats, budget, play)
+        rv, rm, rs = _evaluate(g, node.right, q, stats, budget, play)
+        value, best = (lv, ls) if lv >= rv else (rv, rs)
+        mask = lm | rm
+        return value, mask, _UnionStrategy(mask, best) if play else None
     if isinstance(node, JoinNode):
-        le = _evaluate(g, node.left, q, stats, budget)
-        re = _evaluate(g, node.right, q, stats, budget)
-        mask = le.mask | re.mask
-        return _Eval((mask.bit_count() + 1) // 2, node, mask, children=(le, re))
-    if not isinstance(node, (Spider, PseudoSpider)):
-        raise TypeError(f"unknown node {node!r}")
-    children = ()
-    if node.r_tree is not None:
-        children = (_evaluate(g, node.r_tree, q, stats, budget),)
-    mask = node.s | node.k | (children[0].mask if children else 0)
+        small, large = vertex_set(node.left), vertex_set(node.right)
+        mask = small | large
+        if small.bit_count() > large.bit_count():
+            small, large = large, small
+        return ((mask.bit_count() + 1) // 2, mask,
+                _JoinStrategy(mask, small, large) if play else None)
+    mask = vertex_set(node)
     n = mask.bit_count()
     if isinstance(node, Spider):
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
-            value = (n + 1) // 2
-        else:
-            # an antimatched bijection on |K| = 2 is a matched spider
-            value = matched_spider_value(n, k_size)
-        return _Eval(value, node, mask, children=children)
+            return ((n + 1) // 2, mask,
+                    _AntimatchedStrategy(mask, node.k) if play else None)
+        # an antimatched bijection on |K| = 2 is a matched spider
+        return (matched_spider_value(n, k_size), mask,
+                _MatchedStrategy(g, mask, node.s, node.k) if play else None)
     head_mask = node.s | node.k
-    r_mask = mask & ~head_mask
-    r_size = r_mask.bit_count()
+    r_size = n - head_mask.bit_count()
     if r_size <= 2 * q:
-        return _solve_induced(g, node, mask, budget, play, children)
-    sub, back = induced(g, mask)
-    if not is_connected(sub):
+        return _solve_induced(g, mask, budget, play)
+    if not is_connected_within(g.adj, mask):
         raise ValueError(
             "pseudo-spider with |R| > 2q must be connected; "
             "split disconnected graphs under a union root")
-    head_graph, head_map = induced(g, head_mask)
-    local = {orig: i for i, orig in enumerate(head_map)}
-    k_local = mask_of(local[v] for v in bits(node.k))
-    head = _analyze_head(head_graph, k_local, budget)
+    head, head_graph, head_map = _head(g, node, budget)
     if r_size % 2 == 0:
         value = head.c_star + r_size // 2
     elif head.exists_sa2:
@@ -303,8 +296,8 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
         value = head.c_star + (r_size + 1) // 2
     else:
         value = head.c_star + r_size // 2
-    return _Eval(value, node, mask, children=children, head=head,
-                 head_graph=head_graph, head_map=head_map)
+    return value, mask, (_PseudoSpiderStrategy(mask, head_mask, head, head_graph,
+                                               head_map, r_size) if play else None)
 
 
 def cg_qgraph(g: Graph, tree: DecompositionTree, *,
@@ -323,7 +316,7 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
     if stats is None:
         stats = EvalStats()
     budget = Budget(max_states, time_limit)
-    value = _evaluate(g, tree.root, tree.q, stats, budget).value
+    value, _, _ = _evaluate(g, tree.root, tree.q, stats, budget)
     stats.states_expanded += budget.spent
     return value
 
@@ -430,9 +423,9 @@ class _ExactStrategy(_WantStrategy):
     its table already holds the solve.  Play gets a budget of its own of the
     evaluation's ``max_states``, as a fresh core would."""
 
-    def __init__(self, g: Graph, mask: int, core: _Core):
+    def __init__(self, mask: int, back: tuple[int, ...], core: _Core):
         super().__init__(mask)
-        self._back = induced(g, mask)[1]
+        self._back = back
         self._fwd = {orig: i for i, orig in enumerate(self._back)}
         core.budget = Budget(core.budget.max_states)
         self._core = core
@@ -480,9 +473,8 @@ class _PseudoSpiderStrategy(_NodeStrategy):
     State: (vred, vblue, aP, bP, first) over head vertices.
     """
 
-    def __init__(self, g: Graph, mask: int, head_mask: int,
-                 head: HeadAnalysis, head_graph: Graph,
-                 head_map: tuple[int, ...], r_size: int):
+    def __init__(self, mask: int, head_mask: int, head: HeadAnalysis,
+                 head_graph: Graph, head_map: tuple[int, ...], r_size: int):
         self.mask = mask
         self.head_mask = head_mask
         self.r_mask = mask & ~head_mask
@@ -572,33 +564,6 @@ class ComposedAliceStrategy(Strategy):
         return (ARBITRARY if w is None else w), state
 
 
-def _build_strategy(g: Graph, ev: _Eval) -> _NodeStrategy:
-    node = ev.node
-    if isinstance(node, Leaf):
-        return _ExactStrategy(g, ev.mask, ev.core)
-    if isinstance(node, UnionNode):
-        sub = _build_strategy(g, ev.best_child)
-        return _UnionStrategy(ev.mask, sub)
-    if isinstance(node, JoinNode):
-        a, b = ev.children[0].mask, ev.children[1].mask
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        return _JoinStrategy(ev.mask, a, b)
-    if isinstance(node, Spider):
-        k_size = node.k.bit_count()
-        if node.flavor == "antimatched" and k_size >= 3:
-            return _AntimatchedStrategy(ev.mask, node.k)
-        return _MatchedStrategy(g, ev.mask, node.s, node.k)
-    if isinstance(node, PseudoSpider):
-        if ev.head is None:  # small rest: exact play on the whole node
-            return _ExactStrategy(g, ev.mask, ev.core)
-        head_mask = node.s | node.k
-        r_size = (ev.mask & ~head_mask).bit_count()
-        return _PseudoSpiderStrategy(g, ev.mask, head_mask, ev.head,
-                                     ev.head_graph, ev.head_map, r_size)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
                           max_states: int = DEFAULT_MAX_STATES) -> Strategy:
     """Alice strategy achieving cg_qgraph(g, tree) against any Bob.
@@ -612,9 +577,8 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
-    ev = _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
-                   play=True)
-    root = _build_strategy(g, ev)
+    _, _, root = _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
+                           play=True)
     return ComposedAliceStrategy(root, "qgraph-alice")
 
 

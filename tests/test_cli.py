@@ -216,6 +216,20 @@ class TestParameterValidation:
                             "--variant", f"skip:1,1,target:{xf}")
         assert code == 0 and text.startswith("c_g = ")
 
+    @pytest.mark.parametrize("vertex", ["7", "-1"])
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "--alice", "lowest"]])
+    @pytest.mark.parametrize("spec", ["target:{}", "skip:1,1,target:{}"])
+    def test_target_vertex_outside_graph_exit_2(self, capsys, tmp_path,
+                                                vertex, command, spec):
+        f = tmp_path / "p3.g"
+        xf = tmp_path / "x.txt"
+        run(capsys, "generate", "path", "n=3", "--out", str(f))
+        xf.write_text(f"0 {vertex}\n")
+        code, text, err = run(capsys, command[0], "--graph", str(f),
+                              "--variant", spec.format(xf), *command[1:])
+        assert code == 2 and text == ""
+        assert str(xf) in err and f"vertex {vertex} " in err
+
     def test_bad_variant_exit_2(self, capsys, tmp_path):
         f = tmp_path / "c.g"
         run(capsys, "generate", "cycle", "n=4", "--out", str(f))

@@ -25,7 +25,6 @@ from lcsgame.qgraph import (
     JoinNode,
     Leaf,
     PseudoSpider,
-    Spider,
     UnionNode,
     alice_strategy_qgraph,
     cg_qgraph,

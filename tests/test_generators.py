@@ -7,7 +7,6 @@ import random
 import pytest
 
 from lcsgame.generators import (
-    FAMILIES,
     cartesian_grid,
     clique_chain,
     clique_pendant_path,
@@ -28,7 +27,6 @@ from lcsgame.generators import (
 from lcsgame.graphs import (
     Matching,
     Planarity,
-    bits,
     format_graph,
     is_bipartite,
     is_connected,

@@ -25,7 +25,6 @@ from lcsgame.graphs import (
     induced,
     is_bipartite,
     is_clique,
-    is_connected,
     is_connected_dominating,
     is_independent,
     largest_component_order,

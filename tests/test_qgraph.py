@@ -25,9 +25,8 @@ from lcsgame.qgraph import (
     parse_tree,
     spider_tree,
     validate_tree,
-    vertex_set,
 )
-from lcsgame.solver import _Core, analyze_head, cg
+from lcsgame.solver import analyze_head, cg
 
 from oracles import naive_cg
 
@@ -198,8 +197,8 @@ class TestEvaluation:
         head = analyze_head(Graph.from_edges(3, [(0, 1), (1, 2)]), 0b010)
         stats = EvalStats()
         assert cg_qgraph(g, t, stats=stats) == cg(g).value
-        # the head analysis plus one single-vertex solve per rest leaf
-        assert stats.states_expanded == head.states_expanded + 7
+        # the head analysis alone: the rest is read, not solved
+        assert stats.states_expanded == head.states_expanded
         assert cg_qgraph(g, t, max_states=stats.states_expanded) == cg(g).value
         with pytest.raises(BudgetExceededError):
             cg_qgraph(g, t, max_states=stats.states_expanded - 1)
@@ -225,6 +224,26 @@ class TestEvaluation:
         assert validate_tree(g, t)
         with pytest.raises(ValueError, match="connected"):
             cg_qgraph(g, t)
+
+    def test_join_over_disconnected_pseudo_spider(self):
+        # the pseudo-spider's value is never read, so its large-rest rule,
+        # which needs a connected node, does not apply below the join
+        edges = [(1, 2 + j) for j in range(5)] + [(7, v) for v in range(7)]
+        g = Graph.from_edges(8, edges)
+        t = DecompositionTree(2, JoinNode(
+            PseudoSpider(0b01, 0b10, union_chain([2, 3, 4, 5, 6])), Leaf(1 << 7)))
+        assert validate_tree(g, t)
+        assert cg_qgraph(g, t) == cg(g).value == 4
+        strat = alice_strategy_qgraph(g, t)
+        assert verify_strategy_exhaustive(g, PLAIN, strat, Player.ALICE) == 4
+
+    def test_join_evaluates_no_child(self):
+        g = Graph.from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)])
+        t = DecompositionTree(4, JoinNode(union_chain([0, 1]), union_chain([2, 3, 4])))
+        stats = EvalStats()
+        assert cg_qgraph(g, t, stats=stats) == 3
+        assert stats.nodes_evaluated == 1
+        assert stats.states_expanded == 0
 
     def test_linear_operation_count(self):
         # node evaluations grow exactly with the tree, not the graph games

@@ -34,7 +34,6 @@ from lcsgame.generators import (
 from lcsgame.graphs import (
     CapacityError,
     Graph,
-    bits,
     components,
     delete_edge,
     delete_vertices,

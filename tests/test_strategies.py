@@ -11,9 +11,6 @@ from lcsgame.engine import (
     PLAIN,
     Player,
     _fixed_move_bit,
-    first_move_strategy,
-    lowest_index_strategy,
-    play_match,
     verify_strategy_exhaustive,
 )
 from lcsgame.generators import (
