@@ -3,12 +3,16 @@
 
 Enumerates every labelled graph up to --max-n vertices (this grows as
 2^C(n,2): n=6 means 32768 graphs) and compares plain values, and with
---connected also connected values, against the reference; it also asserts
-the degree bounds, the component rule and connected <= plain.  Each line
-reports the states the pruned solver expanded on that n's graphs
-(whole-graph solves only, per variant) beside the elapsed time.
+--connected also connected values, against ``tests/oracles.naive_value``;
+it also asserts the degree bounds, the component rule and connected <=
+plain.  ``--variants all`` adds the connected check and, on the graphs
+with n <= 4, TargetSet(x), SkipBudget(1, 1, x) and SkipBudget(1, 0, x) for
+every target set x.  Each line reports the states the pruned solver
+expanded on that n's graphs (whole-graph solves only, per variant) beside
+the elapsed time.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
+       [--variants plain|all]
 """
 
 from __future__ import annotations
@@ -17,50 +21,18 @@ import argparse
 import itertools
 import sys
 import time
-from functools import lru_cache
+from pathlib import Path
 
-from lcsgame.engine import CONNECTED
+from lcsgame.engine import CONNECTED, PLAIN, SkipBudget, TargetSet
 from lcsgame.graphs import Graph, components, induced
 from lcsgame.solver import cg
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-def reference_value(g: Graph, connected: bool = False) -> int:
-    """Value by plain minimax over sets.  In the connected variant Alice
-    plays in N(red) after her first move, and the game ends when she has no
-    such move."""
-    adj = {v: {w for w in range(g.n) if g.adj[v] >> w & 1} for v in range(g.n)}
-    everything = frozenset(range(g.n))
+from oracles import naive_value  # noqa: E402
 
-    def comp_score(red):
-        best, seen = 0, set()
-        for s in red:
-            if s in seen:
-                continue
-            comp, queue = {s}, [s]
-            while queue:
-                u = queue.pop()
-                for w in adj[u]:
-                    if w in red and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            best = max(best, len(comp))
-        return best
-
-    @lru_cache(maxsize=None)
-    def value(red, blue):
-        free = everything - red - blue
-        if not free:
-            return comp_score(red)
-        if len(red) == len(blue):
-            if connected and red:
-                free = {v for v in free if adj[v] & red}
-                if not free:
-                    return comp_score(red)
-            return max(value(red | {v}, blue) for v in free)
-        return min(value(red, blue | {v}) for v in free)
-
-    return value(frozenset(), frozenset())
+# the target-set variants are checked for every x on graphs up to this order
+TARGET_MAX_N = 4
 
 
 def main() -> int:
@@ -68,12 +40,17 @@ def main() -> int:
     ap.add_argument("--max-n", type=int, default=5)
     ap.add_argument("--connected", action="store_true",
                     help="also check the connected variant (slower)")
+    ap.add_argument("--variants", choices=("plain", "all"), default="plain",
+                    help="all: also Connected, and TargetSet and SkipBudget "
+                         f"for every target set up to n = {TARGET_MAX_N}")
     args = ap.parse_args()
+    if args.variants == "all":
+        args.connected = True
 
     t0 = time.time()
     total = 0
     for n in range(args.max_n + 1):
-        states = cstates = 0
+        states = cstates = tstates = 0
         pairs = list(itertools.combinations(range(n), 2))
         for em in range(1 << len(pairs)):
             edges = [e for i, e in enumerate(pairs) if em >> i & 1]
@@ -81,7 +58,7 @@ def main() -> int:
             res = cg(g)
             v = res.value
             states += res.states_expanded
-            ref = reference_value(g)
+            ref = naive_value(g, PLAIN)
             if v != ref:
                 print(f"MISMATCH n={n} edges={edges}: solver {v} reference {ref}")
                 return 1
@@ -98,7 +75,7 @@ def main() -> int:
                 res = cg(g, CONNECTED)
                 cc = res.value
                 cstates += res.states_expanded
-                ref = reference_value(g, connected=True)
+                ref = naive_value(g, CONNECTED)
                 if cc != ref:
                     print(f"CONNECTED MISMATCH n={n} edges={edges}: "
                           f"solver {cc} reference {ref}")
@@ -106,10 +83,23 @@ def main() -> int:
                 if cc > v:
                     print(f"CONNECTED > PLAIN n={n} edges={edges}: {cc} > {v}")
                     return 1
+            if args.variants == "all" and n <= TARGET_MAX_N:
+                for x in range(1 << n):
+                    for variant in (TargetSet(x), SkipBudget(1, 1, x),
+                                    SkipBudget(1, 0, x)):
+                        res = cg(g, variant)
+                        tstates += res.states_expanded
+                        ref = naive_value(g, variant)
+                        if res.value != ref:
+                            print(f"MISMATCH n={n} edges={edges} {variant}: "
+                                  f"solver {res.value} reference {ref}")
+                            return 1
             total += 1
-        connected = f", {cstates} connected states" if args.connected else ""
+        extra = f", {cstates} connected states" if args.connected else ""
+        if args.variants == "all" and n <= TARGET_MAX_N:
+            extra += f", {tstates} target-set and skip states"
         print(f"n={n}: all {1 << len(pairs)} labelled graphs agree "
-              f"({states} states{connected}, {time.time() - t0:.1f}s elapsed)")
+              f"({states} states{extra}, {time.time() - t0:.1f}s elapsed)")
     print(f"{total} graphs cross-checked, no disagreements")
     return 0
 

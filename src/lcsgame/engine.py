@@ -190,11 +190,18 @@ class Budget:
     """The state budget and deadline of one call, shared by every search it
     starts.  ``tick`` charges one expanded state: more than ``max_states``
     raises ``BudgetExceededError``, and so does passing the deadline, which
-    is read every 2048 states.  ``spent`` counts the states charged."""
+    is read every 2048 states.  ``spent`` counts the states charged.  A
+    negative or NaN ``max_states`` or ``time_limit`` raises ``ValueError``;
+    0 and ``math.inf`` are valid."""
 
     __slots__ = ("max_states", "time_limit", "deadline", "spent", "check_at")
 
     def __init__(self, max_states: float, time_limit: float | None = None):
+        # written as ``not >= 0`` so that NaN fails too
+        if not max_states >= 0:
+            raise ValueError(f"max_states must be >= 0, got {max_states}")
+        if time_limit is not None and not time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got {time_limit}")
         self.max_states = max_states
         self.time_limit = time_limit
         self.deadline = None if time_limit is None else time.monotonic() + time_limit

@@ -8,6 +8,8 @@ import itertools
 import random
 from dataclasses import astuple
 
+import pytest
+
 from lcsgame.engine import (
     CONNECTED,
     PASS,
@@ -75,6 +77,17 @@ class TestPrincipalVariation:
             for variant in (TargetSet(x), SkipBudget(1, 1, x), SkipBudget(1, 0, x)):
                 assert cg(g, variant).principal_variation == reference_pv(g, variant), \
                     (g.edges(), variant)
+
+    # lines recorded while the search still walked its moves by vertex
+    # index: the search's move order must not move the line best_move picks
+    @pytest.mark.parametrize("g, variant, line", [
+        (cartesian_grid(3, 4).graph, PLAIN, [5, 1, 6, 4, 0, 2, 7, 3, 9, 8, 10, 11]),
+        (king_grid_2rows(7).graph, PLAIN, list(range(14))),
+        (king_grid_2rows(7).graph, CONNECTED,
+         [6, 2, 4, 3, 8, 5, 7, 9, 10, 11, 12, 13]),
+    ], ids=["grid3x4", "king2x7", "king2x7-connected"])
+    def test_ladder_lines_recorded(self, g, variant, line):
+        assert [m.v for m in cg(g, variant).principal_variation] == line
 
 
 class TestStrategyMoves:

@@ -244,6 +244,21 @@ class TestParameterValidation:
                             "--time-limit", "30")
         assert code == 0 and "c_g = 2" in text
 
+    @pytest.mark.parametrize("budget", [["--max-states", "-5"],
+                                        ["--time-limit", "-1"],
+                                        ["--time-limit", "nan"]])
+    @pytest.mark.parametrize("command", ["solve", "verify", "qgraph"])
+    def test_negative_or_nan_budget_exit_2(self, capsys, tmp_path, budget, command):
+        f = tmp_path / "p3.g"
+        t = tmp_path / "p3.t"
+        run(capsys, "generate", "path", "n=3", "--out", str(f))
+        t.write_text("q 3\n(leaf 0 1 2)\n")
+        extra = {"solve": [], "verify": ["--alice", "lowest"],
+                 "qgraph": ["--tree", str(t)]}[command]
+        code, text, err = run(capsys, command, "--graph", str(f), *extra, *budget)
+        assert code == 2 and "c_g" not in text and "at least" not in text
+        assert err.startswith("error: ") and "must be >= 0" in err
+
     def test_colon_parameterised_strategy(self, capsys, tmp_path):
         f = tmp_path / "p3.g"
         run(capsys, "generate", "path", "n=3", "--out", str(f))

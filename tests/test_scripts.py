@@ -1,0 +1,57 @@
+"""The scripts under ``scripts/`` that check the solver and compare benchmark
+runs, each run as a command at a small size."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, timeout=300)
+
+
+def test_exhaustive_crosscheck_all_variants():
+    # every labelled graph with n <= 4 under all five variants (TargetSet and
+    # both SkipBudgets for every target set) against oracles.naive_value
+    proc = _script("exhaustive_crosscheck.py", "--max-n", "4", "--variants", "all")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "76 graphs cross-checked, no disagreements" in proc.stdout
+    assert "n=4: all 64 labelled graphs agree" in proc.stdout
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
+def test_bench_pairs_schema(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = _script("bench_pairs.py", "--parent", "HEAD", "--pairs", "1",
+                   "--workload", "ladder", "--smoke", "--seconds", "1",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text())
+    assert report["pairs"] == 1 and report["smoke"] is True
+    assert len(report["parent_commit"]) == 40
+    assert report["environment"]["python"]
+    body = report["workloads"]["ladder"]
+    (pair,) = body["pairs"]
+    assert pair["first"] == "parent"
+    for side in ("parent", "change"):
+        run = pair[side]
+        assert run["correct"] and run["failed"] == 0 and run["attempted"] > 0
+        assert run["environment"] == report["environment"]
+    names = [m["name"] for m in report["end_to_end"]]
+    assert sorted(body["metrics"]) == sorted(names)
+    for s in body["metrics"].values():
+        assert s["parent"]["q1"] <= s["parent"]["median"] <= s["parent"]["q3"]
+        assert s["pairs"] == 1 and s["pairs_won"] in (0, 1)
+        assert isinstance(s["gain_rule_met"], bool)
+    assert "| `ladder` | `wall_s` |" in proc.stdout

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -161,6 +162,19 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="time limit"):
             budget.tick()
 
+    @pytest.mark.parametrize("limits", [{"max_states": -5},
+                                        {"max_states": math.nan},
+                                        {"time_limit": -1.0},
+                                        {"time_limit": math.nan}])
+    def test_negative_or_nan_limit_rejected(self, limits):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            cg(path(3), **limits)
+
+    def test_zero_and_infinite_limits_valid(self):
+        assert cg(path(3), max_states=math.inf, time_limit=0.0).value == 2
+        with pytest.raises(BudgetExceededError):
+            cg(path(3), max_states=0)
+
     def test_target_oracle_cores_share_one_budget(self):
         g, x = path(7), 0b0011100
         spent = []
@@ -178,6 +192,13 @@ class TestBudget:
         oracle.value(0, 0)
         with pytest.raises(BudgetExceededError):
             oracle.value(0, 0, 1, 0)
+
+
+class TestMoveOrder:
+    def test_degree_order_cuts_the_3x5_grid(self):
+        # both players try high-degree vertices first: 20 571 states, against
+        # 83 424 when the moves were walked by vertex index
+        assert cg(cartesian_grid(3, 5).graph).states_expanded <= 25_000
 
 
 class TestNaiveOracleEquivalence:
