@@ -16,7 +16,12 @@ wins at least nine tenths of the pairs and the medians differ by more than
 the parent's q3 - q1.  Every run is kept in full: its metrics, attempted
 and failed ops, correctness (every op passed and, on seed 0, the digest of
 values, PVs and playout scores matched) and the benchmark's environment
-line.  The same data is printed as Markdown tables.
+line.  Per workload it also compares the ops: each side's median over the
+pairs of each op's median latency (``instances[].median_ms`` of the run's
+``.perfbench_out`` file), the median over the ops of their relative
+change, the ops that moved most in ms, and the ops nearest the parent's
+median latency, which set ``op_p50_ms``.  The same data is printed as
+Markdown tables.
 
 Usage: python scripts/bench_pairs.py --parent REV --pairs N
        [--workload W ...] [--seconds S] [--seed S] [--smoke] --out PATH
@@ -39,6 +44,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder", "strategy", "desk_small")
 # a run may take its --seconds plus set-up, the digest check and start-up
 RUN_MARGIN_S = 240.0
+# ops listed per workload: the largest movers, and those around the median
+OPS_LISTED = 5
+# reads a run's per-op medians in a child process: the run's file holds
+# every op latency, and loading it here would raise this process's peak
+# RSS, which each later benchmark run inherits at exec as its own peak
+OP_MEDIANS = ("import json, sys; print(json.dumps({r['label']: r['median_ms'] "
+              "for r in json.load(open(sys.argv[1]))['instances']}))")
 
 
 def git(*args: str) -> str:
@@ -82,6 +94,10 @@ def run_bench(tree: Path, workload: str, args) -> dict:
     run.update(correct=res["correct"], attempted=res["attempted"],
                failed=res["failed"],
                metrics={k: v["value"] for k, v in res["metrics"].items()})
+    out = tree / ".perfbench_out" / f"{workload}-seed{args.seed}-trace0.json"
+    run["op_ms"] = json.loads(subprocess.run(
+        [sys.executable, "-c", OP_MEDIANS, str(out)], check=True, text=True,
+        stdout=subprocess.PIPE).stdout)
     return run
 
 
@@ -120,6 +136,36 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def summarise_ops(pairs: list[dict]) -> dict:
+    """Per op, over the pairs in which both runs timed it: both sides'
+    median of its median latency and the relative change; then the median
+    of those changes, the ``OPS_LISTED`` ops whose medians moved most in ms
+    and the ``OPS_LISTED`` ops nearest the parent's median op latency."""
+    timed = [(p["parent"]["op_ms"], p["change"]["op_ms"]) for p in pairs
+             if p["parent"].get("op_ms") and p["change"].get("op_ms")]
+    ops = []
+    for label in timed[0][0] if timed else ():
+        both = [(par[label], chg[label]) for par, chg in timed
+                if label in par and label in chg]
+        if both:
+            a = statistics.median(x for x, _ in both)
+            b = statistics.median(y for _, y in both)
+            ops.append({"label": label, "parent_ms": a, "change_ms": b,
+                        "rel_change": (b - a) / a if a else None})
+    if not ops:
+        return {}
+    rels = [o["rel_change"] for o in ops if o["rel_change"] is not None]
+    by_parent = sorted(ops, key=lambda o: o["parent_ms"])
+    mid = len(by_parent) // 2
+    lo = max(0, mid - OPS_LISTED // 2)
+    return {
+        "ops": len(ops),
+        "rel_change_median": statistics.median(rels) if rels else None,
+        "movers": sorted(ops, key=lambda o: -abs(o["change_ms"] - o["parent_ms"]))[:OPS_LISTED],
+        "at_median": by_parent[lo:lo + OPS_LISTED],
+    }
+
+
 def markdown(report: dict) -> str:
     names = [m["name"] for m in report["end_to_end"]]
     lines = ["| workload | metric | parent median [q1–q3] | change median [q1–q3] "
@@ -146,6 +192,20 @@ def markdown(report: dict) -> str:
                              f"{'yes' if pair['first'] == side else 'no'} | {vals} "
                              f"| {run['failed']}/{run['attempted']} "
                              f"| {'yes' if run['correct'] else 'no: ' + str(run['error'])} |")
+    lines += ["", "| workload | op | listed as | parent ms | change ms | change |",
+              "|---|---|---|---|---|---|"]
+    for wl, body in report["workloads"].items():
+        ops = body["ops"]
+        if not ops:
+            continue
+        rel = ops["rel_change_median"]
+        lines.append(f"| `{wl}` | all {ops['ops']} ops | median change | | | "
+                     f"{'n/a' if rel is None else f'{rel:+.1%}'} |")
+        for listed in ("movers", "at_median"):
+            for o in ops[listed]:
+                r = "n/a" if o["rel_change"] is None else f"{o['rel_change']:+.1%}"
+                lines.append(f"| `{wl}` | {o['label']} | {listed.replace('_', ' ')} "
+                             f"| {o['parent_ms']:.4g} | {o['change_ms']:.4g} | {r} |")
     return "\n".join(lines)
 
 
@@ -197,7 +257,12 @@ def main(argv: list[str] | None = None) -> int:
             report["workloads"][wl] = {
                 "pairs": pairs,
                 "metrics": summarise(pairs, bench["end_to_end"]),
+                "ops": summarise_ops(pairs),
             }
+            # the per-op latencies of each run live on in the summary only
+            for pair in pairs:
+                for side in ("parent", "change"):
+                    pair[side].pop("op_ms", None)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(markdown(report))
     ok = all(p[s]["correct"] for body in report["workloads"].values()

@@ -11,20 +11,30 @@ every target set x.  Each line reports the states the pruned solver
 expanded on that n's graphs (whole-graph solves only, per variant) beside
 the elapsed time.
 
+``--sample N`` checks seeded positions instead of the empty board of every
+small graph: N connected G(n, m) with n = 8..10 and m <= n + 4, each with a
+few random non-empty positions (disjoint red and blue sets, Alice to move
+or Bob after her), solved under Plain and Connected from that position and
+compared with ``naive_value`` there.  It reports how many positions have
+G - blue split, the case the per-component bounds of the search work on.
+
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
        [--variants plain|all]
+       python scripts/exhaustive_crosscheck.py --sample N [--seed S]
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import random
 import sys
 import time
 from pathlib import Path
 
-from lcsgame.engine import CONNECTED, PLAIN, SkipBudget, TargetSet
-from lcsgame.graphs import Graph, components, induced
+from lcsgame.engine import CONNECTED, PLAIN, GameConfig, SkipBudget, TargetSet
+from lcsgame.generators import random_connected_gnm
+from lcsgame.graphs import Graph, components, components_within, induced, mask_of
 from lcsgame.solver import cg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -33,6 +43,39 @@ from oracles import naive_value  # noqa: E402
 
 # the target-set variants are checked for every x on graphs up to this order
 TARGET_MAX_N = 4
+# the seeded sample: graph orders, edges beyond a tree, positions per graph
+SAMPLE_N = (8, 10)
+SAMPLE_EXTRA_EDGES = 5
+SAMPLE_POSITIONS = 3
+
+
+def check_sample(count: int, seed: int) -> int:
+    """Plain and Connected values at random positions of ``count`` seeded
+    connected G(n, m), against ``naive_value`` at the same positions."""
+    rng = random.Random(seed)
+    t0 = time.time()
+    split = states = 0
+    for _ in range(count):
+        n = rng.randint(*SAMPLE_N)
+        g = random_connected_gnm(n, rng.randint(n - 1, n - 1 + SAMPLE_EXTRA_EDGES), rng)
+        for _ in range(SAMPLE_POSITIONS):
+            verts = rng.sample(range(n), rng.randint(1, n // 2))
+            half = (len(verts) + 1) // 2
+            red, blue = mask_of(verts[:half]), mask_of(verts[half:])
+            split += len(components_within(g.adj, g.full_mask & ~blue)) > 1
+            for variant in (PLAIN, CONNECTED):
+                res = cg(g, variant, initial=GameConfig(red, blue))
+                states += res.states_expanded
+                ref = naive_value(g, variant, red, blue)
+                if res.value != ref:
+                    print(f"MISMATCH {variant} edges={sorted(g.edges())} "
+                          f"red={red:#x} blue={blue:#x}: solver {res.value} "
+                          f"reference {ref}")
+                    return 1
+    print(f"{count} sampled graphs, {count * SAMPLE_POSITIONS} positions agree "
+          f"under Plain and Connected ({split} with G - blue split, {states} "
+          f"states, {time.time() - t0:.1f}s elapsed)")
+    return 0
 
 
 def main() -> int:
@@ -43,7 +86,12 @@ def main() -> int:
     ap.add_argument("--variants", choices=("plain", "all"), default="plain",
                     help="all: also Connected, and TargetSet and SkipBudget "
                          f"for every target set up to n = {TARGET_MAX_N}")
+    ap.add_argument("--sample", type=int, metavar="N",
+                    help="check N seeded graphs at random positions instead")
+    ap.add_argument("--seed", type=int, default=0, help="seed of --sample")
     args = ap.parse_args()
+    if args.sample is not None:
+        return check_sample(args.sample, args.seed)
     if args.variants == "all":
         args.connected = True
 

@@ -14,6 +14,7 @@ import sys
 from .engine import (
     CONNECTED,
     PLAIN,
+    Budget,
     BudgetExceededError,
     InternalError,
     Player,
@@ -249,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "max_states" in args:
+            # a bad budget fails before the command prints anything
+            Budget(args.max_states, args.time_limit)
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

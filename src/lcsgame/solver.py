@@ -26,7 +26,7 @@ The static bound of Plain and Connected reads the components of G - blue
 from a cache keyed by blue: their order alone when G - blue is connected,
 otherwise their (mask, order) pairs.
 
-Four exact reductions cut the tree further, on no extra path:
+Five exact reductions cut the tree further, on no extra path:
 
 - Neighbour-count bound (Plain and Connected).  Let red be connected, k the
   number of uncoloured neighbours of red, and fa the number of moves Alice
@@ -55,6 +55,18 @@ Four exact reductions cut the tree further, on no extra path:
   which holds while red is connected: her moves touch red, whose component
   is live at every position that is not terminal.  So Connected drops dead
   moves only then; a given initial position may have red apart.
+- Follow bound (Plain and Connected).  Let Bob, after each Alice move into
+  a component C of G - blue, colour another vertex of C if one is left.
+  Then every Alice move into C but perhaps the last is followed by a Bob
+  move into C, so Alice gets at most ceil(k / 2) of C's k uncoloured
+  vertices, for every C at once; Bob's other moves only hurt her, and
+  Connected only ends play earlier.  As the final largest red component
+  lies in one C, the value is at most the largest
+  ``|C & red| + (k + 1) // 2``, which caps each component's bound.  The
+  dead test above reads the bound before the cap: the dead-move swap needs
+  C unable to beat lc whatever either player does, and under the cap it
+  only cannot while Bob answers there, so an Alice move into C is a
+  threat, not a pass.
 - Twin move skip (every variant).  Vertices u < v are twins when
   N(u) - v == N(v) - u (equal open or equal closed neighbourhoods) and,
   for TargetSet and SkipBudget, both or neither lie in x.  Swapping them is
@@ -85,8 +97,16 @@ The paper's bounds are stated in degrees (Alice's floor(Delta/2) + 1, and
 the Delta + delta and edge-count conditions for A-perfection), so a
 high-degree vertex is the natural first try for either player, and
 alpha-beta cuts more when good moves come first (Knuth & Moore, 1975): the
-3x5 grid takes 20 571 states, against 83 424 in index order.  The order
-decides which children are searched before a cutoff, never a value.
+3x5 grid takes 20 571 states, against 83 424 in index order.  Bob's loop
+first tries his killer move (Akl & Newborn, 1977): the move of his last
+cutoff at the same move number, the count of blue, kept per core.  A
+refutation of one Alice move often refutes her siblings too, and is not
+found again at each of them; with it and the follow bound the 3x5 grid
+takes 13 653 states.  Alice has no killer slot: one at her nodes too cut
+the solves of the seeded G(16, 56) draws a little more but grew their
+index-order PV re-searches (one draw from 259 to 1 803 states, the median
+solve plus PV from 629 to 738).  The order decides which children are
+searched before a cutoff, never a value.
 
 Optimal moves (principal variations, extracted strategies, oracle moves)
 come from one routine, ``_Core.best_move``: given the exact value t of a
@@ -102,7 +122,7 @@ fixes the principal variations, the extracted strategies and the seeded
 benchmark digests, and another order would pick other optimal moves.  The
 price is search: the table holds what the solve visited in degree order,
 so the index-order children it never reached are searched afresh (the
-``cartesian_grid(3, 4)`` line takes 2 043 states after a 1 556-state solve).
+``cartesian_grid(3, 4)`` line takes 1 572 states after a 1 402-state solve).
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
@@ -286,6 +306,8 @@ class _Core:
         # the search's move order: by degree, highest first, ties by index
         self._order = [1 << v for v in sorted(range(g.n),
                                               key=lambda v: -self.adj[v].bit_count())]
+        # Bob's killer move per move number (blue's count): his last cutoff
+        self._killers = [0] * (g.n + 1)
         # (fixed, down) per automorphism of G and x (see
         # ``_automorphism_masks``); None until ``exact`` looks for them
         self._syms: tuple[tuple[int, int], ...] | None = None
@@ -359,7 +381,8 @@ class _Core:
         are only computed when it does not settle the position."""
         uncolored = self.full_mask & ~(red | blue)
         rc = red.bit_count()
-        alice = (rc + ask) == (blue.bit_count() + bsk)
+        bc = blue.bit_count()
+        alice = (rc + ask) == (bc + bsk)
         kind = self.kind
 
         # terminal: a full board (unless the mover may still pass), or a
@@ -416,13 +439,19 @@ class _Core:
                 else:
                     ub = 0
                     for comp, order in live:
-                        b = (comp & red).bit_count() + fa
+                        cr = (comp & red).bit_count()
+                        b = cr + fa
                         if order < b:
                             b = order
-                        if b > ub:
-                            ub = b
                         if b <= lc:
                             dead |= comp
+                        # the follow bound, after the dead test: dead needs
+                        # a bound that holds for any play
+                        follow = cr + (order - cr + 1) // 2
+                        if follow < b:
+                            b = follow
+                        if b > ub:
+                            ub = b
         if ub <= alpha:
             return ub
         if not self.tracks_lc and rc >= beta:
@@ -435,8 +464,8 @@ class _Core:
 
         # the moves, without those the dead components, twins and
         # automorphisms make redundant; both loops walk the neighbours of red
-        # (near) and then the rest (far), each in the degree order (see the
-        # module docstring)
+        # (near) and then the rest (far), each in the degree order, Bob's
+        # after his killer move (see the module docstring)
         moves = self._twin_free(uncolored) if self._twins else uncolored
         if dead and (kind == _PLAIN_K or lc == rc):
             moves &= ~dead
@@ -470,7 +499,8 @@ class _Core:
                     best = val
         else:
             best = self.g.n + 1
-            for part in (near, far):
+            killer = self._killers[bc] & moves
+            for part in (killer, near & ~killer, far & ~killer):
                 for bit in order:
                     if not bit & part:
                         continue
@@ -481,6 +511,7 @@ class _Core:
                         if best < beta:
                             beta = best
                             if alpha >= beta:
+                                self._killers[bc] = bit
                                 break
                 if alpha >= beta:
                     break

@@ -256,7 +256,7 @@ class TestParameterValidation:
         extra = {"solve": [], "verify": ["--alice", "lowest"],
                  "qgraph": ["--tree", str(t)]}[command]
         code, text, err = run(capsys, command, "--graph", str(f), *extra, *budget)
-        assert code == 2 and "c_g" not in text and "at least" not in text
+        assert code == 2 and text == ""
         assert err.startswith("error: ") and "must be >= 0" in err
 
     def test_colon_parameterised_strategy(self, capsys, tmp_path):

@@ -30,6 +30,15 @@ def test_exhaustive_crosscheck_all_variants():
     assert "n=4: all 64 labelled graphs agree" in proc.stdout
 
 
+def test_exhaustive_crosscheck_seeded_positions():
+    # random non-empty positions of seeded G(n, m) with n = 8..10, under
+    # Plain and Connected, against oracles.naive_value
+    proc = _script("exhaustive_crosscheck.py", "--sample", "20")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "20 sampled graphs, 60 positions agree" in proc.stdout
+    assert "(14 with G - blue split," in proc.stdout
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
 def test_bench_pairs_schema(tmp_path):
     out = tmp_path / "bench.json"
@@ -55,3 +64,11 @@ def test_bench_pairs_schema(tmp_path):
         assert s["pairs"] == 1 and s["pairs_won"] in (0, 1)
         assert isinstance(s["gain_rule_met"], bool)
     assert "| `ladder` | `wall_s` |" in proc.stdout
+    # per-op latencies: summarised per workload, not kept per run
+    ops = body["ops"]
+    assert ops["ops"] == 7 and "op_ms" not in pair["parent"]
+    assert isinstance(ops["rel_change_median"], float)
+    assert len(ops["movers"]) == len(ops["at_median"]) == 5
+    for o in ops["movers"] + ops["at_median"]:
+        assert o["parent_ms"] > 0 and o["change_ms"] > 0 and o["label"]
+    assert "| `ladder` | all 7 ops | median change |" in proc.stdout

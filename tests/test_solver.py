@@ -200,6 +200,29 @@ class TestMoveOrder:
         # 83 424 when the moves were walked by vertex index
         assert cg(cartesian_grid(3, 5).graph).states_expanded <= 25_000
 
+    def test_follow_bound_and_bob_killer_cut_gnm_18_36(self):
+        # the third seeded G(18, 36): 7 273 states, and 15 393 without the
+        # follow bound and Bob's killer slot
+        rng = random.Random(1)
+        for _ in range(3):
+            g = random_connected_gnm(18, 36, rng)
+        res = cg(g)
+        assert res.value == 9 and res.states_expanded <= 10_000
+
+
+class TestFollowBound:
+    def test_settles_a_split_path_without_search(self):
+        # P9 with red {0} and blue {4}: G - blue is 0-1-2-3 (one red, three
+        # free) and 5-6-7-8 (four free).  Bob answering each Alice move in
+        # the same part holds them to 1 + 2 and 0 + 2, so the probe "at
+        # least 4?" fails on the static bound.  Capped by Alice's four
+        # remaining moves alone, each part allows 4 and the probe expands
+        # 18 states.
+        core = _Core(path(9), PLAIN)
+        reach, lc = core._red_summary(1)
+        assert core.search(1, 1 << 4, 0, 0, 3, 4, reach, lc) <= 3
+        assert core.budget.spent == 0
+
 
 class TestNaiveOracleEquivalence:
     @given(st.data())
