@@ -20,8 +20,11 @@ line.  Per workload it also compares the ops: each side's median over the
 pairs of each op's median latency (``instances[].median_ms`` of the run's
 ``.perfbench_out`` file), the median over the ops of their relative
 change, the ops that moved most in ms, and the ops nearest the parent's
-median latency, which set ``op_p50_ms``.  The same data is printed as
-Markdown tables.
+median latency, which set ``op_p50_ms``.  After the pairs, each side
+runs ``perfbench/run.py --trace 1`` once per workload, and the per-layer
+metrics that BENCHMARK.json names are kept under ``layers`` with both
+sides' values and their relative change, beside the traced runs'
+correctness under ``traced``.  The same data is printed as Markdown tables.
 
 Usage: python scripts/bench_pairs.py --parent REV --pairs N
        [--workload W ...] [--seconds S] [--seed S] [--smoke] --out PATH
@@ -66,11 +69,12 @@ def extract(rev: str, dest: Path) -> None:
         tf.extractall(dest, filter="data")
 
 
-def run_bench(tree: Path, workload: str, args) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``tree``, parsed."""
+def run_bench(tree: Path, workload: str, args, trace: int = 0) -> dict:
+    """One ``perfbench/run.py --trace <trace>`` run in ``tree``, parsed;
+    an untraced run also reads its per-op median latencies."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", "0"] + (["--smoke"] if args.smoke else [])
+           "--trace", str(trace)] + (["--smoke"] if args.smoke else [])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     run = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
            "environment": None, "error": None}
@@ -94,6 +98,8 @@ def run_bench(tree: Path, workload: str, args) -> dict:
     run.update(correct=res["correct"], attempted=res["attempted"],
                failed=res["failed"],
                metrics={k: v["value"] for k, v in res["metrics"].items()})
+    if trace:
+        return run
     out = tree / ".perfbench_out" / f"{workload}-seed{args.seed}-trace0.json"
     run["op_ms"] = json.loads(subprocess.run(
         [sys.executable, "-c", OP_MEDIANS, str(out)], check=True, text=True,
@@ -133,6 +139,20 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
             "gain_rule_met": gained and won >= 0.9 * len(both)
             and abs(chg["median"] - par["median"]) > par["q3"] - par["q1"],
         }
+    return out
+
+
+def summarise_layers(traced: dict[str, dict], per_layer: list[dict]) -> dict:
+    """Per layer metric that both traced runs produced: its unit and
+    direction, both sides' values and the relative change."""
+    out = {}
+    for m in per_layer:
+        name = m["name"]
+        if all(name in traced[side]["metrics"] for side in ("parent", "change")):
+            a, b = (traced[side]["metrics"][name] for side in ("parent", "change"))
+            out[name] = {"unit": m["unit"], "better": m["better"],
+                         "parent": a, "change": b,
+                         "rel_change": (b - a) / a if a else None}
     return out
 
 
@@ -206,6 +226,15 @@ def markdown(report: dict) -> str:
                 r = "n/a" if o["rel_change"] is None else f"{o['rel_change']:+.1%}"
                 lines.append(f"| `{wl}` | {o['label']} | {listed.replace('_', ' ')} "
                              f"| {o['parent_ms']:.4g} | {o['change_ms']:.4g} | {r} |")
+    lines += ["", "| workload | layer metric | parent | change | change |",
+              "|---|---|---|---|---|"]
+    for wl, body in report["workloads"].items():
+        for name, s in body["layers"].items():
+            if not (s["parent"] or s["change"]):
+                continue  # a layer the workload does not reach
+            rel = "n/a" if s["rel_change"] is None else f"{s['rel_change']:+.1%}"
+            lines.append(f"| `{wl}` | `{name}` | {s['parent']:.6g} | {s['change']:.6g} "
+                         f"| {rel} |")
     return "\n".join(lines)
 
 
@@ -231,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": "working tree",
         "change_head": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0; per layer --trace 1",
         "seed": args.seed, "seconds": args.seconds, "smoke": args.smoke,
         "pairs": args.pairs,
         "end_to_end": bench["end_to_end"],
@@ -263,10 +292,19 @@ def main(argv: list[str] | None = None) -> int:
             for pair in pairs:
                 for side in ("parent", "change"):
                     pair[side].pop("op_ms", None)
+            traced = {}
+            for side in ("parent", "change"):
+                traced[side] = run = run_bench(trees[side], wl, args, trace=1)
+                print(f"{wl} traced {side}: correct={run['correct']} "
+                      f"failed={run['failed']}/{run['attempted']}", flush=True)
+            report["workloads"][wl]["layers"] = summarise_layers(traced, bench["per_layer"])
+            report["workloads"][wl]["traced"] = {
+                side: {k: run[k] for k in ("correct", "attempted", "failed", "error")}
+                for side, run in traced.items()}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(markdown(report))
     ok = all(p[s]["correct"] for body in report["workloads"].values()
-             for p in body["pairs"] for s in ("parent", "change"))
+             for p in body["pairs"] + [body["traced"]] for s in ("parent", "change"))
     return 0 if ok else 1
 
 

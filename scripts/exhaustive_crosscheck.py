@@ -5,11 +5,12 @@ Enumerates every labelled graph up to --max-n vertices (this grows as
 2^C(n,2): n=6 means 32768 graphs) and compares plain values, and with
 --connected also connected values, against ``tests/oracles.naive_value``;
 it also asserts the degree bounds, the component rule and connected <=
-plain.  ``--variants all`` adds the connected check and, on the graphs
-with n <= 4, TargetSet(x), SkipBudget(1, 1, x) and SkipBudget(1, 0, x) for
-every target set x.  Each line reports the states the pruned solver
-expanded on that n's graphs (whole-graph solves only, per variant) beside
-the elapsed time.
+plain.  ``--variants all`` adds the connected check and TargetSet(x),
+SkipBudget(1, 1, x) and SkipBudget(1, 0, x): for every target set x on the
+graphs with n <= 4, and for two non-empty x per graph drawn from
+``random.Random(--seed)`` on the graphs with n = 5 and 6.  Each line
+reports the states the pruned solver expanded on that n's graphs
+(whole-graph solves only, per variant) beside the elapsed time.
 
 ``--sample N`` checks seeded positions instead of the empty board of every
 small graph: N connected G(n, m) with n = 8..10 and m <= n + 4, each with a
@@ -19,7 +20,7 @@ compared with ``naive_value`` there.  It reports how many positions have
 G - blue split, the case the per-component bounds of the search work on.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
-       [--variants plain|all]
+       [--variants plain|all] [--seed S]
        python scripts/exhaustive_crosscheck.py --sample N [--seed S]
 """
 
@@ -41,8 +42,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import naive_value  # noqa: E402
 
-# the target-set variants are checked for every x on graphs up to this order
+# the target-set variants are checked for every x on graphs up to this
+# order, and for TARGET_SEEDED_X seeded x per graph up to TARGET_SEEDED_MAX_N
 TARGET_MAX_N = 4
+TARGET_SEEDED_MAX_N = 6
+TARGET_SEEDED_X = 2
 # the seeded sample: graph orders, edges beyond a tree, positions per graph
 SAMPLE_N = (8, 10)
 SAMPLE_EXTRA_EDGES = 5
@@ -85,16 +89,20 @@ def main() -> int:
                     help="also check the connected variant (slower)")
     ap.add_argument("--variants", choices=("plain", "all"), default="plain",
                     help="all: also Connected, and TargetSet and SkipBudget "
-                         f"for every target set up to n = {TARGET_MAX_N}")
+                         f"for every target set up to n = {TARGET_MAX_N} and "
+                         f"{TARGET_SEEDED_X} seeded ones per graph up to "
+                         f"n = {TARGET_SEEDED_MAX_N}")
     ap.add_argument("--sample", type=int, metavar="N",
                     help="check N seeded graphs at random positions instead")
-    ap.add_argument("--seed", type=int, default=0, help="seed of --sample")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of --sample, and of the seeded target sets")
     args = ap.parse_args()
     if args.sample is not None:
         return check_sample(args.sample, args.seed)
     if args.variants == "all":
         args.connected = True
 
+    xrng = random.Random(args.seed)
     t0 = time.time()
     total = 0
     for n in range(args.max_n + 1):
@@ -131,8 +139,10 @@ def main() -> int:
                 if cc > v:
                     print(f"CONNECTED > PLAIN n={n} edges={edges}: {cc} > {v}")
                     return 1
-            if args.variants == "all" and n <= TARGET_MAX_N:
-                for x in range(1 << n):
+            if args.variants == "all" and n <= TARGET_SEEDED_MAX_N:
+                xs = (range(1 << n) if n <= TARGET_MAX_N
+                      else xrng.sample(range(1, 1 << n), TARGET_SEEDED_X))
+                for x in xs:
                     for variant in (TargetSet(x), SkipBudget(1, 1, x),
                                     SkipBudget(1, 0, x)):
                         res = cg(g, variant)
@@ -144,8 +154,9 @@ def main() -> int:
                             return 1
             total += 1
         extra = f", {cstates} connected states" if args.connected else ""
-        if args.variants == "all" and n <= TARGET_MAX_N:
-            extra += f", {tstates} target-set and skip states"
+        if args.variants == "all" and n <= TARGET_SEEDED_MAX_N:
+            xs = "every x" if n <= TARGET_MAX_N else f"{TARGET_SEEDED_X} seeded x per graph"
+            extra += f", {tstates} target-set and skip states at {xs}"
         print(f"n={n}: all {1 << len(pairs)} labelled graphs agree "
               f"({states} states{extra}, {time.time() - t0:.1f}s elapsed)")
     print(f"{total} graphs cross-checked, no disagreements")

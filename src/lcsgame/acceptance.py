@@ -553,6 +553,13 @@ ALL_CRITERIA = [
 
 
 def run_criteria(numbers: list[int] | None = None, seed: int = 0) -> list[CriterionResult]:
+    """Run the numbered criteria (all of them when ``numbers`` is empty or
+    None), in order; a number outside 1..len(ALL_CRITERIA) is a
+    ``ValueError``."""
+    unknown = sorted(set(numbers or ()) - set(range(1, len(ALL_CRITERIA) + 1)))
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}: the criteria are "
+                         f"numbered 1 to {len(ALL_CRITERIA)}")
     out = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if numbers and i not in numbers:

@@ -240,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="run the desk-scale acceptance suite")
     sp.add_argument("--suite", default="desk")
-    sp.add_argument("--criteria", help="comma-separated criterion numbers")
+    sp.add_argument("--criteria",
+                    help="comma-separated criterion numbers, each from 1 to 12 "
+                         "(default: all)")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_bench)
     return p

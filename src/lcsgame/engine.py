@@ -19,7 +19,8 @@ verifier, the playout loop and ``play_match`` keep it in locals, and a
 strategy's ``choose`` and the verifier's objective receive it as that tuple.
 Legality comes from one helper, ``_legal_masks``; under the variants in
 ``_OPEN_BOARD``, where every uncoloured vertex is legal and nobody passes,
-the verifier and the playouts read the uncoloured mask directly.
+the verifier reads the uncoloured mask directly, and the playouts run a
+loop of their own in which every turn colours one vertex.
 
 ``AndOrSearch`` is the one memoised win/lose search; the source games of
 the reductions, the head analysis and CDS forcing each supply its
@@ -633,33 +634,68 @@ def random_playouts(
 
     The adversary draws uniformly among its legal moves, in the order of
     ``legal_moves`` (vertex index, Pass last), with one ``randrange`` per
-    turn.  On an open board (Plain, TargetSet) the draw indexes a sorted
-    list of the uncoloured vertices kept across turns; under the other
-    variants, a list of the legal vertices built for the turn.
+    turn.  The draw runs the body of
+    ``random.Random._randbelow_with_getrandbits``, which ``randrange(n)``
+    calls, inline on a bound ``getrandbits``: the stream, and so every
+    seeded score, is the same as with ``Random(seed).randrange``, without
+    that call's argument checks on every adversary turn.
 
-    The draw runs the body of ``random.Random._randbelow_with_getrandbits``,
-    which ``randrange(n)`` calls, inline on a bound ``getrandbits``: the
-    stream, and so every seeded score, is the same as with
-    ``Random(seed).randrange``, without that call's argument checks on every
-    adversary turn.
+    There are two loops.  On an open board (Plain, TargetSet) every
+    uncoloured vertex is legal, nobody may pass and ``ARBITRARY`` always
+    names a vertex, so every turn colours exactly one vertex: the turns
+    alternate, the game ends when no vertex is left, and the adversary
+    draws from a sorted list of the uncoloured vertices kept across turns.
+    That loop needs no legal masks and no skip counts.  Under the other
+    variants (Connected, SkipBudget) the legal moves depend on the
+    position, so each turn asks ``_legal_masks`` and the adversary draws
+    from a list of the legal vertices built for the turn, with Pass last
+    when allowed.
     """
     getrandbits = random.Random(seed).getrandbits
     choose = fixed.choose
     alice_fixed = fixed_side is Player.ALICE
-    open_board = isinstance(variant, _OPEN_BOARD)
-    full = g.full_mask
+    last_adv: int | _PassType | None
     out = []
+    if isinstance(variant, _OPEN_BOARD):
+        nv, full = g.n, g.full_mask
+        for _ in range(n_playouts):
+            state = fixed.initial_state()
+            last_adv = None
+            red = blue = 0
+            free = list(range(nv))
+            alice = True
+            while free:
+                if alice == alice_fixed:
+                    move, state = choose(g, variant, (red, blue, 0, 0), state,
+                                         last_adv)
+                    # an uncoloured vertex index inline; ARBITRARY and
+                    # illegal answers go to _fixed_move_bit
+                    if not (type(move) is int and 0 <= move < nv
+                            and not (red | blue) >> move & 1):
+                        move = _fixed_move_bit(fixed, move, full & ~(red | blue),
+                                               False).bit_length() - 1
+                    del free[bisect_left(free, move)]
+                else:
+                    n = len(free)
+                    k = n.bit_length()
+                    idx = getrandbits(k)
+                    while idx >= n:
+                        idx = getrandbits(k)
+                    move = last_adv = free.pop(idx)
+                if alice:
+                    red |= 1 << move
+                else:
+                    blue |= 1 << move
+                alice = not alice
+            out.append(score(g, variant, red))
+        return out
     for _ in range(n_playouts):
         state = fixed.initial_state()
-        last_adv: int | _PassType | None = None
+        last_adv = None
         red = blue = ask = bsk = 0
-        free = list(range(g.n))
         alice = True  # turns alternate; a pass is a turn
         while True:
-            if open_board:
-                mask, pass_ok = full & ~(red | blue), False
-            else:
-                mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice)
+            mask, pass_ok = _legal_masks(g, variant, red, blue, ask, bsk, alice)
             if not (mask or pass_ok):
                 break
             if alice == alice_fixed:
@@ -671,11 +707,8 @@ def random_playouts(
                     bit = 1 << move
                 else:
                     bit = _fixed_move_bit(fixed, move, mask, pass_ok)
-                    move = bit.bit_length() - 1
-                if bit and open_board:
-                    del free[bisect_left(free, move)]
             else:
-                cands = free if open_board else list(bits(mask))
+                cands = list(bits(mask))
                 n = len(cands) + pass_ok
                 k = n.bit_length()
                 idx = getrandbits(k)
@@ -684,7 +717,7 @@ def random_playouts(
                 if idx == len(cands):
                     bit, last_adv = 0, PASS
                 else:
-                    v = cands.pop(idx)
+                    v = cands[idx]
                     bit, last_adv = 1 << v, v
             if alice:
                 red |= bit

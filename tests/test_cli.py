@@ -201,6 +201,13 @@ class TestBench:
         code, _, _ = run(capsys, "bench", "--suite", "mountain")
         assert code == 2
 
+    @pytest.mark.parametrize("criteria", ["99", "0", "1,99"])
+    def test_unknown_criterion_exit_2(self, capsys, criteria):
+        # a mistyped number must not pass by checking nothing
+        code, text, err = run(capsys, "bench", "--criteria", criteria)
+        assert code == 2 and "criteria passed" not in text
+        assert err.startswith("error: unknown criteria") and "1 to 12" in err
+
 
 class TestParameterValidation:
     def test_missing_family_params_exit_2(self, capsys):

@@ -33,7 +33,10 @@ from lcsgame.engine import (
     random_playouts,
     verify_strategy_exhaustive,
 )
-from lcsgame.graphs import Graph
+from lcsgame.generators import king_grid_2rows
+from lcsgame.graphs import Graph, mask_of
+from lcsgame.reductions import HexGameSolver, HexInstance, build_planar, lift_strategy
+from lcsgame.strategies import builtin_strategy
 
 from oracles import adj_dict, naive_score_plain, naive_score_target
 
@@ -280,6 +283,39 @@ class TestAgainstReference:
                 want = ref_playouts(g, variant, strat, side, 25, seed=i)
                 got = random_playouts(g, variant, strat, side, 25, seed=i)
                 assert got == want, (g.adj, variant, strat.name)
+
+
+def planar_bob_lift():
+    """The lifted Bob strategy on the planar build of the smallest losing
+    path hex instance (58 vertices), as the benchmark and criterion 10 play
+    it."""
+    planar = build_planar(HexInstance(Graph.from_edges(4, [(0, 2), (2, 3), (3, 1)]),
+                                      0, 1))
+    lift = lift_strategy(planar, Player.BOB, HexGameSolver(planar.source_hex))
+    return planar.g, lift, Player.BOB, planar.hex_vertices
+
+
+def king_mirror():
+    king = king_grid_2rows(8)
+    return (king.graph, builtin_strategy("king_mirror_alice", king), Player.ALICE,
+            mask_of(range(0, king.graph.n, 3)))
+
+
+@pytest.mark.parametrize("kind", ["plain", "target"])
+@pytest.mark.parametrize("build", [planar_bob_lift, king_mirror],
+                         ids=lambda f: f.__name__)
+def test_builtin_stateful_playouts(build, kind):
+    # stateful strategies that answer ARBITRARY and vertex indices, on the
+    # graphs the benchmark plays them on; x: a target set for TargetSet.
+    # The king mirror always scores 8, so the positions ``choose`` receives
+    # are compared too.
+    g, strat, side, x = build()
+    variant = make_variant(kind, x)
+    for seed in (0, 1):
+        want, got = Recorder(strat), Recorder(strat)
+        assert (random_playouts(g, variant, got, side, 100, seed)
+                == ref_playouts(g, variant, want, side, 100, seed))
+        assert got.seen == want.seen
 
 
 # -- illegal moves from the fixed strategy -------------------------------------

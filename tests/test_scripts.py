@@ -22,12 +22,15 @@ def _script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_exhaustive_crosscheck_all_variants():
-    # every labelled graph with n <= 4 under all five variants (TargetSet and
-    # both SkipBudgets for every target set) against oracles.naive_value
-    proc = _script("exhaustive_crosscheck.py", "--max-n", "4", "--variants", "all")
+    # every labelled graph with n <= 5 under all five variants against
+    # oracles.naive_value: TargetSet and both SkipBudgets for every target
+    # set up to n = 4, and for two seeded target sets per graph at n = 5
+    proc = _script("exhaustive_crosscheck.py", "--max-n", "5", "--variants", "all")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "76 graphs cross-checked, no disagreements" in proc.stdout
+    assert "1100 graphs cross-checked, no disagreements" in proc.stdout
     assert "n=4: all 64 labelled graphs agree" in proc.stdout
+    assert "n=5: all 1024 labelled graphs agree" in proc.stdout
+    assert "target-set and skip states at 2 seeded x per graph" in proc.stdout
 
 
 def test_exhaustive_crosscheck_seeded_positions():
@@ -72,3 +75,15 @@ def test_bench_pairs_schema(tmp_path):
     for o in ops["movers"] + ops["at_median"]:
         assert o["parent_ms"] > 0 and o["change_ms"] > 0 and o["label"]
     assert "| `ladder` | all 7 ops | median change |" in proc.stdout
+    # per-layer metrics: one traced run per side, named as in BENCHMARK.json
+    assert all(body["traced"][side]["correct"] for side in ("parent", "change"))
+    layers = body["layers"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    per_layer = {m["name"]: m for m in bench["per_layer"]}
+    assert layers and set(layers) <= set(per_layer)
+    for name in ("solver.states_expanded", "graphs.component_of.calls"):
+        s = layers[name]
+        assert s["parent"] > 0 and s["change"] > 0
+        assert s["rel_change"] == (s["change"] - s["parent"]) / s["parent"]
+        assert s["unit"] == per_layer[name]["unit"]
+    assert "| `ladder` | `solver.states_expanded` |" in proc.stdout
