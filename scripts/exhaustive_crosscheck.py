@@ -19,9 +19,15 @@ or Bob after her), solved under Plain and Connected from that position and
 compared with ``naive_value`` there.  It reports how many positions have
 G - blue split, the case the per-component bounds of the search work on.
 
+``--heads N`` runs ``analyze_head`` on every labelled graph with at most N
+vertices and every non-empty target set K, and prints how many heads fall
+into each mode.  It exits non-zero on the first ``InternalError``: a head
+with both compound skip strategies, or with neither and no holding play.
+
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
        [--variants plain|all] [--seed S]
        python scripts/exhaustive_crosscheck.py --sample N [--seed S]
+       python scripts/exhaustive_crosscheck.py --heads N
 """
 
 from __future__ import annotations
@@ -31,12 +37,14 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
-from lcsgame.engine import CONNECTED, PLAIN, GameConfig, SkipBudget, TargetSet
+from lcsgame.engine import (CONNECTED, PLAIN, GameConfig, InternalError,
+                            SkipBudget, TargetSet)
 from lcsgame.generators import random_connected_gnm
 from lcsgame.graphs import Graph, components, components_within, induced, mask_of
-from lcsgame.solver import cg
+from lcsgame.solver import analyze_head, cg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
@@ -51,6 +59,33 @@ TARGET_SEEDED_X = 2
 SAMPLE_N = (8, 10)
 SAMPLE_EXTRA_EDGES = 5
 SAMPLE_POSITIONS = 3
+
+
+def labelled_graphs(n: int):
+    """Every labelled graph on n vertices, as (edge list, graph) pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for em in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if em >> i & 1]
+        yield edges, Graph.from_edges(n, edges)
+
+
+def check_heads(max_n: int) -> int:
+    """The mode of ``analyze_head`` on every labelled head with at most
+    ``max_n`` vertices and every non-empty target set."""
+    t0 = time.time()
+    modes: Counter[str] = Counter()
+    for n in range(1, max_n + 1):
+        for edges, g in labelled_graphs(n):
+            for k in range(1, 1 << n):
+                try:
+                    modes[analyze_head(g, k).mode] += 1
+                except InternalError as exc:
+                    print(f"INTERNAL ERROR n={n} edges={edges} K={k:#x}: {exc}")
+                    return 1
+    print(f"{sum(modes.values())} heads with n <= {max_n}: sa2 {modes['sa2']}, "
+          f"sb2 {modes['sb2']}, hold {modes['hold']} "
+          f"({time.time() - t0:.1f}s elapsed)")
+    return 0
 
 
 def check_sample(count: int, seed: int) -> int:
@@ -96,9 +131,14 @@ def main() -> int:
                     help="check N seeded graphs at random positions instead")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed of --sample, and of the seeded target sets")
+    ap.add_argument("--heads", type=int, metavar="N",
+                    help="count the head modes of every labelled head with "
+                         "at most N vertices instead")
     args = ap.parse_args()
     if args.sample is not None:
         return check_sample(args.sample, args.seed)
+    if args.heads is not None:
+        return check_heads(args.heads)
     if args.variants == "all":
         args.connected = True
 
@@ -106,11 +146,9 @@ def main() -> int:
     t0 = time.time()
     total = 0
     for n in range(args.max_n + 1):
-        states = cstates = tstates = 0
-        pairs = list(itertools.combinations(range(n), 2))
-        for em in range(1 << len(pairs)):
-            edges = [e for i, e in enumerate(pairs) if em >> i & 1]
-            g = Graph.from_edges(n, edges)
+        states = cstates = tstates = count = 0
+        for edges, g in labelled_graphs(n):
+            count += 1
             res = cg(g)
             v = res.value
             states += res.states_expanded
@@ -157,7 +195,7 @@ def main() -> int:
         if args.variants == "all" and n <= TARGET_SEEDED_MAX_N:
             xs = "every x" if n <= TARGET_MAX_N else f"{TARGET_SEEDED_X} seeded x per graph"
             extra += f", {tstates} target-set and skip states at {xs}"
-        print(f"n={n}: all {1 << len(pairs)} labelled graphs agree "
+        print(f"n={n}: all {count} labelled graphs agree "
               f"({states} states{extra}, {time.time() - t0:.1f}s elapsed)")
     print(f"{total} graphs cross-checked, no disagreements")
     return 0

@@ -342,19 +342,14 @@ def _pseudo_spider_mode(g: Graph, tree: DecompositionTree) -> str:
     r_n = (g.full_mask & ~(node.s | node.k)).bit_count()
     if r_n % 2 == 0:
         return "even"
-    h, _, _ = _head(g, node, Budget(DEFAULT_MAX_STATES))
-    if h.exists_sa2:
-        return "sa2"
-    if h.exists_sb2:
-        return "sb2"
-    return "neither"
+    return _head(g, node, Budget(DEFAULT_MAX_STATES))[0].mode
 
 
 def _pseudo_spider_sample(rng: random.Random, total: int = 20):
     """10 small-rest instances plus 10 large-rest ones that, between them,
     hit every branch of the odd-rest rule (the three head modes)."""
     out = [_random_pseudo_spider(rng, big_r=False) for _ in range(total // 2)]
-    needed = {"sa2": 2, "sb2": 2, "neither": 2}
+    needed = {"sa2": 2, "sb2": 2, "hold": 2}
     big: list = []
     attempts = 0
     while len(big) < total - total // 2 and attempts < 3000:

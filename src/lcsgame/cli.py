@@ -154,6 +154,8 @@ def _cmd_generate(args) -> int:
         key, val = kv.split("=", 1)
         params[key] = int(val)
     fg = generate(args.family, **params)
+    if args.emit_tree and not fg.family.startswith("spider"):
+        raise ValueError("--emit-tree only applies to spider families")
     text = format_graph(fg.graph, roles=fg.roles, meta=fg.meta, header=fg.header)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -162,8 +164,6 @@ def _cmd_generate(args) -> int:
     else:
         sys.stdout.write(text)
     if args.emit_tree:
-        if not fg.family.startswith("spider"):
-            raise ValueError("--emit-tree only applies to spider families")
         write_tree(args.emit_tree, spider_tree(fg))
         print(f"wrote {args.emit_tree}")
     if args.dot:

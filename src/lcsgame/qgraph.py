@@ -225,6 +225,22 @@ def _head(g: Graph, node: PseudoSpider,
     return _analyze_head(head_graph, k_local, budget), head_graph, head_map
 
 
+def _pseudo_spider_rule(head: HeadAnalysis, head_size: int,
+                        r_size: int) -> tuple[int, str]:
+    """``(value, play mode)`` of a pseudo-spider with |R| = r_size > 2q.
+
+    The value is c* + ceil(r/2) or c* + floor(r/2).  An even rest splits
+    evenly; an odd one goes to Alice's ceiling under "sa2", to Bob's floor
+    under "sb2", and under "hold" to the ceiling when the head is even.
+    The play mode is "plain" (the head oracle's moves), "sa2" or "hold"."""
+    floor = head.c_star + r_size // 2
+    if r_size % 2 == 0 or head.mode == "sb2":
+        return floor, "plain"
+    if head.mode == "sa2" or head_size % 2 == 0:
+        return floor + 1, head.mode
+    return floor, "hold"
+
+
 def _solve_induced(g: Graph, mask: int, budget: Budget,
                    play: bool) -> tuple[int, int, _NodeStrategy | None]:
     """Exact evaluation of the graph induced by ``mask``.  With ``play`` the
@@ -286,18 +302,9 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
             "pseudo-spider with |R| > 2q must be connected; "
             "split disconnected graphs under a union root")
     head, head_graph, head_map = _head(g, node, budget)
-    if r_size % 2 == 0:
-        value = head.c_star + r_size // 2
-    elif head.exists_sa2:
-        value = head.c_star + (r_size + 1) // 2
-    elif head.exists_sb2:
-        value = head.c_star + r_size // 2
-    elif head_mask.bit_count() % 2 == 0:
-        value = head.c_star + (r_size + 1) // 2
-    else:
-        value = head.c_star + r_size // 2
+    value, mode = _pseudo_spider_rule(head, head_mask.bit_count(), r_size)
     return value, mask, (_PseudoSpiderStrategy(mask, head_mask, head, head_graph,
-                                               head_map, r_size) if play else None)
+                                               head_map, mode) if play else None)
 
 
 def cg_qgraph(g: Graph, tree: DecompositionTree, *,
@@ -461,38 +468,27 @@ class _UnionStrategy(_NodeStrategy):
         return w, (sub, False)
 
 
-_PLAIN_MODE, _SA2_MODE, _NEITHER_MODE = 0, 1, 2
-
-
 class _PseudoSpiderStrategy(_NodeStrategy):
     """The head/rest protocol for a pseudo-spider with |R| > 2q.
 
     Keeps the local one-skip game state over the head: head moves map
     one-to-one, Alice's pass surfaces as a move into R, and Bob's first move
-    into R while a pass would still matter counts as his pass.
+    into R while a pass would still matter counts as his pass.  ``mode``
+    comes from ``_pseudo_spider_rule``.
     State: (vred, vblue, aP, bP, first) over head vertices.
     """
 
     def __init__(self, mask: int, head_mask: int, head: HeadAnalysis,
-                 head_graph: Graph, head_map: tuple[int, ...], r_size: int):
+                 head_graph: Graph, head_map: tuple[int, ...], mode: str):
         self.mask = mask
         self.head_mask = head_mask
         self.r_mask = mask & ~head_mask
         self._back = head_map
         self._fwd = {orig: i for i, orig in enumerate(head_map)}
-        self.head = head
         self.head_graph = head_graph
-        if r_size % 2 == 0 or head.exists_sb2:
-            self.mode = _PLAIN_MODE
-        elif head.exists_sa2:
-            self.mode = _SA2_MODE
-        elif head._hold_game is not None:
-            self.mode = _NEITHER_MODE
-        else:
-            self.mode = _PLAIN_MODE  # still sound for the floor value
+        self.mode = mode
         self.oracle: TargetOracle = head._oracle
-        self.sa2_game: _CompoundSkipGame | None = head._sa2_game
-        self.hold_game: _CompoundSkipGame | None = head._hold_game
+        self.game: _CompoundSkipGame | None = head._game
 
     def initial(self):
         return (0, 0, 0, 0, 0)
@@ -506,7 +502,7 @@ class _PseudoSpiderStrategy(_NodeStrategy):
         if self.head_mask >> v & 1:
             return (vred, vblue | (1 << self._fwd[v]), a_p, b_p, first)
         # a move into R: his pass, the first time a pass still matters
-        if self.mode in (_SA2_MODE, _NEITHER_MODE) and b_p == 0 and a_p == 0 \
+        if self.mode != "plain" and b_p == 0 and a_p == 0 \
                 and (vred | vblue) != self.head_graph.full_mask:
             return (vred, vblue, a_p, 1, 1)
         return state
@@ -523,24 +519,24 @@ class _PseudoSpiderStrategy(_NodeStrategy):
             # keep the head game frozen: mirror into R
             w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
             return w, state
-        if self.mode == _SA2_MODE and a_p == 0 and first == 0:
-            move = self.sa2_game.winning_move(vred, vblue, a_p, b_p, first,
-                                              prefer_pass=True)
+        if self.mode == "sa2" and a_p == 0 and first == 0:
+            move = self.game.winning_move(vred, vblue, a_p, b_p, first,
+                                          prefer_pass=True)
             if move is PASS:
                 w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
                 if w is not None:
                     return w, (vred, vblue, 1, b_p, first)
-                move = self.sa2_game.winning_move(vred, vblue, a_p, b_p,
-                                                  first, prefer_pass=False)
+                move = self.game.winning_move(vred, vblue, a_p, b_p,
+                                              first, prefer_pass=False)
             if move is not PASS:
                 return self._play_head_vertex(move, state, pos)
             return None, state
-        if self.mode == _NEITHER_MODE:
+        if self.mode == "hold":
             # holding play: the straight value must stay intact while any
             # opponent pass remains punishable, so the whole compound
             # condition picks the move, not just the current value
-            move = self.hold_game.winning_move(vred, vblue, a_p, b_p, first,
-                                               prefer_pass=False)
+            move = self.game.winning_move(vred, vblue, a_p, b_p, first,
+                                          prefer_pass=False)
             return self._play_head_vertex(move, state, pos)
         lv = self.oracle.best_vertex(vred, vblue, a_p, b_p)
         return self._play_head_vertex(lv, state, pos)

@@ -126,11 +126,13 @@ so the index-order children it never reached are searched afresh (the
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
-``expand`` function over the memoised ``engine.AndOrSearch``.
+``expand`` function over the memoised ``engine.AndOrSearch``.  The head
+analysis decides ``HeadAnalysis.mode`` once, under one reading of the pass
+rule and with no pass-rule toggle (see ``analyze_head``).
 
 One ``engine.Budget`` covers every search a call starts: ``cg`` on a
 disconnected graph charges each component's core to it, and
-``analyze_head`` its target-set solve and its three compound-skip
+``analyze_head`` its target-set solve and its two or three compound-skip
 searches, so ``max_states`` and ``time_limit`` bound the call as a whole.
 """
 
@@ -645,9 +647,8 @@ class OptimalStrategy(Strategy):
     move, Pass last, whose successor keeps that value.
     """
 
-    def __init__(self, core: _Core, side: Player, name: str = "optimal"):
+    def __init__(self, core: _Core, name: str = "optimal"):
         self._core = core
-        self.side = side
         self.name = name
 
     def choose(self, g, variant, pos, state, last_opp):
@@ -699,13 +700,13 @@ class SolveResult:
         if self._component_map is not None:
             raise ValueError("strategy extraction needs a whole-graph solve; "
                              "re-solve the component of interest directly")
-        return OptimalStrategy(self._core, Player.ALICE, name)
+        return OptimalStrategy(self._core, name)
 
     def bob_strategy(self, name: str = "optimal-bob") -> Strategy:
         if self._component_map is not None:
             raise ValueError("strategy extraction needs a whole-graph solve; "
                              "re-solve the component of interest directly")
-        return OptimalStrategy(self._core, Player.BOB, name)
+        return OptimalStrategy(self._core, name)
 
 
 def cg(g: Graph, variant: GameVariant = Plain(), *,
@@ -808,23 +809,30 @@ def can_force_cds_within(g: Graph, r: int, *,
 class HeadAnalysis:
     """Outcome of analysing a pseudo-spider head G1 with target set K.
 
-    ``c_star`` is the plain target-set value; the two flags report whether
-    Alice (resp. Bob) owns a compound skip strategy: a way to spend their one
-    pass without losing value, while punishing an earlier opponent pass by a
-    full extra point.  When neither exists, ``_hold_game`` carries Alice's
-    holding strategy (never pass, keep the straight value, and still punish
-    an opponent pass by a point), which realises the parity rule.
+    ``c_star`` is the plain target-set value.  ``mode`` names the strategy
+    that settles the head against an odd rest:
+
+    - ``"sa2"``: Alice owns a compound skip strategy, a way to spend her one
+      pass without losing value while punishing an earlier Bob pass by a
+      full extra point;
+    - ``"sb2"``: Bob owns the mirror strategy;
+    - ``"hold"``: neither exists, and Alice's holding strategy (never pass,
+      keep the straight value, and still punish a Bob pass by a point)
+      wins, so the head's parity settles the value.
+
+    ``analyze_head`` raises ``InternalError`` when both compound skip
+    strategies exist, and when neither exists and the holding strategy
+    fails: the pseudo-spider rule reads no value from such a head.
     """
 
     c_star: int
-    exists_sa2: bool
-    exists_sb2: bool
+    mode: str
     # by the target-set solve of c_star and the compound-skip searches
     states_expanded: int = 0
 
-    # solver handles kept for strategy extraction
-    _sa2_game: "_CompoundSkipGame | None" = None
-    _hold_game: "_CompoundSkipGame | None" = None
+    # solver handles kept for strategy extraction: ``_game`` is the Sa2
+    # game under "sa2", the holding game under "hold" and None under "sb2"
+    _game: "_CompoundSkipGame | None" = None
     _oracle: "TargetOracle | None" = None
 
 
@@ -874,13 +882,11 @@ class _CompoundSkipGame:
     """
 
     def __init__(self, g: Graph, x: int, c_star: int, protagonist: Player,
-                 strict: bool = True, protagonist_passes: bool = True,
-                 budget: Budget | None = None):
+                 protagonist_passes: bool = True, budget: Budget | None = None):
         self.g = g
         self.x = x
         self.c_star = c_star
         self.protagonist = protagonist
-        self.strict = strict
         # holding variant: the protagonist never passes, only defends the
         # straight value while punishing the opponent's pass by a point
         self.protagonist_passes = protagonist_passes
@@ -891,17 +897,11 @@ class _CompoundSkipGame:
         sc = score(self.g, TargetSet(self.x), red)
         own_passes = 1 if self.protagonist_passes else 0
         if self.protagonist is Player.ALICE:
-            if first:  # Bob passed before any Alice pass
-                ok = sc >= self.c_star + 1
-                if self.strict:
-                    ok = ok and a_p == 0
-                return ok
+            if first:  # Bob passed before any Alice pass, and she never does
+                return a_p == 0 and sc >= self.c_star + 1
             return a_p == own_passes and sc >= self.c_star
-        if first:  # Alice passed before any Bob pass
-            ok = sc <= self.c_star - 1
-            if self.strict:
-                ok = ok and b_p == 0
-            return ok
+        if first:  # Alice passed before any Bob pass, and he never does
+            return b_p == 0 and sc <= self.c_star - 1
         return b_p == own_passes and sc <= self.c_star
 
     def _expand(self, pos: tuple[int, int, int, int, int]):
@@ -937,24 +937,21 @@ class _CompoundSkipGame:
         return move
 
 
-def analyze_head(g1: Graph, k: int, *, strict_pass_rule: bool = True,
-                 max_states: int = DEFAULT_MAX_STATES,
+def analyze_head(g1: Graph, k: int, *, max_states: int = DEFAULT_MAX_STATES,
                  time_limit: float | None = None) -> HeadAnalysis:
-    """Analyse a constant-size head: the target-set value plus the existence
-    of the two compound one-skip strategies used by the pseudo-spider rule.
+    """Analyse a constant-size head: the target-set value plus the mode of
+    the pseudo-spider rule (see ``HeadAnalysis``).
 
-    ``strict_pass_rule`` pins the reading where the player who benefits from
-    the opponent's earlier pass must not pass afterwards; the relaxed
-    reading only demands the improved score.  ``max_states`` and
+    The pass rule has one reading: the player who benefits from the
+    opponent's earlier pass must not pass afterwards.  ``max_states`` and
     ``time_limit`` bound the target-set solve and the compound-skip searches
     together.  The returned oracle, which solves later during play, gets a
     budget of its own of ``max_states``.
     """
-    return _analyze_head(g1, k, Budget(max_states, time_limit), strict_pass_rule)
+    return _analyze_head(g1, k, Budget(max_states, time_limit))
 
 
-def _analyze_head(g1: Graph, k: int, budget: Budget,
-                  strict_pass_rule: bool = True) -> HeadAnalysis:
+def _analyze_head(g1: Graph, k: int, budget: Budget) -> HeadAnalysis:
     """``analyze_head`` charging the caller's ``budget``; ``states_expanded``
     is what the analysis added to it."""
     if k & ~g1.full_mask:
@@ -963,8 +960,7 @@ def _analyze_head(g1: Graph, k: int, budget: Budget,
     c_star = _cg(g1, TargetSet(k), budget).value
 
     def solved(protagonist: Player, passes: bool = True):
-        game = _CompoundSkipGame(g1, k, c_star, protagonist, strict_pass_rule,
-                                 passes, budget)
+        game = _CompoundSkipGame(g1, k, c_star, protagonist, passes, budget)
         return game, game.search.wins((0, 0, 0, 0, 0))
 
     sa2_game, exists_sa2 = solved(Player.ALICE)
@@ -972,13 +968,16 @@ def _analyze_head(g1: Graph, k: int, budget: Budget,
     if exists_sa2 and exists_sb2:
         raise InternalError(
             "compound skip strategies for both players cannot coexist")
-    hold_game = None
-    if not exists_sa2 and not exists_sb2:
-        hold_game, holds = solved(Player.ALICE, passes=False)
+    if exists_sa2:
+        mode, game = "sa2", sa2_game
+    elif exists_sb2:
+        mode, game = "sb2", None
+    else:
+        game, holds = solved(Player.ALICE, passes=False)
         if not holds:
-            hold_game = None
+            raise InternalError(
+                "no compound skip strategy exists and the holding strategy fails")
+        mode = "hold"
     oracle = TargetOracle(g1, k, max_states=budget.max_states)
-    return HeadAnalysis(c_star, exists_sa2, exists_sb2, budget.spent - start,
-                        _sa2_game=sa2_game if exists_sa2 else None,
-                        _hold_game=hold_game,
-                        _oracle=oracle)
+    return HeadAnalysis(c_star, mode, budget.spent - start,
+                        _game=game, _oracle=oracle)

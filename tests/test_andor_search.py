@@ -330,10 +330,10 @@ class RefCompound:
     """Bare recursion over (red, blue, aP, bP, first) with the pass-order
     win conditions of the pseudo-spider head analysis."""
 
-    def __init__(self, g, k, c_star, pro_alice, strict, pro_passes):
+    def __init__(self, g, k, c_star, pro_alice, pro_passes):
         self.g, self.target = g, {v for v in range(g.n) if k >> v & 1}
         self.c_star, self.pro_alice = c_star, pro_alice
-        self.strict, self.pro_passes = strict, pro_passes
+        self.pro_passes = pro_passes
         self.all = frozenset(range(g.n))
 
     def end_win(self, red, a_p, b_p, first) -> bool:
@@ -345,7 +345,7 @@ class RefCompound:
         else:
             better, held = sc <= self.c_star - 1, sc <= self.c_star
         if first:  # the opponent passed before the protagonist did
-            return better and (not self.strict or mine == 0)
+            return better and mine == 0
         return mine == own and held
 
     def moves(self, pos):
@@ -416,23 +416,22 @@ def game_move_name(move):
     return "pass" if move is PASS else move
 
 
-@pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("g,k", head_instances(),
                          ids=lambda x: f"n{x.n}" if isinstance(x, Graph) else f"k{x}")
-def test_compound_skip_game_matches_reference(g, k, strict):
+def test_compound_skip_game_matches_reference(g, k):
     c_star = naive_cg_target(g, {v for v in range(g.n) if k >> v & 1})
-    ref = {(pa, pp): RefCompound(g, k, c_star, pa, strict, pp)
+    ref = {(pa, pp): RefCompound(g, k, c_star, pa, pp)
            for pa in (True, False) for pp in (True, False)}
-    head = analyze_head(g, k, strict_pass_rule=strict)
+    head = analyze_head(g, k)
     assert head.c_star == c_star
     sa2, sb2 = ref[True, True].wins(ROOT), ref[False, True].wins(ROOT)
-    hold = not sa2 and not sb2 and ref[True, False].wins(ROOT)
-    assert (head.exists_sa2, head.exists_sb2) == (sa2, sb2)
-    assert (head._sa2_game is not None) == sa2
-    assert (head._hold_game is not None) == hold
+    assert not (sa2 and sb2)
+    assert sa2 or sb2 or ref[True, False].wins(ROOT)
+    assert head.mode == ("sa2" if sa2 else "sb2" if sb2 else "hold")
+    assert (head._game is None) == sb2
     for (pa, pp), rg in ref.items():
         game = _CompoundSkipGame(g, k, c_star, Player.ALICE if pa else Player.BOB,
-                                 strict, protagonist_passes=pp)
+                                 protagonist_passes=pp)
         for pos in rg.positions(ROOT):
             red, blue, a_p, b_p, first = pos
             packed = (to_mask(red), to_mask(blue), a_p, b_p, first)

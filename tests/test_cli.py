@@ -49,6 +49,14 @@ class TestGenerate:
                          "--out", str(g), "--emit-tree", str(t))
         assert code == 0 and t.read_text().startswith("q ")
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_emit_tree_rejected_before_any_output(self, capsys, tmp_path, to_file):
+        g, t = tmp_path / "p.g", tmp_path / "p.t"
+        argv = ["generate", "path", "n=5", "--emit-tree", str(t)]
+        code, text, err = run(capsys, *argv, *(["--out", str(g)] if to_file else []))
+        assert code == 2 and "--emit-tree only applies to spider families" in err
+        assert text == "" and not g.exists() and not t.exists()
+
 
 class TestSolve:
     def test_c5_report(self, capsys, tmp_path):

@@ -202,46 +202,14 @@ class TestPseudoSpiderHoldingPlay:
         strat = alice_strategy_qgraph(g, tree)
         assert verify_strategy_exhaustive(g, PLAIN, strat, Player.ALICE) == want
 
-    def test_all_small_neither_heads(self):
-        # every neither-mode head on <= 3 vertices, odd rest, exhaustive Bob
-        import itertools
-        from lcsgame.graphs import is_connected
-        from lcsgame.solver import analyze_head
-        for hn in (1, 2, 3):
-            pairs = list(itertools.combinations(range(hn), 2))
-            for em in range(1 << len(pairs)):
-                edges_h = [e for i, e in enumerate(pairs) if em >> i & 1]
-                hg = Graph.from_edges(hn, edges_h)
-                for km in range(1, 1 << hn):
-                    h = analyze_head(hg, km)
-                    if h.exists_sa2 or h.exists_sb2:
-                        continue
-                    r_n = 2 * hn + 1
-                    edges = list(edges_h)
-                    for kv in bits(km):
-                        for j in range(r_n):
-                            edges.append((kv, hn + j))
-                    g = Graph.from_edges(hn + r_n, edges)
-                    if not is_connected(g):
-                        continue
-                    s_mask = ((1 << hn) - 1) & ~km
-                    tree = DecompositionTree(hn, PseudoSpider(
-                        s_mask, km, union_chain(list(range(hn, hn + r_n)))))
-                    if not validate_tree(g, tree):
-                        continue
-                    want = cg(g).value
-                    assert cg_qgraph(g, tree) == want
-                    strat = alice_strategy_qgraph(g, tree)
-                    assert verify_strategy_exhaustive(
-                        g, PLAIN, strat, Player.ALICE) == want
-
 
 class TestAllSmallHeadModes:
-    @pytest.mark.parametrize("mode", ["sa2", "sb2"])
-    def test_every_small_head_of_mode_verifies(self, mode):
-        # for every head on <= 3 vertices in the given mode, the composed
-        # strategy must hit the formula value exactly, exhaustively
-        import itertools
+    @pytest.mark.parametrize("mode,extra", itertools.product(("sa2", "sb2", "hold"), (1, 2)),
+                             ids=lambda x: f"2q+{x}" if isinstance(x, int) else x)
+    def test_every_small_head_of_mode_verifies(self, mode, extra):
+        # every head on <= 3 vertices of the given mode, with the rest
+        # |R| = 2q + extra: the tree value is c_g, and the composed strategy
+        # guarantees exactly that value against every Bob
         from lcsgame.graphs import is_connected
         from lcsgame.solver import analyze_head
         checked = 0
@@ -251,12 +219,9 @@ class TestAllSmallHeadModes:
                 edges_h = [e for i, e in enumerate(pairs) if em >> i & 1]
                 hg = Graph.from_edges(hn, edges_h)
                 for km in range(1, 1 << hn):
-                    h = analyze_head(hg, km)
-                    key = ("sa2" if h.exists_sa2
-                           else "sb2" if h.exists_sb2 else "neither")
-                    if key != mode:
+                    if analyze_head(hg, km).mode != mode:
                         continue
-                    r_n = 2 * hn + 1
+                    r_n = 2 * hn + extra
                     edges = list(edges_h)
                     for kv in bits(km):
                         for j in range(r_n):

@@ -42,6 +42,14 @@ def test_exhaustive_crosscheck_seeded_positions():
     assert "(14 with G - blue split," in proc.stdout
 
 
+def test_exhaustive_crosscheck_head_modes():
+    # analyze_head on every labelled head with n <= 4 and every non-empty K:
+    # each has exactly one mode, and none raises InternalError
+    proc = _script("exhaustive_crosscheck.py", "--heads", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1023 heads with n <= 4: sa2 628, sb2 320, hold 75" in proc.stdout
+
+
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs a git checkout")
 def test_bench_pairs_schema(tmp_path):
     out = tmp_path / "bench.json"

@@ -17,6 +17,7 @@ from lcsgame.engine import (
     Budget,
     BudgetExceededError,
     GameConfig,
+    InternalError,
     Player,
     SkipBudget,
     TargetSet,
@@ -46,6 +47,7 @@ from lcsgame.solver import (
     _SYMMETRY_MAPS,
     TargetOracle,
     _automorphism_masks,
+    _CompoundSkipGame,
     _Core,
     analyze_head,
     can_force_cds_within,
@@ -397,9 +399,11 @@ class TestHeadAnalysis:
     def test_single_vertex(self):
         h = analyze_head(Graph.from_edges(1, []), 0b1)
         assert h.c_star == 1
-        assert not h.exists_sa2
+        assert h.mode == "hold"
 
-    def test_never_both_flags(self):
+    def test_every_small_head_has_a_valid_mode(self):
+        # analyze_head raises InternalError when both compound skip
+        # strategies exist, or neither does and the holding game fails
         for hn in (1, 2, 3):
             pairs = list(itertools.combinations(range(hn), 2))
             for em in range(1 << len(pairs)):
@@ -407,13 +411,16 @@ class TestHeadAnalysis:
                 g = Graph.from_edges(hn, edges)
                 for km in range(1, 1 << hn):
                     h = analyze_head(g, km)
-                    assert not (h.exists_sa2 and h.exists_sb2)
+                    assert h.mode in ("sa2", "sb2", "hold")
+                    assert (h._game is None) == (h.mode == "sb2")
 
-    def test_strict_toggle_exists(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        a = analyze_head(g, 0b11, strict_pass_rule=True)
-        b = analyze_head(g, 0b11, strict_pass_rule=False)
-        assert a.c_star == b.c_star
+    def test_head_without_a_mode_raises(self, monkeypatch):
+        # every compound-skip game lost: no compound skip strategy and no
+        # holding play, so no mode applies and the analysis must not guess
+        monkeypatch.setattr(_CompoundSkipGame, "_terminal_win",
+                            lambda self, *pos: False)
+        with pytest.raises(InternalError, match="holding strategy fails"):
+            analyze_head(Graph.from_edges(1, []), 0b1)
 
     def test_compound_skip_searches_keep_the_state_budget(self):
         # the compound-skip searches draw on max_states after the target-set
@@ -795,17 +802,3 @@ class TestConnectedVariantEndings:
 
             assert cg(g, CONNECTED).value == fill_value(frozenset(), frozenset(), False)
             fill_value.cache_clear()
-
-
-class TestHeadAnalysisToggle:
-    def test_invariant_holds_under_both_pass_rules(self):
-        for hn in (1, 2, 3):
-            pairs = list(itertools.combinations(range(hn), 2))
-            for em in range(1 << len(pairs)):
-                edges = [e for i, e in enumerate(pairs) if em >> i & 1]
-                g = Graph.from_edges(hn, edges)
-                for km in range(1, 1 << hn):
-                    strict = analyze_head(g, km, strict_pass_rule=True)
-                    loose = analyze_head(g, km, strict_pass_rule=False)
-                    assert strict.c_star == loose.c_star
-                    assert not (loose.exists_sa2 and loose.exists_sb2)
