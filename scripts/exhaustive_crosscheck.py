@@ -21,8 +21,10 @@ G - blue split, the case the per-component bounds of the search work on.
 
 ``--heads N`` runs ``analyze_head`` on every labelled graph with at most N
 vertices and every non-empty target set K, and prints how many heads fall
-into each mode.  It exits non-zero on the first ``InternalError``: a head
-with both compound skip strategies, or with neither and no holding play.
+into each mode.  It exits non-zero on the first ``InternalError`` (a head
+with neither compound skip strategy and no holding play), and on the first
+"sa2" head where Bob's compound skip game, which ``analyze_head`` does not
+search once Sa2 exists, wins too.
 
 Usage: python scripts/exhaustive_crosscheck.py [--max-n 5] [--connected]
        [--variants plain|all] [--seed S]
@@ -41,10 +43,10 @@ from collections import Counter
 from pathlib import Path
 
 from lcsgame.engine import (CONNECTED, PLAIN, GameConfig, InternalError,
-                            SkipBudget, TargetSet)
+                            Player, SkipBudget, TargetSet)
 from lcsgame.generators import random_connected_gnm
 from lcsgame.graphs import Graph, components, components_within, induced, mask_of
-from lcsgame.solver import analyze_head, cg
+from lcsgame.solver import _CompoundSkipGame, analyze_head, cg
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
@@ -71,17 +73,23 @@ def labelled_graphs(n: int):
 
 def check_heads(max_n: int) -> int:
     """The mode of ``analyze_head`` on every labelled head with at most
-    ``max_n`` vertices and every non-empty target set."""
+    ``max_n`` vertices and every non-empty target set, and on every "sa2"
+    head the check that Bob's compound skip game loses."""
     t0 = time.time()
     modes: Counter[str] = Counter()
     for n in range(1, max_n + 1):
         for edges, g in labelled_graphs(n):
             for k in range(1, 1 << n):
                 try:
-                    modes[analyze_head(g, k).mode] += 1
+                    head = analyze_head(g, k)
                 except InternalError as exc:
                     print(f"INTERNAL ERROR n={n} edges={edges} K={k:#x}: {exc}")
                     return 1
+                if head.mode == "sa2" and _CompoundSkipGame(
+                        g, k, head.c_star, Player.BOB).search.wins((0, 0, 0, 0, 0)):
+                    print(f"BOTH COMPOUND SKIP STRATEGIES n={n} edges={edges} K={k:#x}")
+                    return 1
+                modes[head.mode] += 1
     print(f"{sum(modes.values())} heads with n <= {max_n}: sa2 {modes['sa2']}, "
           f"sb2 {modes['sb2']}, hold {modes['hold']} "
           f"({time.time() - t0:.1f}s elapsed)")

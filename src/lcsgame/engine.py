@@ -467,6 +467,8 @@ def parse_trace(text: str) -> tuple[list[tuple[Player, Move]], int]:
             continue
         parts = line.split()
         if parts[0] == "score":
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: a score line holds one integer")
             final_score = int(parts[1])
             continue
         if parts[0] not in ("A", "B") or len(parts) != 2:

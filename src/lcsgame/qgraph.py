@@ -34,7 +34,6 @@ from .graphs import (Graph, bits, induced, is_clique, is_connected_within,
 from .solver import (
     DEFAULT_MAX_STATES,
     HeadAnalysis,
-    TargetOracle,
     _CompoundSkipGame,
     _Core,
     _analyze_head,
@@ -232,7 +231,8 @@ def _pseudo_spider_rule(head: HeadAnalysis, head_size: int,
     The value is c* + ceil(r/2) or c* + floor(r/2).  An even rest splits
     evenly; an odd one goes to Alice's ceiling under "sa2", to Bob's floor
     under "sb2", and under "hold" to the ceiling when the head is even.
-    The play mode is "plain" (the head oracle's moves), "sa2" or "hold"."""
+    The play mode is "plain" (optimal target-set moves on the head), "sa2"
+    or "hold"."""
     floor = head.c_star + r_size // 2
     if r_size % 2 == 0 or head.mode == "sb2":
         return floor, "plain"
@@ -262,11 +262,12 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
     head analysis it starts charges ``budget``.
 
     Only unions recurse, since only the union rule reads its children's
-    values: a union takes the better child's value and strategy, and drops
-    the other child's cores as soon as that child is evaluated.  A join, a
-    spider and a pseudo-spider are settled from vertex sets (a pseudo-spider
-    with |R| > 2q also from its head), so no node below them is solved or
-    counted in ``stats.nodes_evaluated``."""
+    values: a union takes the better child's value and returns its strategy
+    unchanged, so the strategy of a union chain is that of one non-union
+    node; the other child's cores are dropped as soon as that child is
+    evaluated.  A join, a spider and a pseudo-spider are settled from vertex
+    sets (a pseudo-spider with |R| > 2q also from its head), so no node
+    below them is solved or counted in ``stats.nodes_evaluated``."""
     stats.nodes_evaluated += 1
     if isinstance(node, Leaf):
         return _solve_induced(g, node.vertices, budget, play)
@@ -274,8 +275,7 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
         lv, lm, ls = _evaluate(g, node.left, q, stats, budget, play)
         rv, rm, rs = _evaluate(g, node.right, q, stats, budget, play)
         value, best = (lv, ls) if lv >= rv else (rv, rs)
-        mask = lm | rm
-        return value, mask, _UnionStrategy(mask, best) if play else None
+        return value, lm | rm, best
     if isinstance(node, JoinNode):
         small, large = vertex_set(node.left), vertex_set(node.right)
         mask = small | large
@@ -444,30 +444,6 @@ class _ExactStrategy(_WantStrategy):
         return None if move is None else self._back[move]
 
 
-class _UnionStrategy(_NodeStrategy):
-    """Follow the better child inside its component; arbitrary elsewhere."""
-
-    def __init__(self, mask: int, child: _NodeStrategy):
-        self.mask = mask
-        self.child = child
-
-    def initial(self):
-        return (self.child.initial(), True)
-
-    def saw_opponent(self, state, v):
-        sub, pending = state
-        if self.child.mask >> v & 1:
-            return (self.child.saw_opponent(sub, v), True)
-        return (sub, pending)
-
-    def next_move(self, state, pos):
-        sub, pending = state
-        if not pending:
-            return None, state
-        w, sub = self.child.next_move(sub, pos)
-        return w, (sub, False)
-
-
 class _PseudoSpiderStrategy(_NodeStrategy):
     """The head/rest protocol for a pseudo-spider with |R| > 2q.
 
@@ -487,8 +463,11 @@ class _PseudoSpiderStrategy(_NodeStrategy):
         self._fwd = {orig: i for i, orig in enumerate(head_map)}
         self.head_graph = head_graph
         self.mode = mode
-        self.oracle: TargetOracle = head._oracle
         self.game: _CompoundSkipGame | None = head._game
+        # the c* solve's core; play gets a budget of its own, as in
+        # ``_ExactStrategy``
+        head._core.budget = Budget(head._core.budget.max_states)
+        self.core = head._core
 
     def initial(self):
         return (0, 0, 0, 0, 0)
@@ -519,45 +498,52 @@ class _PseudoSpiderStrategy(_NodeStrategy):
             # keep the head game frozen: mirror into R
             w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
             return w, state
-        if self.mode == "sa2" and a_p == 0 and first == 0:
-            move = self.game.winning_move(vred, vblue, a_p, b_p, first,
-                                          prefer_pass=True)
-            if move is PASS:
-                w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
-                if w is not None:
-                    return w, (vred, vblue, 1, b_p, first)
-                move = self.game.winning_move(vred, vblue, a_p, b_p,
-                                              first, prefer_pass=False)
-            if move is not PASS:
-                return self._play_head_vertex(move, state, pos)
-            return None, state
-        if self.mode == "hold":
-            # holding play: the straight value must stay intact while any
-            # opponent pass remains punishable, so the whole compound
-            # condition picks the move, not just the current value
+        if self.mode == "plain":
+            # nothing sets a pass in this mode, so the game is TargetSet(K)
+            lv = self.core.best_move(vred, vblue, 0, 0, self.core.exact(vred, vblue))
+            return self._play_head_vertex(lv, state, pos)
+        # the compound condition picks the move, not just the current value:
+        # Alice stands on a winning position of the Sa2 or holding game, and
+        # once her pass is spent or Bob passed first a pass never wins there
+        move = self.game.winning_move(
+            vred, vblue, a_p, b_p, first,
+            prefer_pass=self.mode == "sa2" and a_p == 0 and first == 0)
+        if move is PASS:
+            w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
+            if w is not None:
+                return w, (vred, vblue, 1, b_p, first)
             move = self.game.winning_move(vred, vblue, a_p, b_p, first,
                                           prefer_pass=False)
-            return self._play_head_vertex(move, state, pos)
-        lv = self.oracle.best_vertex(vred, vblue, a_p, b_p)
-        return self._play_head_vertex(lv, state, pos)
+        if move is PASS:
+            return None, state
+        return self._play_head_vertex(move, state, pos)
 
 
 class ComposedAliceStrategy(Strategy):
-    """Adapter exposing a node-strategy tree as an engine strategy."""
+    """Adapter exposing a node strategy as an engine strategy.
+
+    A union keeps only its better child, so ``root`` is the strategy of the
+    one non-union node a union chain ends in.  Alice opens in that node and
+    answers only the Bob moves inside its mask; she plays arbitrarily
+    elsewhere.  State: (node state, pending answer).  With no union at the
+    root, the node covers the graph and every Bob move is answered."""
 
     def __init__(self, root: _NodeStrategy, name: str):
         self._root = root
         self.name = name
 
     def initial_state(self):
-        return self._root.initial()
+        return (self._root.initial(), True)
 
     def choose(self, g, variant, pos, state, last_opp):
+        sub, pending = state
         if last_opp is not None and last_opp is not PASS \
                 and self._root.mask >> last_opp & 1:
-            state = self._root.saw_opponent(state, last_opp)
-        w, state = self._root.next_move(state, pos)
-        return (ARBITRARY if w is None else w), state
+            sub, pending = self._root.saw_opponent(sub, last_opp), True
+        if not pending:
+            return ARBITRARY, state
+        w, sub = self._root.next_move(sub, pos)
+        return (ARBITRARY if w is None else w), (sub, False)
 
 
 def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
@@ -565,10 +551,10 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     """Alice strategy achieving cg_qgraph(g, tree) against any Bob.
 
     The evaluation behind it keeps one ``max_states`` budget, as in
-    ``cg_qgraph``; each exact node the strategy plays, and each head
-    oracle, gets a budget of its own of ``max_states`` during play.  An
-    exact node whose graph is connected is played from the core that
-    evaluated it, so it is not solved twice.
+    ``cg_qgraph``; the exact node or pseudo-spider head the strategy plays
+    from a solver core gets a budget of its own of ``max_states`` during
+    play.  An exact node whose graph is connected, and a pseudo-spider head,
+    is played from the core that evaluated it, so it is not solved twice.
     """
     res = validate_tree(g, tree)
     if not res:
@@ -651,7 +637,7 @@ def parse_tree(text: str) -> DecompositionTree:
     def parse_node() -> Node:
         nonlocal pos
         expect("(")
-        kind = toks[pos]
+        kind = peek()
         pos += 1
         if kind == "leaf":
             return Leaf(mask_of(parse_ints_until_close()))
@@ -661,7 +647,7 @@ def parse_tree(text: str) -> DecompositionTree:
             expect(")")
             return (UnionNode if kind == "union" else JoinNode)(left, right)
         if kind == "spider":
-            flavor = toks[pos]
+            flavor = peek()
             pos += 1
             s = parse_group("s")
             k = parse_group("k")

@@ -108,21 +108,22 @@ index-order PV re-searches (one draw from 259 to 1 803 states, the median
 solve plus PV from 629 to 738).  The order decides which children are
 searched before a cutoff, never a value.
 
-Optimal moves (principal variations, extracted strategies, oracle moves)
-come from one routine, ``_Core.best_move``: given the exact value t of a
-position, it returns the first legal move, by vertex index with Pass last,
-whose successor keeps t, deciding each successor with a null-window search
-(is it >= t after an Alice move, <= t after a Bob move) instead of solving
-it exactly.  It skips twin and symmetric moves as ``search`` does: the
-lower twin or image of a value-keeping move keeps the value too and comes
-first, so the move chosen is the same.  It keeps the moves into dead
-components, which may keep the value and come first.  It keeps index order
-and not the search's degree order: the first value-keeping move by index
-fixes the principal variations, the extracted strategies and the seeded
-benchmark digests, and another order would pick other optimal moves.  The
-price is search: the table holds what the solve visited in degree order,
-so the index-order children it never reached are searched afresh (the
-``cartesian_grid(3, 4)`` line takes 1 572 states after a 1 402-state solve).
+Optimal moves (principal variations, extracted strategies, a pseudo-spider
+head's plain moves) come from one routine, ``_Core.best_move``: given the
+exact value t of a position, it returns the first legal move, by vertex
+index with Pass last, whose successor keeps t, deciding each successor with
+a null-window search (is it >= t after an Alice move, <= t after a Bob
+move) instead of solving it exactly.  It skips twin and symmetric moves as
+``search`` does: the lower twin or image of a value-keeping move keeps the
+value too and comes first, so the move chosen is the same.  It keeps the
+moves into dead components, which may keep the value and come first.  It
+keeps index order and not the search's degree order: the first
+value-keeping move by index fixes the principal variations, the extracted
+strategies and the seeded benchmark digests, and another order would pick
+other optimal moves.  The price is search: the table holds what the solve
+visited in degree order, so the index-order children it never reached are
+searched afresh (the ``cartesian_grid(3, 4)`` line takes 1 572 states after
+a 1 402-state solve).
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
@@ -132,7 +133,7 @@ rule and with no pass-rule toggle (see ``analyze_head``).
 
 One ``engine.Budget`` covers every search a call starts: ``cg`` on a
 disconnected graph charges each component's core to it, and
-``analyze_head`` its target-set solve and its two or three compound-skip
+``analyze_head`` its target-set solve and its one to three compound-skip
 searches, so ``max_states`` and ``time_limit`` bound the call as a whole.
 """
 
@@ -820,9 +821,17 @@ class HeadAnalysis:
       keep the straight value, and still punish a Bob pass by a point)
       wins, so the head's parity settles the value.
 
-    ``analyze_head`` raises ``InternalError`` when both compound skip
-    strategies exist, and when neither exists and the holding strategy
-    fails: the pseudo-spider rule reads no value from such a head.
+    Sa2 and Sb2 never both exist, so ``analyze_head`` searches Sb2 only when
+    Sa2 does not exist.  The two games have the same moves, so let Alice
+    follow Sa2 and Bob follow Sb2 in one play.  If nobody passes, Sa2's end
+    condition (Alice has passed) fails.  If Alice passes first, Sa2 needs a
+    score of at least c_star and Sb2 at most c_star - 1; if Bob passes
+    first, Sa2 needs at least c_star + 1 and Sb2 at most c_star.  Each end
+    contradicts one of the two, so they cannot both win.
+
+    ``analyze_head`` raises ``InternalError`` when neither compound skip
+    strategy exists and the holding strategy fails: the pseudo-spider rule
+    reads no value from such a head.
     """
 
     c_star: int
@@ -831,40 +840,10 @@ class HeadAnalysis:
     states_expanded: int = 0
 
     # solver handles kept for strategy extraction: ``_game`` is the Sa2
-    # game under "sa2", the holding game under "hold" and None under "sb2"
+    # game under "sa2", the holding game under "hold" and None under "sb2";
+    # ``_core`` is the core of the c_star solve
     _game: "_CompoundSkipGame | None" = None
-    _oracle: "TargetOracle | None" = None
-
-
-class TargetOracle:
-    """Exact values and optimal moves of the target-set game from arbitrary
-    positions, including positions reached after skipped turns (the skip
-    counts act as parity offsets).  The cores of all offset pairs share one
-    ``Budget(max_states)``."""
-
-    def __init__(self, g: Graph, x: int, max_states: int = DEFAULT_MAX_STATES):
-        self.g = g
-        self.x = x
-        self._cores: dict[tuple[int, int], _Core] = {}
-        self.budget = Budget(max_states)
-
-    def _core(self, a_off: int, b_off: int) -> _Core:
-        core = self._cores.get((a_off, b_off))
-        if core is None:
-            variant = SkipBudget(min(a_off, 1), min(b_off, 1), self.x)
-            core = _Core(self.g, variant, budget=self.budget)
-            self._cores[(a_off, b_off)] = core
-        return core
-
-    def value(self, red: int, blue: int, a_off: int = 0, b_off: int = 0) -> int:
-        # offsets equal to the budgets: no pass remains available, so the
-        # game is pure alternation with the requested parity
-        return self._core(a_off, b_off).exact(red, blue, a_off, b_off)
-
-    def best_vertex(self, red: int, blue: int, a_off: int = 0, b_off: int = 0) -> int:
-        # the offsets use up the core's pass budgets, so the move is a vertex
-        core = self._core(a_off, b_off)
-        return core.best_move(red, blue, a_off, b_off, core.exact(red, blue, a_off, b_off))
+    _core: "_Core | None" = None
 
 
 class _CompoundSkipGame:
@@ -945,8 +924,7 @@ def analyze_head(g1: Graph, k: int, *, max_states: int = DEFAULT_MAX_STATES,
     The pass rule has one reading: the player who benefits from the
     opponent's earlier pass must not pass afterwards.  ``max_states`` and
     ``time_limit`` bound the target-set solve and the compound-skip searches
-    together.  The returned oracle, which solves later during play, gets a
-    budget of its own of ``max_states``.
+    together.
     """
     return _analyze_head(g1, k, Budget(max_states, time_limit))
 
@@ -957,20 +935,17 @@ def _analyze_head(g1: Graph, k: int, budget: Budget) -> HeadAnalysis:
     if k & ~g1.full_mask:
         raise ValueError("target set outside head graph")
     start = budget.spent
-    c_star = _cg(g1, TargetSet(k), budget).value
+    solve = _cg(g1, TargetSet(k), budget)
+    c_star = solve.value
 
     def solved(protagonist: Player, passes: bool = True):
         game = _CompoundSkipGame(g1, k, c_star, protagonist, passes, budget)
         return game, game.search.wins((0, 0, 0, 0, 0))
 
-    sa2_game, exists_sa2 = solved(Player.ALICE)
-    _, exists_sb2 = solved(Player.BOB)
-    if exists_sa2 and exists_sb2:
-        raise InternalError(
-            "compound skip strategies for both players cannot coexist")
-    if exists_sa2:
-        mode, game = "sa2", sa2_game
-    elif exists_sb2:
+    game, exists = solved(Player.ALICE)
+    if exists:
+        mode = "sa2"
+    elif solved(Player.BOB)[1]:
         mode, game = "sb2", None
     else:
         game, holds = solved(Player.ALICE, passes=False)
@@ -978,6 +953,5 @@ def _analyze_head(g1: Graph, k: int, budget: Budget) -> HeadAnalysis:
             raise InternalError(
                 "no compound skip strategy exists and the holding strategy fails")
         mode = "hold"
-    oracle = TargetOracle(g1, k, max_states=budget.max_states)
     return HeadAnalysis(c_star, mode, budget.spent - start,
-                        _game=game, _oracle=oracle)
+                        _game=game, _core=solve._core)

@@ -23,7 +23,7 @@ from lcsgame.engine import (
 )
 from lcsgame.generators import cartesian_grid, king_grid_2rows, random_connected_gnm
 from lcsgame.graphs import Graph, components, mask_of
-from lcsgame.solver import TargetOracle, _automorphism_masks, _Core, cg
+from lcsgame.solver import _automorphism_masks, _Core, cg
 
 
 def reference_move(core: _Core, cfg: GameConfig):
@@ -110,13 +110,17 @@ class TestStrategyMoves:
                 assert strat.choose(g, variant, astuple(cfg), None, None)[0] == \
                     (want if want is PASS else want.v)
 
-    def test_target_oracle_matches_reference(self):
+    def test_used_up_skip_offsets_match_reference(self):
+        # skip offsets equal to the pass budgets leave no pass: the game is
+        # the target-set game with that turn parity, and the move a vertex;
+        # each offset pair's core answers every position asked of it
         rng = random.Random(33)
         for _ in range(30):
             n = rng.randint(2, 8)
             g = random_connected_gnm(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
             x = rng.randrange(1, 1 << n)
-            oracle = TargetOracle(g, x)
+            cores = {off: _Core(g, SkipBudget(*off, x))
+                     for off in itertools.product((0, 1), repeat=2)}
             for _ in range(4):
                 a_off, b_off = rng.randint(0, 1), rng.randint(0, 1)
                 red = blue = 0
@@ -127,7 +131,9 @@ class TestStrategyMoves:
                         blue |= 1 << v
                 ref = _Core(g, SkipBudget(a_off, b_off, x), use_pruning=False)
                 want = reference_move(ref, GameConfig(red, blue, a_off, b_off))
-                assert oracle.best_vertex(red, blue, a_off, b_off) == want.v
+                core = cores[a_off, b_off]
+                t = core.exact(red, blue, a_off, b_off)
+                assert core.best_move(red, blue, a_off, b_off, t) == want.v
 
     def test_symmetric_move_skip_keeps_the_move(self):
         # the lower image of a value-keeping move keeps the value too and

@@ -166,6 +166,15 @@ class TestQgraphCommand:
                             "--tree", str(t))
         assert code == 2 and "tree invalid" in text
 
+    @pytest.mark.parametrize("body", ["(", "(spider"])
+    def test_truncated_tree_exit_2(self, capsys, tmp_path, body):
+        g = tmp_path / "p.g"
+        t = tmp_path / "cut.t"
+        run(capsys, "generate", "path", "n=3", "--out", str(g))
+        t.write_text(f"q 4\n{body}\n")
+        code, _, err = run(capsys, "qgraph", "--graph", str(g), "--tree", str(t))
+        assert code == 2 and "error: unexpected end of tree" in err
+
 
 class TestReduceCommand:
     def test_bipartite_report(self, capsys, tmp_path):

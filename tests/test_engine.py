@@ -255,6 +255,11 @@ class TestTraceFormat:
         with pytest.raises(ValueError):
             parse_trace("A v0\nB v1\n")
 
+    @pytest.mark.parametrize("line", ["score", "score 1 2"])
+    def test_score_line_without_exactly_one_integer_rejected(self, line):
+        with pytest.raises(ValueError, match="line 3: a score line holds one integer"):
+            parse_trace(f"A v0\nB v1\n{line}\n")
+
 
 class TestVerifyExhaustive:
     def test_k3_lowest_alice(self):

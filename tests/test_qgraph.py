@@ -181,7 +181,7 @@ class TestEvaluation:
         t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12)))
         one = cg(Graph.from_edges(12, c12)).states_expanded
         strat = alice_strategy_qgraph(g, t, max_states=2 * one)
-        leaf = strat._root.child
+        leaf = strat._root
         move, _ = strat.choose(g, PLAIN, (0, 0, 0, 0), strat.initial_state(), None)
         assert move in range(12)
         # play has a budget of its own, and the move barely charged it
@@ -203,18 +203,23 @@ class TestEvaluation:
         with pytest.raises(BudgetExceededError):
             cg_qgraph(g, t, max_states=stats.states_expanded - 1)
 
-    def test_head_oracle_keeps_the_per_solve_budget(self):
-        # only the head analysis draws on the call's budget; the oracle,
-        # which solves later during play, gets a fresh max_states of its own
+    def test_head_core_keeps_the_per_solve_budget(self):
+        # only the head analysis draws on the call's budget; the c* core,
+        # which solves again during play, gets a fresh max_states of its own
+        edges = [(0, 1), (1, 2)] + [(1, 3 + j) for j in range(7)]
+        g = Graph.from_edges(10, edges)
+        t = DecompositionTree(3, PseudoSpider(0b101, 0b010,
+                                              union_chain(list(range(3, 10)))))
         g3 = Graph.from_edges(3, [(0, 1), (1, 2)])
         need = analyze_head(g3, 0b010).states_expanded
-        head = analyze_head(g3, 0b010, max_states=need)
-        assert head.c_star == analyze_head(g3, 0b010).c_star
-        assert head._oracle.budget.max_states == need
-        assert head._oracle.budget.spent == 0
-        assert head._oracle.value(0, 0) == head.c_star
         with pytest.raises(BudgetExceededError):
-            analyze_head(g3, 0b010, max_states=need - 1)
+            alice_strategy_qgraph(g, t, max_states=need - 1)
+        strat = alice_strategy_qgraph(g, t, max_states=need)
+        core = strat._root.core
+        assert core.budget.max_states == need
+        assert core.budget.spent == 0
+        assert core.exact(0, 0) == analyze_head(g3, 0b010).c_star
+        assert verify_strategy_exhaustive(g, PLAIN, strat, Player.ALICE) == cg(g).value
 
     def test_disconnected_large_rest_pseudo_spider_rejected(self):
         # isolated S vertex: the large-rest rule requires a connected node

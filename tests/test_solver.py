@@ -43,9 +43,9 @@ from lcsgame.graphs import (
     largest_component_order,
     mask_of,
 )
+from lcsgame import solver
 from lcsgame.solver import (
     _SYMMETRY_MAPS,
-    TargetOracle,
     _automorphism_masks,
     _CompoundSkipGame,
     _Core,
@@ -55,7 +55,7 @@ from lcsgame.solver import (
     is_a_perfect,
 )
 
-from oracles import naive_cg, naive_cg_connected, naive_cg_target
+from oracles import naive_cg, naive_cg_connected, naive_cg_target, naive_value
 
 
 def cycle(n):
@@ -176,24 +176,6 @@ class TestBudget:
         assert cg(path(3), max_states=math.inf, time_limit=0.0).value == 2
         with pytest.raises(BudgetExceededError):
             cg(path(3), max_states=0)
-
-    def test_target_oracle_cores_share_one_budget(self):
-        g, x = path(7), 0b0011100
-        spent = []
-        for off in ((0, 0), (1, 0)):
-            oracle = TargetOracle(g, x)
-            oracle.value(0, 0, *off)
-            spent.append(oracle.budget.spent)
-        assert min(spent) > 0
-        oracle = TargetOracle(g, x)
-        oracle.value(0, 0)
-        oracle.value(0, 0, 1, 0)
-        assert oracle.budget.spent == sum(spent)
-        assert len(oracle._cores) == 2
-        oracle = TargetOracle(g, x, max_states=sum(spent) - 1)
-        oracle.value(0, 0)
-        with pytest.raises(BudgetExceededError):
-            oracle.value(0, 0, 1, 0)
 
 
 class TestMoveOrder:
@@ -402,8 +384,8 @@ class TestHeadAnalysis:
         assert h.mode == "hold"
 
     def test_every_small_head_has_a_valid_mode(self):
-        # analyze_head raises InternalError when both compound skip
-        # strategies exist, or neither does and the holding game fails
+        # analyze_head raises InternalError when neither compound skip
+        # strategy exists and the holding game fails
         for hn in (1, 2, 3):
             pairs = list(itertools.combinations(range(hn), 2))
             for em in range(1 << len(pairs)):
@@ -437,7 +419,7 @@ class TestHeadAnalysis:
         # the target-set solve expands fewer than the 2048 states between
         # clock reads, the whole analysis more: a spent time limit stops
         # the compound-skip searches
-        g = path(8)
+        g = path(9)
         assert cg(g, TargetSet(0b1)).states_expanded < 2048
         assert analyze_head(g, 0b1).states_expanded > 2048
         with pytest.raises(BudgetExceededError, match="time limit"):
@@ -608,8 +590,8 @@ SYMMETRIC = {
 
 class TestSharedCoreQueries:
     """``exact`` from every reachable position, asked in a shuffled order on
-    one pruned core, as ``OptimalStrategy`` and ``TargetOracle`` ask it: the
-    entries earlier probes left behind, with their bound flags, and the
+    one pruned core, as ``OptimalStrategy`` and a pseudo-spider head ask it:
+    the entries earlier probes left behind, with their bound flags, and the
     memoised ``lc`` growth must give the same values as an unpruned
     search."""
 
@@ -768,6 +750,34 @@ class TestAutomorphismMasks:
             for i in range(12):
                 tri = 0b111 << 3 * i
                 assert fixed & tri in (0, tri) and down & tri in (0, tri)
+
+
+class TestSymmetricMoveSkip:
+    def test_small_graphs_match_naive_with_maps_after_the_first_probe(self, monkeypatch):
+        # no small solve reaches the _SYMMETRY_AFTER states after which a
+        # core installs its automorphisms; with the threshold at 0 every core
+        # installs them after its first failed probe, and every value and
+        # principal variation must still hold
+        monkeypatch.setattr(solver, "_SYMMETRY_AFTER", 0)
+        with_maps = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for em in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if em >> i & 1])
+                variants = [PLAIN, CONNECTED]
+                if n <= 4:
+                    for x in range(1 << n):
+                        variants += [TargetSet(x), SkipBudget(1, 1, x),
+                                     SkipBudget(1, 0, x)]
+                for variant in variants:
+                    res = cg(g, variant)
+                    assert res.value == naive_value(g, variant), (g.edges(), variant)
+                    cfg = GameConfig()
+                    for move in res.principal_variation:
+                        cfg = apply_move(cfg, cfg.mover(), move)
+                    assert score(g, variant, cfg.red) == res.value, (g.edges(), variant)
+                    with_maps += bool(res._core._syms)
+        assert with_maps > 0
 
 
 class TestConnectedVariantEndings:
