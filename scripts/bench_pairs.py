@@ -17,10 +17,14 @@ the parent's q3 - q1.  Every run is kept in full: its metrics, attempted
 and failed ops, correctness (every op passed and, on seed 0, the digest of
 values, PVs and playout scores matched) and the benchmark's environment
 line.  Per workload it also compares the ops: each side's median over the
-pairs of each op's median latency (``instances[].median_ms`` of the run's
-``.perfbench_out`` file), the median over the ops of their relative
-change, the ops that moved most in ms, and the ops nearest the parent's
-median latency, which set ``op_p50_ms``.  After the pairs, each side
+pairs of each op's median latency, the median over the ops of their
+relative change, the ops that moved most in ms, and the ops nearest the
+parent's median latency, which set ``op_p50_ms``.  An op's latencies are
+read from the ``timing`` block of the run's ``.perfbench_out`` file and
+scaled to reference speed by the measured tree's
+``perfbench/calibrate.Calibrator`` over the run's kernel samples, as the
+benchmark scales its end-to-end times; so drift in the machine's speed does
+not read as a change.  After the pairs, each side
 runs ``perfbench/run.py --trace 1`` once per workload, and the per-layer
 metrics that BENCHMARK.json names are kept under ``layers`` with both
 sides' values and their relative change, beside the traced runs'
@@ -42,6 +46,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("ladder", "strategy", "desk_small")
@@ -52,8 +57,9 @@ OPS_LISTED = 5
 # reads a run's per-op medians in a child process: the run's file holds
 # every op latency, and loading it here would raise this process's peak
 # RSS, which each later benchmark run inherits at exec as its own peak
-OP_MEDIANS = ("import json, sys; print(json.dumps({r['label']: r['median_ms'] "
-              "for r in json.load(open(sys.argv[1]))['instances']}))")
+OP_MEDIANS = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "from bench_pairs import scaled_op_ms; "
+              "print(json.dumps(scaled_op_ms(*sys.argv[2:])))")
 
 
 def git(*args: str) -> str:
@@ -71,7 +77,7 @@ def extract(rev: str, dest: Path) -> None:
 
 def run_bench(tree: Path, workload: str, args, trace: int = 0) -> dict:
     """One ``perfbench/run.py --trace <trace>`` run in ``tree``, parsed;
-    an untraced run also reads its per-op median latencies."""
+    an untraced run also reads its scaled per-op median latencies."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(trace)] + (["--smoke"] if args.smoke else [])
@@ -102,9 +108,29 @@ def run_bench(tree: Path, workload: str, args, trace: int = 0) -> dict:
         return run
     out = tree / ".perfbench_out" / f"{workload}-seed{args.seed}-trace0.json"
     run["op_ms"] = json.loads(subprocess.run(
-        [sys.executable, "-c", OP_MEDIANS, str(out)], check=True, text=True,
-        stdout=subprocess.PIPE).stdout)
+        [sys.executable, "-c", OP_MEDIANS, str(ROOT / "scripts"), str(out), str(tree)],
+        check=True, text=True, stdout=subprocess.PIPE).stdout)
     return run
+
+
+def scaled_op_ms(out: str, tree: str) -> dict[str, float]:
+    """Per op label of the run file ``out``, its median latency in ms,
+    scaled to reference speed by ``op_medians`` and ``Calibrator`` of
+    ``tree``'s ``perfbench`` over the run's kernel samples, as the run
+    scaled its end-to-end times.  Runs in a child process (``OP_MEDIANS``),
+    since it imports the measured tree's benchmark modules."""
+    sys.path.insert(0, str(Path(tree) / "perfbench"))
+    from calibrate import Calibrator
+    from run import op_medians
+    run = json.loads(Path(out).read_text())
+    timing = run["timing"]
+    cal = Calibrator()
+    cal.mids, cal.secs = timing["kernel_mids"], timing["kernel_s"]
+    rounds = [SimpleNamespace(index=index, starts=starts, latencies=latencies)
+              for index, starts, latencies in zip(
+                  timing["op_index"], timing["op_starts"], timing["op_latencies"])]
+    medians = op_medians(run["instances"], rounds, cal)
+    return {row["label"]: m * 1e3 for row, m in zip(run["instances"], medians)}
 
 
 def quartiles(xs: list[float]) -> dict[str, float]:

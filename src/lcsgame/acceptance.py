@@ -264,13 +264,9 @@ def _all_small_r_graphs() -> list[Graph]:
     out = [Graph.from_edges(0, [])]
     for rn in (1, 2, 3):
         pairs = list(itertools.combinations(range(rn), 2))
-        seen = set()
         for em in range(1 << len(pairs)):
-            edges = tuple(e for i, e in enumerate(pairs) if em >> i & 1)
-            if edges in seen:
-                continue
-            seen.add(edges)
-            out.append(Graph.from_edges(rn, edges))
+            out.append(Graph.from_edges(rn, [e for i, e in enumerate(pairs)
+                                             if em >> i & 1]))
     rng = random.Random(1)
     pairs4 = list(itertools.combinations(range(4), 2))
     picks = {0, (1 << 6) - 1}

@@ -46,6 +46,7 @@ from .graphs import (
     Graph,
     bits,
     component_of,
+    int_field,
     largest_component_order,
 )
 
@@ -446,8 +447,20 @@ class MatchTrace:
     score: int
 
     def replay(self, g: Graph, variant: GameVariant) -> GameConfig:
+        """The configuration the moves reach from the empty one on ``g``.
+        Each move must be the mover's and legal under ``variant``, or
+        ``IllegalMoveError`` names its turn."""
         cfg = EMPTY_CONFIG
-        for player, move in self.moves:
+        for turn, (player, move) in enumerate(self.moves, start=1):
+            if player is not cfg.mover():
+                raise IllegalMoveError(f"turn {turn}: it is not {player.name}'s turn")
+            mask, pass_ok = _legal_masks(g, variant, cfg.red, cfg.blue,
+                                         cfg.alice_skips_used, cfg.bob_skips_used,
+                                         player is Player.ALICE)
+            if not (pass_ok if move is PASS
+                    else 0 <= move.v < g.n and mask >> move.v & 1):
+                raise IllegalMoveError(f"turn {turn} ({player.name}): "
+                                       f"illegal move {move}")
             cfg = apply_move(cfg, player, move)
         return cfg
 
@@ -469,7 +482,7 @@ def parse_trace(text: str) -> tuple[list[tuple[Player, Move]], int]:
         if parts[0] == "score":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: a score line holds one integer")
-            final_score = int(parts[1])
+            final_score = int_field(parts[1], lineno, "the score")
             continue
         if parts[0] not in ("A", "B") or len(parts) != 2:
             raise ValueError(f"line {lineno}: malformed trace line")
@@ -477,7 +490,8 @@ def parse_trace(text: str) -> tuple[list[tuple[Player, Move]], int]:
         if parts[1] == "pass":
             moves.append((player, PASS))
         elif parts[1].startswith("v"):
-            moves.append((player, ColorVertex(int(parts[1][1:]))))
+            moves.append((player, ColorVertex(int_field(parts[1][1:], lineno,
+                                                        "a vertex"))))
         else:
             raise ValueError(f"line {lineno}: malformed move {parts[1]!r}")
     if final_score is None:

@@ -24,6 +24,15 @@ class FormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 
 
+def int_field(text: str, lineno: int, what: str) -> int:
+    """``text`` read as a non-negative decimal integer; otherwise a
+    ``FormatError`` that names the line and what the field holds."""
+    if not text.isdecimal():
+        raise FormatError(f"line {lineno}: {what} must be a non-negative "
+                          f"integer, got {text!r}")
+    return int(text)
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate the set bit positions of *mask* in increasing order."""
     while mask:
@@ -470,7 +479,7 @@ def parse_graph(text: str) -> GraphDocument:
                 parts = body[len("role:"):].split()
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: malformed role comment")
-                roles[int(parts[0])] = parts[1]
+                roles[int_field(parts[0], lineno, "a role's vertex")] = parts[1]
             elif body.startswith("meta:"):
                 parts = body[len("meta:"):].split()
                 if not parts:
@@ -487,19 +496,16 @@ def parse_graph(text: str) -> GraphDocument:
         if fields[0] == "n":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate vertex count")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(fields[1])
+            n = int_field(fields[1], lineno, "the vertex count")
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before vertex count")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: edge endpoints must be ints") from exc
-            if not (0 <= u < n and 0 <= v < n):
+            u, v = (int_field(x, lineno, "an edge endpoint") for x in fields[1:])
+            if not (u < n and v < n):
                 raise FormatError(f"line {lineno}: edge ({u},{v}) out of range")
             if u == v:
                 raise FormatError(f"line {lineno}: loop not allowed")
@@ -508,7 +514,8 @@ def parse_graph(text: str) -> GraphDocument:
             # hex-instance extension lines; stored as meta
             if len(fields) != 2:
                 raise FormatError(f"line {lineno}: expected '{fields[0]} <v>'")
-            meta.setdefault(fields[0], []).append((int(fields[1]),))
+            meta.setdefault(fields[0], []).append(
+                (int_field(fields[1], lineno, f"the {fields[0]} vertex"),))
         else:
             raise FormatError(f"line {lineno}: unknown record '{fields[0]}'")
     if n is None:

@@ -7,9 +7,9 @@ reads its children's values.  A join, a spider and a pseudo-spider are
 settled from their vertex sets (a pseudo-spider with |R| > 2q also from its
 head), so nothing below them is solved.  Exact solves touch only
 constant-size pieces, so the whole computation is linear in the tree size
-for fixed q.  The composed Alice strategy mirrors the per-case strategies:
-sub-strategies run against a *virtual* board that ignores her arbitrary
-moves, the standard device that keeps them sound when wrapped.
+for fixed q.  The composed Alice strategy is the engine ``Strategy`` of one
+node, played on a *virtual* board that ignores her arbitrary moves, the
+standard device that keeps it sound when wrapped.
 
 One ``engine.Budget`` covers every search an evaluation starts: each exact
 solve, and each head's target-set solve and compound-skip searches.
@@ -18,14 +18,14 @@ solve, and each head's target-set solve and compound-skip searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, NoReturn, Union as TUnion
+from typing import NoReturn, Union as TUnion
 
 from .engine import (
     ARBITRARY,
     PASS,
+    Answer,
     Budget,
     Plain,
-    Position,
     Strategy,
     virtual_answer,
 )
@@ -242,7 +242,7 @@ def _pseudo_spider_rule(head: HeadAnalysis, head_size: int,
 
 
 def _solve_induced(g: Graph, mask: int, budget: Budget,
-                   play: bool) -> tuple[int, int, _NodeStrategy | None]:
+                   play: bool) -> tuple[int, int, Strategy | None]:
     """Exact evaluation of the graph induced by ``mask``.  With ``play`` the
     strategy is played from the solved core when that graph is connected; a
     disconnected one is solved per component, so it gets a fresh core."""
@@ -256,7 +256,7 @@ def _solve_induced(g: Graph, mask: int, budget: Budget,
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
-              play: bool = False) -> tuple[int, int, _NodeStrategy | None]:
+              play: bool = False) -> tuple[int, int, Strategy | None]:
     """``(value, mask, strategy)`` of a tree node: its game value, its vertex
     mask and, only with ``play``, its node strategy.  Every exact solve and
     head analysis it starts charges ``budget``.
@@ -330,48 +330,44 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
 
 # -- composed Alice strategy -----------------------------------------------------
 
-# Node strategies run against a virtual board (vred, vblue restricted to the
-# node's vertices).  The wrapper advances vblue for every opponent move it
-# forwards; a wanted vertex is marked virtually, and ``engine.virtual_answer``
-# reads the real packed position for the real move.
+# A union keeps only its better child's strategy, so the composed strategy is
+# that of the one non-union node a union chain ends in.  Each node strategy
+# is an engine ``Strategy`` that opens in the node and answers only the Bob
+# moves inside its ``mask`` (elsewhere it plays ``ARBITRARY``), on a virtual
+# board (vred, vblue restricted to the node's vertices) that ignores her
+# arbitrary moves; ``engine.virtual_answer`` reads the real move from it.
 
 
-class _NodeStrategy:
-    mask: int
-
-    def initial(self) -> Hashable:
-        raise NotImplementedError
-
-    def saw_opponent(self, state: Hashable, v: int) -> Hashable:
-        raise NotImplementedError
-
-    def next_move(self, state: Hashable,
-                  pos: Position) -> tuple[int | None, Hashable]:
-        raise NotImplementedError
+def _or_arbitrary(w: int | None) -> Answer:
+    return ARBITRARY if w is None else w
 
 
-class _WantStrategy(_NodeStrategy):
-    """Common shell: subclasses provide want(vred, vblue) -> vertex | None."""
+class _WantStrategy(Strategy):
+    """Common shell: subclasses provide want(vred, vblue) -> vertex | None.
+    State: (vred, vblue, pending), where ``pending`` says that the opening
+    or a Bob move inside the mask awaits an answer."""
+
+    name = "qgraph-alice"
 
     def __init__(self, mask: int):
         self.mask = mask
 
-    def initial(self):
-        return (0, 0)
-
-    def saw_opponent(self, state, v):
-        vred, vblue = state
-        return (vred, vblue | (1 << v))
+    def initial_state(self):
+        return (0, 0, True)
 
     def want(self, vred: int, vblue: int) -> int | None:
         raise NotImplementedError
 
-    def next_move(self, state, pos):
-        vred, vblue = state
+    def choose(self, g, variant, pos, state, last_opp):
+        vred, vblue, pending = state
+        if isinstance(last_opp, int) and self.mask >> last_opp & 1:
+            vblue, pending = vblue | 1 << last_opp, True
+        if not pending:
+            return ARBITRARY, state
         w = self.want(vred, vblue)
         if w is None:
-            return None, state
-        return virtual_answer(pos, w), (vred | 1 << w, vblue)
+            return ARBITRARY, (vred, vblue, False)
+        return _or_arbitrary(virtual_answer(pos, w)), (vred | 1 << w, vblue, False)
 
 
 class _JoinStrategy(_WantStrategy):
@@ -444,15 +440,18 @@ class _ExactStrategy(_WantStrategy):
         return None if move is None else self._back[move]
 
 
-class _PseudoSpiderStrategy(_NodeStrategy):
+class _PseudoSpiderStrategy(Strategy):
     """The head/rest protocol for a pseudo-spider with |R| > 2q.
 
     Keeps the local one-skip game state over the head: head moves map
     one-to-one, Alice's pass surfaces as a move into R, and Bob's first move
     into R while a pass would still matter counts as his pass.  ``mode``
     comes from ``_pseudo_spider_rule``.
-    State: (vred, vblue, aP, bP, first) over head vertices.
+    State: (vred, vblue, aP, bP, first, pending), the first five over head
+    vertices and ``pending`` as in ``_WantStrategy``.
     """
+
+    name = "qgraph-alice"
 
     def __init__(self, mask: int, head_mask: int, head: HeadAnalysis,
                  head_graph: Graph, head_map: tuple[int, ...], mode: str):
@@ -469,86 +468,55 @@ class _PseudoSpiderStrategy(_NodeStrategy):
         head._core.budget = Budget(head._core.budget.max_states)
         self.core = head._core
 
-    def initial(self):
-        return (0, 0, 0, 0, 0)
+    def initial_state(self):
+        return (0, 0, 0, 0, 0, True)
 
-    def _alice_turn(self, state) -> bool:
-        vred, vblue, a_p, b_p, _ = state
-        return vred.bit_count() + a_p == vblue.bit_count() + b_p
-
-    def saw_opponent(self, state, v):
-        vred, vblue, a_p, b_p, first = state
-        if self.head_mask >> v & 1:
-            return (vred, vblue | (1 << self._fwd[v]), a_p, b_p, first)
-        # a move into R: his pass, the first time a pass still matters
-        if self.mode != "plain" and b_p == 0 and a_p == 0 \
-                and (vred | vblue) != self.head_graph.full_mask:
-            return (vred, vblue, a_p, 1, 1)
-        return state
-
-    def _play_head_vertex(self, lv: int, state, pos: Position):
-        vred, vblue, a_p, b_p, first = state
-        state = (vred | (1 << lv), vblue, a_p, b_p, first)
-        return virtual_answer(pos, self._back[lv]), state
-
-    def next_move(self, state, pos):
-        vred, vblue, a_p, b_p, first = state
-        head_avail = self.head_graph.full_mask & ~vred & ~vblue
-        if not self._alice_turn(state) or not head_avail:
-            # keep the head game frozen: mirror into R
-            w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
-            return w, state
+    def choose(self, g, variant, pos, state, last_opp):
+        vred, vblue, a_p, b_p, first, pending = state
+        if isinstance(last_opp, int) and self.mask >> last_opp & 1:
+            pending = True
+            if self.head_mask >> last_opp & 1:
+                vblue |= 1 << self._fwd[last_opp]
+            elif self.mode != "plain" and b_p == 0 and a_p == 0 \
+                    and (vred | vblue) != self.head_graph.full_mask:
+                # a move into R: his pass, the first time a pass still matters
+                b_p = first = 1
+        if not pending:
+            return ARBITRARY, state
+        state = (vred, vblue, a_p, b_p, first, False)
+        r_free = self.r_mask & ~(pos[0] | pos[1])
+        if vred.bit_count() + a_p != vblue.bit_count() + b_p \
+                or not self.head_graph.full_mask & ~vred & ~vblue:
+            # not Alice's turn in the head game, or the head is full: keep
+            # the head game frozen and mirror into R
+            return _or_arbitrary(lowest_bit_index(r_free)), state
         if self.mode == "plain":
             # nothing sets a pass in this mode, so the game is TargetSet(K)
             lv = self.core.best_move(vred, vblue, 0, 0, self.core.exact(vred, vblue))
-            return self._play_head_vertex(lv, state, pos)
-        # the compound condition picks the move, not just the current value:
-        # Alice stands on a winning position of the Sa2 or holding game, and
-        # once her pass is spent or Bob passed first a pass never wins there
-        move = self.game.winning_move(
-            vred, vblue, a_p, b_p, first,
-            prefer_pass=self.mode == "sa2" and a_p == 0 and first == 0)
-        if move is PASS:
-            w = lowest_bit_index(self.r_mask & ~(pos[0] | pos[1]))
-            if w is not None:
-                return w, (vred, vblue, 1, b_p, first)
-            move = self.game.winning_move(vred, vblue, a_p, b_p, first,
-                                          prefer_pass=False)
-        if move is PASS:
-            return None, state
-        return self._play_head_vertex(move, state, pos)
-
-
-class ComposedAliceStrategy(Strategy):
-    """Adapter exposing a node strategy as an engine strategy.
-
-    A union keeps only its better child, so ``root`` is the strategy of the
-    one non-union node a union chain ends in.  Alice opens in that node and
-    answers only the Bob moves inside its mask; she plays arbitrarily
-    elsewhere.  State: (node state, pending answer).  With no union at the
-    root, the node covers the graph and every Bob move is answered."""
-
-    def __init__(self, root: _NodeStrategy, name: str):
-        self._root = root
-        self.name = name
-
-    def initial_state(self):
-        return (self._root.initial(), True)
-
-    def choose(self, g, variant, pos, state, last_opp):
-        sub, pending = state
-        if last_opp is not None and last_opp is not PASS \
-                and self._root.mask >> last_opp & 1:
-            sub, pending = self._root.saw_opponent(sub, last_opp), True
-        if not pending:
-            return ARBITRARY, state
-        w, sub = self._root.next_move(sub, pos)
-        return (ARBITRARY if w is None else w), (sub, False)
+        else:
+            # the compound condition picks the move, not just the current
+            # value: Alice stands on a winning position of the Sa2 or holding
+            # game, and once her pass is spent or Bob passed first a pass
+            # never wins there
+            lv = self.game.winning_move(
+                vred, vblue, a_p, b_p, first,
+                prefer_pass=self.mode == "sa2" and a_p == 0 and first == 0)
+            if lv is PASS:
+                if r_free:
+                    return lowest_bit_index(r_free), (vred, vblue, 1, b_p, first, False)
+                lv = self.game.winning_move(vred, vblue, a_p, b_p, first,
+                                            prefer_pass=False)
+                if lv is PASS:
+                    return ARBITRARY, state
+        return (_or_arbitrary(virtual_answer(pos, self._back[lv])),
+                (vred | 1 << lv, vblue, a_p, b_p, first, False))
 
 
 def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
                           max_states: int = DEFAULT_MAX_STATES) -> Strategy:
-    """Alice strategy achieving cg_qgraph(g, tree) against any Bob.
+    """Alice strategy achieving cg_qgraph(g, tree) against any Bob: the
+    strategy of the one non-union node that the root's union chain ends in
+    (see the comment at the head of this section).
 
     The evaluation behind it keeps one ``max_states`` budget, as in
     ``cg_qgraph``; the exact node or pseudo-spider head the strategy plays
@@ -559,9 +527,8 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     res = validate_tree(g, tree)
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
-    _, _, root = _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
-                           play=True)
-    return ComposedAliceStrategy(root, "qgraph-alice")
+    return _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
+                     play=True)[2]
 
 
 # -- text format --------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .graphs import (
     Planarity,
     bits,
     component_of,
+    int_field,
     lowest_bit_index,
     mask_of,
     planarity_check,
@@ -411,7 +412,7 @@ class PlanarBobLift(Strategy):
         return (ARBITRARY if w is None else w), state
 
 
-_A_OPEN_S, _A_HUB_S, _A_THIRD, _A_T, _A_HUB_T, _A_FIFTH = range(6)
+_A_OPEN_S, _A_HUB_S, _A_THIRD, _A_T, _A_HUB_T = range(5)
 _A_LEAF_S, _A_LEAF_T, _A_HEX = 10, 11, 12
 
 
@@ -528,7 +529,8 @@ def parse_cnf(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "poscnf":
                 raise FormatError(f"line {lineno}: expected 'p poscnf <n> <m>'")
-            nvars, nclauses = int(parts[2]), int(parts[3])
+            nvars, nclauses = (int_field(x, lineno, "a problem-line count")
+                               for x in parts[2:])
             continue
         if nvars is None:
             raise FormatError(f"line {lineno}: clause before problem line")

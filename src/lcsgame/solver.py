@@ -156,6 +156,7 @@ from .engine import (
     Strategy,
     TargetSet,
     _PassType,
+    _legal_masks,
     apply_move,
     score,
 )
@@ -533,47 +534,25 @@ class _Core:
     # -- unpruned reference search ---------------------------------------------
 
     def search_plain(self, red: int, blue: int, ask: int, bsk: int) -> int:
-        g = self.g
-        uncolored = g.full_mask & ~(red | blue)
-        rc, bc = red.bit_count(), blue.bit_count()
-        alice = (rc + ask) == (bc + bsk)
-        kind = self.kind
-        if kind == _SKIP_K:
-            can_pass = (ask < self.a_budget) if alice else (bsk < self.b_budget)
-            if uncolored == 0 and not can_pass:
-                return score(g, self.variant, red)
-        elif kind == _CONNECTED_K:
-            if uncolored == 0:
-                return score(g, self.variant, red)
-            if alice and red and not (g.neighborhood(red) & uncolored):
-                return score(g, self.variant, red)
-        else:
-            if uncolored == 0:
-                return score(g, self.variant, red)
-        if kind == _SKIP_K:
+        """Unpruned minimax value over every legal move, with the legality
+        and the stop rule of ``engine._legal_masks`` and ``engine.score``."""
+        if self.kind == _SKIP_K:
             key = ((ask * 2 + bsk) << (2 * SOLVER_CAPACITY)) | (red << SOLVER_CAPACITY) | blue
         else:
             key = (red << SOLVER_CAPACITY) | blue
         hit = self.tt.get(key)
         if hit is not None:
             return hit // 3
+        alice = red.bit_count() + ask == blue.bit_count() + bsk
+        moves, pass_ok = _legal_masks(self.g, self.variant, red, blue, ask, bsk, alice)
+        if not (moves or pass_ok):
+            return score(self.g, self.variant, red)
         self.budget.tick()
-        if kind == _CONNECTED_K and alice and red:
-            cand = g.neighborhood(red) & uncolored
-        else:
-            cand = uncolored
-        vals = []
-        for v in bits(cand):
-            bit = 1 << v
-            if alice:
-                vals.append(self.search_plain(red | bit, blue, ask, bsk))
-            else:
-                vals.append(self.search_plain(red, blue | bit, ask, bsk))
-        if kind == _SKIP_K:
-            if alice and ask < self.a_budget:
-                vals.append(self.search_plain(red, blue, ask + 1, bsk))
-            elif not alice and bsk < self.b_budget:
-                vals.append(self.search_plain(red, blue, ask, bsk + 1))
+        vals = [self.search_plain(red | 1 << v, blue, ask, bsk) if alice
+                else self.search_plain(red, blue | 1 << v, ask, bsk)
+                for v in bits(moves)]
+        if pass_ok:
+            vals.append(self.search_plain(red, blue, ask + alice, bsk + (not alice)))
         best = max(vals) if alice else min(vals)
         self.tt[key] = best * 3 + _EXACT
         return best
@@ -609,14 +588,14 @@ class _Core:
         a Bob move at most ``t``."""
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
-        cand = self._twin_free(self.full_mask & ~(red | blue))
+        legal, pass_ok = _legal_masks(self.g, self.variant, red, blue, ask, bsk, alice)
+        # twins of a legal vertex are legal too (under Connected, a twin of a
+        # neighbour of red is one), so the twin skip may read the legal mask
+        cand = self._twin_free(legal)
         if self._syms:
             cand = self._symmetric_free(red | blue, cand)
-        if self.kind == _CONNECTED_K and alice and red:
-            cand &= reach
         moves: list[int | _PassType] = list(bits(cand))
-        if self.kind == _SKIP_K and ((ask < self.a_budget) if alice
-                                     else (bsk < self.b_budget)):
+        if pass_ok:
             moves.append(PASS)
         for move in moves:
             if move is PASS:

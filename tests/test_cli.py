@@ -205,6 +205,12 @@ class TestReduceCommand:
         code, _, err = run(capsys, "reduce", "--kind", "split", "--in", str(f))
         assert code == 2
 
+    def test_non_integer_count_exit_2_with_line(self, capsys, tmp_path):
+        f = tmp_path / "phi.cnf"
+        f.write_text("p poscnf x 1\n1 0\n")
+        code, _, err = run(capsys, "reduce", "--kind", "split", "--in", str(f))
+        assert code == 2 and "line 1: a problem-line count" in err
+
 
 class TestBench:
     def test_single_fast_criterion(self, capsys):

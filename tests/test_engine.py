@@ -17,6 +17,7 @@ from lcsgame.engine import (
     ColorVertex,
     GameConfig,
     IllegalMoveError,
+    MatchTrace,
     Player,
     SkipBudget,
     Strategy,
@@ -259,6 +260,36 @@ class TestTraceFormat:
     def test_score_line_without_exactly_one_integer_rejected(self, line):
         with pytest.raises(ValueError, match="line 3: a score line holds one integer"):
             parse_trace(f"A v0\nB v1\n{line}\n")
+
+    @pytest.mark.parametrize("text,frag", [
+        ("A v\nscore 0\n", "line 1: a vertex must be a non-negative integer"),
+        ("A v0\nscore x\n", "line 2: the score must be a non-negative integer"),
+        ("A v-1\nscore 0\n", "line 1: a vertex must be a non-negative integer"),
+    ])
+    def test_non_integer_fields_carry_line_numbers(self, text, frag):
+        with pytest.raises(ValueError, match=frag):
+            parse_trace(text)
+
+
+class TestTraceReplay:
+    # replay checks every move against the mover's legal moves on the graph
+    def replay(self, g, variant, line):
+        moves = [(Player.ALICE if i % 2 == 0 else Player.BOB,
+                  PASS if m == "pass" else ColorVertex(m)) for i, m in enumerate(line)]
+        return MatchTrace(moves, EMPTY_CONFIG, 0).replay(g, variant)
+
+    def test_connected_alice_move_outside_the_neighbourhood_of_red(self):
+        assert self.replay(path(4), CONNECTED, [0, 1]) == GameConfig(red=1, blue=2)
+        with pytest.raises(IllegalMoveError, match="turn 3 .ALICE.: illegal move v3"):
+            self.replay(path(4), CONNECTED, [0, 1, 3])
+
+    def test_pass_under_plain(self):
+        with pytest.raises(IllegalMoveError, match="turn 2 .BOB.: illegal move pass"):
+            self.replay(path(4), PLAIN, [0, "pass"])
+
+    def test_vertex_outside_the_graph(self):
+        with pytest.raises(IllegalMoveError, match="turn 1 .ALICE.: illegal move v9"):
+            self.replay(path(4), PLAIN, [9])
 
 
 class TestVerifyExhaustive:

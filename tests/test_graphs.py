@@ -278,6 +278,8 @@ class TestTextFormat:
         ("n 2\nx 1 2\n", "line 2"),
         ("n 2\nn 3\n", "line 2"),
         ("", "line 1"),
+        ("# role: x tag\nn 2\n", "line 1: a role's vertex must be a non-negative integer"),
+        ("n 2\ns x\n", "line 2: the s vertex must be a non-negative integer"),
     ])
     def test_errors_carry_line_numbers(self, text, frag):
         with pytest.raises(FormatError, match=frag):

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from lcsgame.engine import (PLAIN, BudgetExceededError, Player,
+from lcsgame.engine import (PLAIN, BudgetExceededError, FunctionStrategy,
+                            Player, lowest_index_strategy, play_match,
                             verify_strategy_exhaustive)
 from lcsgame.generators import spider
 from lcsgame.graphs import Graph, bits
@@ -181,7 +182,7 @@ class TestEvaluation:
         t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12)))
         one = cg(Graph.from_edges(12, c12)).states_expanded
         strat = alice_strategy_qgraph(g, t, max_states=2 * one)
-        leaf = strat._root
+        leaf = strat
         move, _ = strat.choose(g, PLAIN, (0, 0, 0, 0), strat.initial_state(), None)
         assert move in range(12)
         # play has a budget of its own, and the move barely charged it
@@ -215,7 +216,7 @@ class TestEvaluation:
         with pytest.raises(BudgetExceededError):
             alice_strategy_qgraph(g, t, max_states=need - 1)
         strat = alice_strategy_qgraph(g, t, max_states=need)
-        core = strat._root.core
+        core = strat.core
         assert core.budget.max_states == need
         assert core.budget.spent == 0
         assert core.exact(0, 0) == analyze_head(g3, 0b010).c_star
@@ -333,6 +334,62 @@ class TestComposedStrategy:
         t = DecompositionTree(4, UnionNode(
             JoinNode(Leaf(1), union_chain([1, 2])), Leaf(0b111000)))
         self._verify(g, t)
+
+
+def _large_rest_pseudo_spider(head_edges, k_mask, hn, r_n):
+    edges = list(head_edges)
+    for kv in bits(k_mask):
+        edges.extend((kv, hn + j) for j in range(r_n))
+    g = Graph.from_edges(hn + r_n, edges)
+    return g, DecompositionTree(hn, PseudoSpider(
+        ((1 << hn) - 1) & ~k_mask, k_mask, union_chain(list(range(hn, hn + r_n)))))
+
+
+def _pinned_tree(name):
+    if name == "union_c12":
+        c12 = [(i, (i + 1) % 12) for i in range(12)]
+        return (Graph.from_edges(24, c12 + [(u + 12, v + 12) for u, v in c12]),
+                DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0xFFF << 12))))
+    if name == "sa2":
+        return _large_rest_pseudo_spider([], 0b11, 2, 5)
+    if name == "hold":
+        return _large_rest_pseudo_spider([(0, 1)], 0b10, 2, 5)
+    if name == "join":
+        g = Graph.from_edges(7, [(i, j) for i in range(3) for j in range(3, 7)])
+        return g, DecompositionTree(4, JoinNode(union_chain([0, 1, 2]),
+                                                union_chain([3, 4, 5, 6])))
+    fg = spider("matched", 3, r_size=2)
+    return fg.graph, spider_tree(fg)
+
+
+_HIGHEST_BOB = FunctionStrategy(
+    "highest", lambda g, variant, pos, last_opp:
+    (g.full_mask & ~(pos[0] | pos[1])).bit_length() - 1)
+
+
+class TestComposedStrategyMoves:
+    # the moves of whole matches, not only the guaranteed value: a change to
+    # the strategy's plumbing must leave every move where it was
+    @pytest.mark.parametrize("name,bob,moves,final", [
+        ("union_c12", "lowest", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10,
+                                 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23], 2),
+        ("union_c12", "highest", [0, 23, 1, 22, 2, 21, 3, 20, 4, 19, 5, 18,
+                                  6, 17, 7, 16, 8, 15, 9, 14, 10, 13, 11, 12], 12),
+        ("sa2", "lowest", [2, 0, 1, 3, 4, 5, 6], 4),
+        ("sa2", "highest", [2, 6, 3, 5, 4, 1, 0], 4),
+        ("hold", "lowest", [1, 0, 2, 3, 4, 5, 6], 4),
+        ("hold", "highest", [1, 6, 0, 5, 2, 4, 3], 4),
+        ("join", "lowest", [0, 1, 3, 2, 4, 5, 6], 4),
+        ("join", "highest", [0, 6, 3, 5, 1, 4, 2], 4),
+        ("matched", "lowest", [3, 0, 4, 1, 5, 2, 6, 7], 4),
+        ("matched", "highest", [3, 7, 4, 6, 5, 2, 0, 1], 4),
+    ])
+    def test_match_trace(self, name, bob, moves, final):
+        g, t = _pinned_tree(name)
+        bob_strategy = lowest_index_strategy() if bob == "lowest" else _HIGHEST_BOB
+        trace = play_match(g, PLAIN, alice_strategy_qgraph(g, t), bob_strategy)
+        assert [m.v for _, m in trace.moves] == moves
+        assert trace.score == final
 
 
 class TestTreeFormat:

@@ -261,6 +261,7 @@ class TestFormats:
         ("p poscnf 2 1\n-1 0\n", "positive"),
         ("p poscnf 2 1\n3 0\n", "out of range"),
         ("p poscnf 2 2\n1 0\n", "mismatch"),
+        ("p poscnf x 1\n1 0\n", "line 1: a problem-line count must be a non-negative"),
     ])
     def test_cnf_errors(self, text, frag):
         from lcsgame.graphs import FormatError

@@ -95,3 +95,33 @@ def test_bench_pairs_schema(tmp_path):
         assert s["rel_change"] == (s["change"] - s["parent"]) / s["parent"]
         assert s["unit"] == per_layer[name]["unit"]
     assert "| `ladder` | `solver.states_expanded` |" in proc.stdout
+
+
+def test_bench_pairs_scales_op_latencies(tmp_path):
+    # a synthetic run file whose kernel samples all take twice the
+    # reference time: every scaled op median is half the raw one
+    sys.path.insert(0, str(ROOT / "scripts"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from bench_pairs import OP_MEDIANS
+        from calibrate import REFERENCE_S
+    finally:
+        del sys.path[:2]
+    raw = {"a": [0.010, 0.030, 0.020], "b": [0.004, 0.008, 0.006]}
+    run = {
+        "instances": [{"label": "a"}, {"label": "b"}],
+        "timing": {
+            "kernel_mids": [0.5 * i for i in range(12)],
+            "kernel_s": [2 * REFERENCE_S] * 12,
+            "op_index": [[0, 1]] * 3,
+            "op_starts": [[1.0 + 2 * r, 1.5 + 2 * r] for r in range(3)],
+            "op_latencies": [[raw["a"][r], raw["b"][r]] for r in range(3)],
+        },
+    }
+    out = tmp_path / "run.json"
+    out.write_text(json.dumps(run))
+    proc = subprocess.run([sys.executable, "-c", OP_MEDIANS, str(ROOT / "scripts"),
+                           str(out), str(ROOT)], check=True, text=True,
+                          stdout=subprocess.PIPE, timeout=60)
+    # the raw medians are 20 and 6 ms
+    assert json.loads(proc.stdout) == pytest.approx({"a": 10.0, "b": 3.0})
