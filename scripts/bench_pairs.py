@@ -26,9 +26,11 @@ scaled to reference speed by the measured tree's
 benchmark scales its end-to-end times; so drift in the machine's speed does
 not read as a change.  After the pairs, each side
 runs ``perfbench/run.py --trace 1`` once per workload, and the per-layer
-metrics that BENCHMARK.json names are kept under ``layers`` with both
-sides' values and their relative change, beside the traced runs'
-correctness under ``traced``.  The same data is printed as Markdown tables.
+counts that BENCHMARK.json names (its per-layer metrics whose unit is
+``count``) are kept under ``layers`` with both sides' values and their
+relative change, beside the traced runs' correctness under ``traced``.  A
+traced run's times are single samples, too noisy to show a layer's change,
+so they are not compared.  The same data is printed as Markdown tables.
 
 Usage: python scripts/bench_pairs.py --parent REV --pairs N
        [--workload W ...] [--seconds S] [--seed S] [--smoke] --out PATH
@@ -169,12 +171,14 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def summarise_layers(traced: dict[str, dict], per_layer: list[dict]) -> dict:
-    """Per layer metric that both traced runs produced: its unit and
-    direction, both sides' values and the relative change."""
+    """Per layer count that both traced runs produced: its unit and
+    direction, both sides' values and the relative change.  A traced time
+    is a single noisy sample, so only the metrics whose unit is ``count``
+    are compared."""
     out = {}
     for m in per_layer:
         name = m["name"]
-        if all(name in traced[side]["metrics"] for side in ("parent", "change")):
+        if m["unit"] == "count" and all(name in traced[side]["metrics"] for side in ("parent", "change")):
             a, b = (traced[side]["metrics"][name] for side in ("parent", "change"))
             out[name] = {"unit": m["unit"], "better": m["better"],
                          "parent": a, "change": b,
@@ -252,7 +256,7 @@ def markdown(report: dict) -> str:
                 r = "n/a" if o["rel_change"] is None else f"{o['rel_change']:+.1%}"
                 lines.append(f"| `{wl}` | {o['label']} | {listed.replace('_', ' ')} "
                              f"| {o['parent_ms']:.4g} | {o['change_ms']:.4g} | {r} |")
-    lines += ["", "| workload | layer metric | parent | change | change |",
+    lines += ["", "| workload | layer count | parent | change | change |",
               "|---|---|---|---|---|"]
     for wl, body in report["workloads"].items():
         for name, s in body["layers"].items():

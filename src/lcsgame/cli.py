@@ -27,6 +27,7 @@ from .graphs import (
     CapacityError,
     FormatError,
     format_graph,
+    int_field,
     mask_of,
     read_graph,
     write_graph,
@@ -46,10 +47,9 @@ from .engine import verify_strategy_exhaustive
 
 def _read_vertex_set(path: str, n: int) -> int:
     with open(path, "r", encoding="utf-8") as fh:
-        verts = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            verts.extend(int(x) for x in line.split())
+        verts = [int_field(x, lineno, f"a vertex of {path}")
+                 for lineno, line in enumerate(fh, start=1)
+                 for x in line.split("#", 1)[0].split()]
     for v in verts:
         if not 0 <= v < n:
             raise ValueError(
@@ -70,7 +70,7 @@ def _parse_variant(spec: str, n: int):
         if len(parts) != 3 or not parts[2].startswith("target:"):
             raise ValueError(
                 "skip variant spec is skip:<a>,<b>,target:<file>")
-        a, b = int(parts[0]), int(parts[1])
+        a, b = (int_field(x, None, "a skip budget <a> or <b>") for x in parts[:2])
         x = _read_vertex_set(parts[2][len("target:"):], n)
         return SkipBudget(a, b, x)
     raise ValueError(f"unknown variant {spec!r}")

@@ -442,12 +442,15 @@ def random_connected_gnm(n: int, m: int, rng: random.Random) -> Graph:
             return g
 
 
-def random_cubic(n: int, rng: random.Random, max_tries: int = 10_000) -> Graph:
+_CUBIC_TRIES = 10_000  # pairing-model draws before random_cubic gives up
+
+
+def random_cubic(n: int, rng: random.Random) -> Graph:
     """Rejection-sample a connected simple cubic graph via the pairing model."""
     if n < 4 or n % 2:
         raise ValueError("cubic graphs need even n >= 4")
     stubs = [v for v in range(n) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(_CUBIC_TRIES):
         rng.shuffle(stubs)
         pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
         if any(a == b for a, b in pairs):

@@ -24,12 +24,12 @@ class FormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 
 
-def int_field(text: str, lineno: int, what: str) -> int:
+def int_field(text: str, lineno: int | None, what: str) -> int:
     """``text`` read as a non-negative decimal integer; otherwise a
-    ``FormatError`` that names the line and what the field holds."""
+    ``FormatError`` that names the line, if any, and what the field holds."""
     if not text.isdecimal():
-        raise FormatError(f"line {lineno}: {what} must be a non-negative "
-                          f"integer, got {text!r}")
+        where = "" if lineno is None else f"line {lineno}: "
+        raise FormatError(f"{where}{what} must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -59,11 +59,9 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
-                   labels: Iterable[str] | None = None) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0 or n > CAPACITY:
             raise CapacityError(f"vertex count {n} outside [0, {CAPACITY}]")
         adj = [0] * n
@@ -74,7 +72,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
+        return Graph(n, tuple(adj))
 
     # -- basic queries ----------------------------------------------------
 
@@ -234,10 +232,7 @@ def induced(g: Graph, s: int) -> tuple[Graph, tuple[int, ...]]:
         for w in bits(g.adj[old] & s):
             m |= 1 << back[w]
         adj.append(m)
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v] for v in verts)
-    return Graph(len(verts), tuple(adj), labels), tuple(verts)
+    return Graph(len(verts), tuple(adj)), tuple(verts)
 
 
 def is_connected_dominating(g: Graph, s: int) -> bool:
@@ -264,7 +259,7 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     adj = list(g.adj)
     adj[u] &= ~(1 << v)
     adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj), g.labels)
+    return Graph(g.n, tuple(adj))
 
 
 def is_bipartite(g: Graph) -> tuple[bool, int]:
@@ -466,7 +461,7 @@ def parse_graph(text: str) -> GraphDocument:
     """
     n = None
     edges: list[tuple[int, int]] = []
-    roles: dict[int, str] = {}
+    roles: dict[int, tuple[str, int]] = {}  # vertex -> (tag, line)
     meta: dict[str, list[tuple[int, ...]]] = {}
     header: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -479,7 +474,7 @@ def parse_graph(text: str) -> GraphDocument:
                 parts = body[len("role:"):].split()
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: malformed role comment")
-                roles[int_field(parts[0], lineno, "a role's vertex")] = parts[1]
+                roles[int_field(parts[0], lineno, "a role's vertex")] = parts[1], lineno
             elif body.startswith("meta:"):
                 parts = body[len("meta:"):].split()
                 if not parts:
@@ -520,7 +515,11 @@ def parse_graph(text: str) -> GraphDocument:
             raise FormatError(f"line {lineno}: unknown record '{fields[0]}'")
     if n is None:
         raise FormatError("line 1: missing 'n <count>' line")
-    return GraphDocument(Graph.from_edges(n, edges), roles, meta, header)
+    for v, (_, lineno) in roles.items():
+        if v >= n:
+            raise FormatError(f"line {lineno}: role vertex {v} out of range for n={n}")
+    return GraphDocument(Graph.from_edges(n, edges),
+                         {v: tag for v, (tag, _) in roles.items()}, meta, header)
 
 
 def format_graph(g: Graph, roles: dict[int, str] | None = None,

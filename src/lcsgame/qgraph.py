@@ -29,8 +29,8 @@ from .engine import (
     Strategy,
     virtual_answer,
 )
-from .graphs import (Graph, bits, induced, is_clique, is_connected_within,
-                     is_independent, lowest_bit_index, mask_of)
+from .graphs import (Graph, bits, induced, int_field, is_clique,
+                     is_connected_within, is_independent, lowest_bit_index, mask_of)
 from .solver import (
     DEFAULT_MAX_STATES,
     HeadAnalysis,
@@ -242,56 +242,53 @@ def _pseudo_spider_rule(head: HeadAnalysis, head_size: int,
 
 
 def _solve_induced(g: Graph, mask: int, budget: Budget,
-                   play: bool) -> tuple[int, int, Strategy | None]:
+                   play: bool) -> tuple[int, Strategy | None]:
     """Exact evaluation of the graph induced by ``mask``.  With ``play`` the
     strategy is played from the solved core when that graph is connected; a
     disconnected one is solved per component, so it gets a fresh core."""
     sub, back = induced(g, mask)
     res = _cg(sub, Plain(), budget)
     if not play:
-        return res.value, mask, None
+        return res.value, None
     core = (res._core if res._component_map is None
             else _Core(sub, Plain(), budget=budget))
-    return res.value, mask, _ExactStrategy(mask, back, core)
+    return res.value, _ExactStrategy(mask, back, core)
 
 
 def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
-              play: bool = False) -> tuple[int, int, Strategy | None]:
-    """``(value, mask, strategy)`` of a tree node: its game value, its vertex
-    mask and, only with ``play``, its node strategy.  Every exact solve and
-    head analysis it starts charges ``budget``.
+              play: bool = False) -> tuple[int, Strategy | None]:
+    """``(value, strategy)`` of a tree node: its game value and, only with
+    ``play``, its node strategy.  Every exact solve and head analysis it
+    starts charges ``budget``.
 
     Only unions recurse, since only the union rule reads its children's
-    values: a union takes the better child's value and returns its strategy
-    unchanged, so the strategy of a union chain is that of one non-union
-    node; the other child's cores are dropped as soon as that child is
-    evaluated.  A join, a spider and a pseudo-spider are settled from vertex
+    values: a union returns its better child's pair as it stands, so the
+    strategy of a union chain is that of one non-union node; the other
+    child's cores are dropped as soon as that child is evaluated.  A join, a spider and a pseudo-spider are settled from vertex
     sets (a pseudo-spider with |R| > 2q also from its head), so no node
     below them is solved or counted in ``stats.nodes_evaluated``."""
     stats.nodes_evaluated += 1
     if isinstance(node, Leaf):
         return _solve_induced(g, node.vertices, budget, play)
     if isinstance(node, UnionNode):
-        lv, lm, ls = _evaluate(g, node.left, q, stats, budget, play)
-        rv, rm, rs = _evaluate(g, node.right, q, stats, budget, play)
-        value, best = (lv, ls) if lv >= rv else (rv, rs)
-        return value, lm | rm, best
+        left = _evaluate(g, node.left, q, stats, budget, play)
+        right = _evaluate(g, node.right, q, stats, budget, play)
+        return left if left[0] >= right[0] else right
     if isinstance(node, JoinNode):
         small, large = vertex_set(node.left), vertex_set(node.right)
         mask = small | large
         if small.bit_count() > large.bit_count():
             small, large = large, small
-        return ((mask.bit_count() + 1) // 2, mask,
+        return ((mask.bit_count() + 1) // 2,
                 _JoinStrategy(mask, small, large) if play else None)
     mask = vertex_set(node)
     n = mask.bit_count()
     if isinstance(node, Spider):
         k_size = node.k.bit_count()
         if node.flavor == "antimatched" and k_size >= 3:
-            return ((n + 1) // 2, mask,
-                    _AntimatchedStrategy(mask, node.k) if play else None)
+            return (n + 1) // 2, _AntimatchedStrategy(mask, node.k) if play else None
         # an antimatched bijection on |K| = 2 is a matched spider
-        return (matched_spider_value(n, k_size), mask,
+        return (matched_spider_value(n, k_size),
                 _MatchedStrategy(g, mask, node.s, node.k) if play else None)
     head_mask = node.s | node.k
     r_size = n - head_mask.bit_count()
@@ -303,8 +300,8 @@ def _evaluate(g: Graph, node: Node, q: int, stats: EvalStats, budget: Budget,
             "split disconnected graphs under a union root")
     head, head_graph, head_map = _head(g, node, budget)
     value, mode = _pseudo_spider_rule(head, head_mask.bit_count(), r_size)
-    return value, mask, (_PseudoSpiderStrategy(mask, head_mask, head, head_graph,
-                                               head_map, mode) if play else None)
+    return value, (_PseudoSpiderStrategy(mask, head_mask, head, head_graph,
+                                         head_map, mode) if play else None)
 
 
 def cg_qgraph(g: Graph, tree: DecompositionTree, *,
@@ -323,7 +320,7 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
     if stats is None:
         stats = EvalStats()
     budget = Budget(max_states, time_limit)
-    value, _, _ = _evaluate(g, tree.root, tree.q, stats, budget)
+    value, _ = _evaluate(g, tree.root, tree.q, stats, budget)
     stats.states_expanded += budget.spent
     return value
 
@@ -528,7 +525,7 @@ def alice_strategy_qgraph(g: Graph, tree: DecompositionTree, *,
     if not res:
         raise ValueError(f"invalid decomposition tree: {res.diagnostic}")
     return _evaluate(g, tree.root, tree.q, EvalStats(), Budget(max_states),
-                     play=True)[2]
+                     play=True)[1]
 
 
 # -- text format --------------------------------------------------------------------
@@ -559,91 +556,82 @@ def format_tree(tree: DecompositionTree) -> str:
     return f"q {tree.q}\n{_fmt_node(tree.root)}\n"
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
 def parse_tree(text: str) -> DecompositionTree:
-    """Parse the parenthesised tree format with its ``q <int>`` header."""
-    lines = [ln for ln in text.splitlines()
+    """Parse the parenthesised tree format with its ``q <int>`` header.
+
+    Each token keeps its line, and every integer is read by
+    ``graphs.int_field``, so an error names the line it was found on."""
+    lines = [(lineno, ln.replace("(", " ( ").replace(")", " ) ").split())
+             for lineno, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or not lines[0].split()[0] == "q":
+    if not lines or lines[0][1][0] != "q":
         raise ValueError("tree file must start with a 'q <int>' header")
-    header = lines[0].split()
+    (line, header), body = lines[0], lines[1:]
     if len(header) != 2:
-        raise ValueError("malformed q header")
-    q = int(header[1])
-    toks = _tokenize("\n".join(lines[1:]))
+        raise ValueError(f"line {line}: malformed q header")
+    q = int_field(header[1], line, "q")
+    toks = [(tok, lineno) for lineno, words in body for tok in words]
     pos = 0
 
-    def expect(tok: str):
-        nonlocal pos
-        if pos >= len(toks) or toks[pos] != tok:
-            raise ValueError(f"expected {tok!r} at token {pos}")
-        pos += 1
-
     def peek() -> str:
-        if pos >= len(toks):
+        if pos == len(toks):
             raise ValueError("unexpected end of tree")
-        return toks[pos]
+        return toks[pos][0]
 
-    def parse_ints_until_close() -> list[int]:
+    def take(want: str | None = None) -> tuple[str, int]:
         nonlocal pos
+        tok = peek()
+        if want is not None and tok != want:
+            raise ValueError(f"line {toks[pos][1]}: expected {want!r}, "
+                             f"got {tok!r}")
+        pos += 1
+        return toks[pos - 1]
+
+    def until_close(read) -> list:
         out = []
         while peek() != ")":
-            out.append(int(toks[pos]))
-            pos += 1
-        pos += 1
+            out.append(read(*take()))
+        take()
         return out
 
-    def parse_group(tag: str) -> list[int]:
-        expect("(")
-        expect(tag)
-        return parse_ints_until_close()
+    def vertices(what: str) -> int:
+        return mask_of(until_close(lambda tok, lineno: int_field(tok, lineno, what)))
+
+    def group(tag: str) -> int:
+        take("(")
+        take(tag)
+        return vertices(f"a vertex of ({tag} ...)")
+
+    def f_pair(tok: str, lineno: int) -> tuple[int, ...]:
+        return tuple(int_field(x, lineno, "each side of an f pair <s>:<k>")
+                     for x in tok.partition(":")[::2])
+
+    def r_tree() -> Node | None:
+        return parse_node() if peek() == "(" else None
 
     def parse_node() -> Node:
-        nonlocal pos
-        expect("(")
-        kind = peek()
-        pos += 1
+        take("(")
+        kind, lineno = take()
         if kind == "leaf":
-            return Leaf(mask_of(parse_ints_until_close()))
+            return Leaf(vertices("a leaf vertex"))
         if kind in ("union", "join"):
-            left = parse_node()
-            right = parse_node()
-            expect(")")
-            return (UnionNode if kind == "union" else JoinNode)(left, right)
-        if kind == "spider":
-            flavor = peek()
-            pos += 1
-            s = parse_group("s")
-            k = parse_group("k")
-            expect("(")
-            expect("f")
-            fmap = []
-            while peek() != ")":
-                a, b = toks[pos].split(":")
-                fmap.append((int(a), int(b)))
-                pos += 1
-            pos += 1
-            r_tree = None
-            if peek() == "(":
-                r_tree = parse_node()
-            expect(")")
-            return Spider(flavor, mask_of(s), mask_of(k), tuple(fmap), r_tree)
-        if kind == "pspider":
-            s = parse_group("s")
-            k = parse_group("k")
-            r_tree = None
-            if peek() == "(":
-                r_tree = parse_node()
-            expect(")")
-            return PseudoSpider(mask_of(s), mask_of(k), r_tree)
-        raise ValueError(f"unknown node kind {kind!r}")
+            node = (UnionNode if kind == "union" else JoinNode)(parse_node(), parse_node())
+        elif kind == "spider":
+            flavor, _ = take()
+            s, k = group("s"), group("k")
+            take("(")
+            take("f")
+            node = Spider(flavor, s, k, tuple(until_close(f_pair)), r_tree())
+        elif kind == "pspider":
+            node = PseudoSpider(group("s"), group("k"), r_tree())
+        else:
+            raise ValueError(f"line {lineno}: unknown node kind {kind!r}")
+        take(")")
+        return node
 
     root = parse_node()
     if pos != len(toks):
-        raise ValueError("trailing tokens after tree")
+        raise ValueError(f"line {toks[pos][1]}: trailing tokens after tree")
     return DecompositionTree(q, root)
 
 
@@ -657,7 +645,7 @@ def write_tree(path, tree: DecompositionTree) -> None:
         fh.write(format_tree(tree))
 
 
-def spider_tree(fg, q: int | None = None) -> DecompositionTree:
+def spider_tree(fg) -> DecompositionTree:
     """Canonical tree for a generated spider family instance."""
     k = fg.params["k"]
     r = fg.params["r"]
@@ -668,6 +656,4 @@ def spider_tree(fg, q: int | None = None) -> DecompositionTree:
     r_tree = None
     if r:
         r_tree = Leaf(mask_of(range(2 * k, 2 * k + r)))
-    if q is None:
-        q = max(4, r)
-    return DecompositionTree(q, Spider(flavor, s_mask, k_mask, fmap, r_tree))
+    return DecompositionTree(max(4, r), Spider(flavor, s_mask, k_mask, fmap, r_tree))

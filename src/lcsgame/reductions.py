@@ -4,9 +4,10 @@ Each builder emits the reduction graph, the threshold k, and a total role
 map; the source games (POS CNF and Generalised Hex) are solved exactly at
 desk scale, each by one ``expand`` function over ``engine.AndOrSearch``, so
 winning strategies can be lifted onto the reduction graphs and checked
-against adversarial play.  Lifted strategies keep a virtual source-game
-state that ignores their own arbitrary moves, the usual device for strategy
-transfer.
+against adversarial play.  ``lift_strategy`` is the one way to build a lift,
+and the one place that checks the source solver against the reduction.
+Lifted strategies keep a virtual source-game state that ignores their own
+arbitrary moves, the usual device for strategy transfer.
 """
 
 from __future__ import annotations
@@ -100,13 +101,15 @@ class ReductionOutput:
 
 # -- source-game solvers -----------------------------------------------------------
 
+_MAX_VARS = 16  # the largest POS CNF the source solver takes
+_MAX_HEX_VERTICES = 18  # the largest Generalised Hex board it takes
 
 class CnfGameSolver:
     """Memoised AND/OR search for POS CNF: Alice sets variables true, Bob false."""
 
-    def __init__(self, cnf: CnfInstance, max_vars: int = 16):
-        if cnf.variable_count > max_vars:
-            raise ValueError(f"too many variables (> {max_vars})")
+    def __init__(self, cnf: CnfInstance):
+        if cnf.variable_count > _MAX_VARS:
+            raise ValueError(f"too many variables (> {_MAX_VARS})")
         self.cnf = cnf
         self.clause_masks = [mask_of(c) for c in cnf.clauses]
         self.full = (1 << cnf.variable_count) - 1
@@ -140,9 +143,9 @@ class CnfGameSolver:
 class HexGameSolver:
     """Memoised AND/OR search for Generalised Hex; s and t start red."""
 
-    def __init__(self, hx: HexInstance, max_vertices: int = 18):
-        if hx.h.n > max_vertices:
-            raise ValueError(f"hex instance too large (> {max_vertices})")
+    def __init__(self, hx: HexInstance):
+        if hx.h.n > _MAX_HEX_VERTICES:
+            raise ValueError(f"hex instance too large (> {_MAX_HEX_VERTICES})")
         self.hx = hx
         self.g = hx.h
         self.st = (1 << hx.s) | (1 << hx.t)
@@ -313,10 +316,6 @@ class CnfLift(Strategy):
     """
 
     def __init__(self, red: ReductionOutput, side: Player, source: CnfGameSolver):
-        if red.kind not in ("bipartite", "split"):
-            raise ValueError(f"CNF lift cannot target a {red.kind} reduction")
-        if source.cnf != red.source_cnf:
-            raise ValueError("source solver does not match the reduction input")
         self.red = red
         self.side = side
         self.source = source
@@ -375,10 +374,6 @@ class PlanarBobLift(Strategy):
     """
 
     def __init__(self, red: ReductionOutput, source: HexGameSolver):
-        if red.kind != "planar":
-            raise ValueError("planar lift needs a planar reduction")
-        if source.hx != red.source_hex:
-            raise ValueError("source solver does not match the reduction input")
         self.red = red
         self.source = source
         self.name = "lift_planar_bob"
@@ -421,10 +416,6 @@ class PlanarAliceLift(Strategy):
     the lifted hex strategy when Bob contests both stars."""
 
     def __init__(self, red: ReductionOutput, source: HexGameSolver):
-        if red.kind != "planar":
-            raise ValueError("planar lift needs a planar reduction")
-        if source.hx != red.source_hex:
-            raise ValueError("source solver does not match the reduction input")
         self.red = red
         self.source = source
         self.name = "lift_planar_alice"
@@ -499,18 +490,25 @@ class PlanarAliceLift(Strategy):
 
 
 def lift_strategy(reduction: ReductionOutput, side: Player, source) -> Strategy:
-    """The proof's translation of a winning source strategy onto a reduction."""
+    """The proof's translation of a winning source strategy onto a reduction.
+
+    This is the one entry point for the lifts, so it alone checks that the
+    source solver suits the reduction's kind and was built on its input."""
     if reduction.kind in ("bipartite", "split"):
         if not isinstance(source, CnfGameSolver):
             raise ValueError("CNF reductions lift from a CnfGameSolver")
-        return CnfLift(reduction, side, source)
-    if reduction.kind == "planar":
+        matches = source.cnf == reduction.source_cnf
+    elif reduction.kind == "planar":
         if not isinstance(source, HexGameSolver):
             raise ValueError("planar reductions lift from a HexGameSolver")
-        if side is Player.BOB:
-            return PlanarBobLift(reduction, source)
-        return PlanarAliceLift(reduction, source)
-    raise ValueError(f"unknown reduction kind {reduction.kind!r}")
+        matches = source.hx == reduction.source_hex
+    else:
+        raise ValueError(f"unknown reduction kind {reduction.kind!r}")
+    if not matches:
+        raise ValueError("source solver does not match the reduction input")
+    if reduction.kind != "planar":
+        return CnfLift(reduction, side, source)
+    return (PlanarBobLift if side is Player.BOB else PlanarAliceLift)(reduction, source)
 
 
 # -- text formats -----------------------------------------------------------------

@@ -682,11 +682,8 @@ class SolveResult:
                              "re-solve the component of interest directly")
         return OptimalStrategy(self._core, name)
 
-    def bob_strategy(self, name: str = "optimal-bob") -> Strategy:
-        if self._component_map is not None:
-            raise ValueError("strategy extraction needs a whole-graph solve; "
-                             "re-solve the component of interest directly")
-        return OptimalStrategy(self._core, name)
+    def bob_strategy(self) -> Strategy:
+        return self.alice_strategy("optimal-bob")
 
 
 def cg(g: Graph, variant: GameVariant = Plain(), *,

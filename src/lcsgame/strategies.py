@@ -3,9 +3,12 @@
 Most Bob strategies are pairing strategies: answer the opponent's move at v
 by claiming v's designated partner.  One generic pairing engine hosts those;
 bespoke classes exist only where a strategy needs private state (the cubic
-Bob's committed component, lifted source-game states).  Every "arbitrary"
-move in a proof is answered with ``engine.ARBITRARY``, which the engine
-resolves to the lowest-index legal vertex.
+Bob's committed component, lifted source-game states).  ``builtin_strategy``
+builds each named strategy one way: the pairing plans come from a family's
+meta through shared helpers (``_meta_pairs``, ``_group_triggers``), and the
+degree-based Alice strategies share ``_hub``.  Every "arbitrary" move in a
+proof is answered with ``engine.ARBITRARY``, which the engine resolves to
+the lowest-index legal vertex.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .graphs import (
     bits,
     component_of,
     components_within,
+    int_field,
     is_connected,
     is_connected_within,
     lowest_bit_index,
@@ -90,6 +94,12 @@ class PairingStrategy(Strategy):
 # -- degree-based Alice strategies -------------------------------------------
 
 
+def _hub(g: Graph) -> int:
+    """The lowest-index vertex of maximum degree."""
+    degrees = [g.degree(v) for v in range(g.n)]
+    return degrees.index(max(degrees))
+
+
 class MaxDegreeAlice(Strategy):
     """Open at a maximum-degree vertex, then eat its neighbourhood."""
 
@@ -98,8 +108,7 @@ class MaxDegreeAlice(Strategy):
     def __init__(self, g: Graph):
         if g.n == 0:
             raise ValueError("graph is empty")
-        dmax = g.max_degree
-        self.hub = next(v for v in range(g.n) if g.degree(v) == dmax)
+        self.hub = _hub(g)
 
     def choose(self, g, variant, pos, state, last_opp):
         colored = pos[0] | pos[1]
@@ -125,8 +134,7 @@ class DegreeSumAlice(Strategy):
             raise ValueError("degree-sum strategy needs a connected graph")
         if g.max_degree + g.min_degree < g.n:
             raise ValueError("degree-sum strategy needs max+min degree >= n")
-        dmax = g.max_degree
-        self.hub = next(v for v in range(g.n) if g.degree(v) == dmax)
+        self.hub = _hub(g)
 
     def choose(self, g, variant, pos, state, last_opp):
         red = pos[0]
@@ -167,9 +175,6 @@ class CubicBob(Strategy):
         if exterior_rule not in ("lowest", "highest"):
             raise ValueError("exterior_rule must be 'lowest' or 'highest'")
         self.exterior_rule = exterior_rule
-        removed = set()
-        for u, v in matching.pairs:
-            removed.add((min(u, v), max(u, v)))
         adj = list(g.adj)
         for u, v in matching.pairs:
             adj[u] &= ~(1 << v)
@@ -266,12 +271,14 @@ class SpiderExhaust(Strategy):
 # -- named builtin strategies ----------------------------------------------------
 
 
-def _meta_pairs(doc, key: str = "pair") -> list[tuple[int, int]]:
-    return [(a, b) for a, b, *rest in doc.meta.get(key, [])]
+def _meta_pairs(doc, key: str = "pair") -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a, b, *rest in doc.meta.get(key, []))
 
 
-def _coords(doc) -> dict[int, tuple[int, int]]:
-    return {v: (r, c) for v, r, c in doc.meta.get("coord", [])}
+def _group_triggers(doc) -> dict[int, tuple[int, ...]]:
+    """Each member of a ``group`` meta line answers into the rest of it."""
+    return {v: tuple(w for w in grp if w != v)
+            for grp in doc.meta.get("group", []) for v in grp}
 
 
 def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strategy:
@@ -281,33 +288,22 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
     role/meta annotations identify the vertex roles the strategy addresses.
     """
     g = doc.graph
-    if name == "regular4_alice":
+    if name in ("regular4_alice", "king_mirror_alice"):
         pairs = _meta_pairs(doc)
         if not pairs:
-            raise ValueError("regular4_alice needs column pairs in meta")
-        return PairingStrategy(PairingPlan(
-            pairs=tuple(pairs), opening=0, name=name))
+            raise ValueError(f"{name} needs column pairs in meta")
+        return PairingStrategy(PairingPlan(pairs=pairs, opening=0, name=name))
     if name == "regular5_alice":
-        pairs = _meta_pairs(doc)
-        triggers: dict[int, tuple[int, ...]] = {}
-        for grp in doc.meta.get("group", []):
-            members = tuple(grp)
-            for v in members:
-                triggers[v] = tuple(w for w in members if w != v)
+        pairs, triggers = _meta_pairs(doc), _group_triggers(doc)
         if not pairs or not triggers:
             raise ValueError("regular5_alice needs pair and group meta")
         return PairingStrategy(PairingPlan(
-            pairs=tuple(pairs), triggers=triggers, opening=0, name=name))
+            pairs=pairs, triggers=triggers, opening=0, name=name))
     if name == "clique_chain_bob":
-        triggers = {}
-        for u, prev_v in doc.meta.get("chain_u", []):
-            triggers[u] = (prev_v,)
-        for v, next_u in doc.meta.get("chain_v", []):
-            triggers[v] = (next_u,)
-        for grp in doc.meta.get("group", []):
-            members = tuple(grp)
-            for v in members:
-                triggers[v] = tuple(w for w in members if w != v)
+        # later tables overwrite earlier ones: chain_u, chain_v, then groups
+        triggers = {**{u: (prev_v,) for u, prev_v in doc.meta.get("chain_u", [])},
+                    **{v: (next_u,) for v, next_u in doc.meta.get("chain_v", [])},
+                    **_group_triggers(doc)}
         if not triggers:
             raise ValueError("clique_chain_bob needs chain meta")
         return PairingStrategy(PairingPlan(triggers=triggers, name=name))
@@ -318,27 +314,15 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
                 raise ValueError("graph admits no suitable matching")
         return CubicBob(g, matching)
     if name == "cartesian_bob":
-        coords = _coords(doc)
+        coords = {v: (r, c) for v, r, c in doc.meta.get("coord", [])}
         if not coords:
             raise ValueError("cartesian_bob needs coord meta")
         by_coord = {rc: v for v, rc in coords.items()}
-        triggers = {}
-        for v, (r, c) in coords.items():
-            cand = []
-            right = by_coord.get((r, c + 1))
-            left = by_coord.get((r, c - 1))
-            if right is not None:
-                cand.append(right)
-            if left is not None:
-                cand.append(left)
-            triggers[v] = tuple(cand)
+        # answer into the row: right neighbour first, then left
+        triggers = {v: tuple(w for w in (by_coord.get((r, c + 1)),
+                                         by_coord.get((r, c - 1))) if w is not None)
+                    for v, (r, c) in coords.items()}
         return PairingStrategy(PairingPlan(triggers=triggers, name=name))
-    if name == "king_mirror_alice":
-        pairs = _meta_pairs(doc)
-        if not pairs:
-            raise ValueError("king_mirror_alice needs column pairs in meta")
-        return PairingStrategy(PairingPlan(
-            pairs=tuple(pairs), opening=0, name=name))
     if name in ("spider_exhaust_bob", "spider_exhaust_alice"):
         fmap = {s: k for s, k in doc.meta.get("fmap", [])}
         if not fmap:
@@ -346,8 +330,7 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
         return SpiderExhaust(g, mask_of(fmap), mask_of(fmap.values()),
                              name.rsplit("_", 1)[1])
     if name == "hex_patch_bob":
-        pairs = [(a, b) for a, b in doc.meta.get("medge", [])]
-        return PairingStrategy(PairingPlan(pairs=tuple(pairs), name=name))
+        return PairingStrategy(PairingPlan(pairs=_meta_pairs(doc, "medge"), name=name))
     if name == "alice_max_degree":
         return MaxDegreeAlice(g)
     if name == "alice_degree_sum":
@@ -355,7 +338,8 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
     if name == "lowest":
         return lowest_index_strategy()
     if name.startswith("first:"):
-        return first_move_strategy(int(name.split(":", 1)[1]))
+        return first_move_strategy(
+            int_field(name[len("first:"):], None, "the vertex of first:<v>"))
     raise ValueError(f"unknown strategy name {name!r}")
 
 

@@ -258,7 +258,26 @@ class TestParameterValidation:
         code, text, err = run(capsys, command[0], "--graph", str(f),
                               "--variant", spec.format(xf), *command[1:])
         assert code == 2 and text == ""
-        assert str(xf) in err and f"vertex {vertex} " in err
+        # a sign is not part of a vertex field, so -1 fails as a field
+        frag = {"7": "vertex 7 is not in the graph's range",
+                "-1": "line 1: a vertex of {} must be a non-negative integer, "
+                      "got '-1'"}[vertex]
+        assert err.startswith("error: ") and frag.format(xf) in err
+
+    @pytest.mark.parametrize("variant,frag", [
+        ("target:{}", "line 2: a vertex of {} must be a non-negative integer, "
+                      "got 'x'"),
+        ("skip:1,z,target:{}", "a skip budget <a> or <b> must be a non-negative "
+                               "integer, got 'z'"),
+    ], ids=["target-file-token", "skip-budget"])
+    def test_non_integer_variant_field_exit_2(self, capsys, tmp_path, variant, frag):
+        f = tmp_path / "p3.g"
+        xf = tmp_path / "x.txt"
+        run(capsys, "generate", "path", "n=3", "--out", str(f))
+        xf.write_text("0\n1 x\n")
+        code, text, err = run(capsys, "solve", "--graph", str(f),
+                              "--variant", variant.format(xf))
+        assert code == 2 and text == "" and err == f"error: {frag.format(xf)}\n"
 
     def test_bad_variant_exit_2(self, capsys, tmp_path):
         f = tmp_path / "c.g"
@@ -295,6 +314,15 @@ class TestParameterValidation:
         code, text, _ = run(capsys, "verify", "--graph", str(f),
                             "--alice", "first:1")
         assert code == 0 and "guarantees at least 2" in text
+
+    def test_non_integer_first_vertex_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "p3.g"
+        run(capsys, "generate", "path", "n=3", "--out", str(f))
+        code, text, err = run(capsys, "verify", "--graph", str(f),
+                              "--alice", "first:x")
+        assert code == 2 and text == ""
+        assert err == ("error: the vertex of first:<v> must be a non-negative "
+                       "integer, got 'x'\n")
 
     def test_dot_export(self, capsys, tmp_path):
         g = tmp_path / "c4.g"

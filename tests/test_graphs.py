@@ -280,6 +280,8 @@ class TestTextFormat:
         ("", "line 1"),
         ("# role: x tag\nn 2\n", "line 1: a role's vertex must be a non-negative integer"),
         ("n 2\ns x\n", "line 2: the s vertex must be a non-negative integer"),
+        ("n 2\n# role: 9 x\n", "line 2: role vertex 9 out of range for n=2"),
+        ("# role: 1 a\n# role: 2 b\nn 2\n", "line 2: role vertex 2 out of range"),
     ])
     def test_errors_carry_line_numbers(self, text, frag):
         with pytest.raises(FormatError, match=frag):

@@ -411,6 +411,19 @@ class TestTreeFormat:
         with pytest.raises(ValueError, match="trailing"):
             parse_tree("q 4\n(leaf 0) (leaf 1)\n")
 
+    @pytest.mark.parametrize("text,frag", [
+        ("q x\n(leaf 0)\n", "line 1: q must be a non-negative integer, got 'x'"),
+        ("q 4\n(leaf x)\n", "line 2: a leaf vertex must be a non-negative "
+                             "integer, got 'x'"),
+        ("q 4\n# the spider\n(spider matched (s 0 1) (k 2 3)\n (f 0-1 1:3))\n",
+         "line 4: each side of an f pair <s>:<k> must be a non-negative "
+         "integer, got '0-1'"),
+    ], ids=["q", "leaf", "f-pair"])
+    def test_bad_integer_fields_name_their_line(self, text, frag):
+        with pytest.raises(ValueError) as exc:
+            parse_tree(text)
+        assert str(exc.value) == frag
+
     def test_comments_allowed(self):
         t = parse_tree("# a tree\nq 4\n(leaf 0 1)\n")
         assert t.root == Leaf(0b11)

@@ -152,6 +152,30 @@ class TestDegreeSumAlice:
 
 
 class TestBuiltinStrategies:
+    # pairs, triggers in insertion order, opening: trigger order decides moves
+    @pytest.mark.parametrize("name,fg,pairs,triggers,opening", [
+        ("regular4_alice", regular4_chain(3), ((0, 1), (2, 3), (4, 5)), [], 0),
+        ("king_mirror_alice", king_grid_2rows(3),
+         ((0, 1), (2, 3), (4, 5)), [], 0),
+        ("regular5_alice", regular5_chain(5, 2),
+         ((0, 1), (2, 3), (6, 7), (8, 9)),
+         [(4, (5,)), (5, (4,)), (10, (11,)), (11, (10,))], 0),
+        ("clique_chain_bob", clique_chain(3, 2), (),
+         [(4, (1,)), (0, (5,)), (1, (4,)), (5, (0,)), (2, (3,)), (3, (2,)),
+          (6, (7,)), (7, (6,))], None),
+        ("cartesian_bob", cartesian_grid(2, 3), (),
+         [(0, (1,)), (1, (2, 0)), (2, (1,)), (3, (4,)), (4, (5, 3)),
+          (5, (4,))], None),
+        ("hex_patch_bob", hex_patch(1), (), [], None),
+        ("hex_patch_bob", hex_patch(2), ((3, 6),), [], None),
+    ], ids=["regular4_alice", "king_mirror_alice", "regular5_alice",
+            "clique_chain_bob", "cartesian_bob", "hex_patch_bob-1",
+            "hex_patch_bob-2"])
+    def test_pairing_plan_is_pinned(self, name, fg, pairs, triggers, opening):
+        plan = builtin_strategy(name, fg).plan
+        assert (plan.pairs, list(plan.triggers.items()), plan.opening,
+                plan.name) == (pairs, triggers, opening, name)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             builtin_strategy("mystery", king_grid_2rows(3))
