@@ -15,9 +15,12 @@ reports the states the pruned solver expanded on that n's graphs
 ``--sample N`` checks seeded positions instead of the empty board of every
 small graph: N connected G(n, m) with n = 8..10 and m <= n + 4, each with a
 few random non-empty positions (disjoint red and blue sets, Alice to move
-or Bob after her), solved under Plain and Connected from that position and
-compared with ``naive_value`` there.  It reports how many positions have
-G - blue split, the case the per-component bounds of the search work on.
+or Bob after her), solved from that position under Plain, Connected,
+TargetSet(x), SkipBudget(1, 1, x) and SkipBudget(1, 0, x) and compared with
+``naive_value`` there.  Each position's non-empty x comes from a second
+stream seeded by --seed, so the graphs and positions do not depend on it.
+It reports how many positions have G - blue split, the case the
+per-component bounds of the search work on.
 
 ``--heads N`` runs ``analyze_head`` on every labelled graph with at most N
 vertices and every non-empty target set K, and prints how many heads fall
@@ -97,9 +100,11 @@ def check_heads(max_n: int) -> int:
 
 
 def check_sample(count: int, seed: int) -> int:
-    """Plain and Connected values at random positions of ``count`` seeded
-    connected G(n, m), against ``naive_value`` at the same positions."""
+    """Values under all five variants at random positions of ``count``
+    seeded connected G(n, m), against ``naive_value`` at the same
+    positions."""
     rng = random.Random(seed)
+    xrng = random.Random(f"target-sets/{seed}")
     t0 = time.time()
     split = states = 0
     for _ in range(count):
@@ -110,7 +115,9 @@ def check_sample(count: int, seed: int) -> int:
             half = (len(verts) + 1) // 2
             red, blue = mask_of(verts[:half]), mask_of(verts[half:])
             split += len(components_within(g.adj, g.full_mask & ~blue)) > 1
-            for variant in (PLAIN, CONNECTED):
+            x = xrng.randrange(1, 1 << n)
+            for variant in (PLAIN, CONNECTED, TargetSet(x), SkipBudget(1, 1, x),
+                            SkipBudget(1, 0, x)):
                 res = cg(g, variant, initial=GameConfig(red, blue))
                 states += res.states_expanded
                 ref = naive_value(g, variant, red, blue)
@@ -120,8 +127,8 @@ def check_sample(count: int, seed: int) -> int:
                           f"reference {ref}")
                     return 1
     print(f"{count} sampled graphs, {count * SAMPLE_POSITIONS} positions agree "
-          f"under Plain and Connected ({split} with G - blue split, {states} "
-          f"states, {time.time() - t0:.1f}s elapsed)")
+          f"under Plain, Connected, TargetSet and both SkipBudgets ({split} with "
+          f"G - blue split, {states} states, {time.time() - t0:.1f}s elapsed)")
     return 0
 
 

@@ -146,13 +146,22 @@ def _format_dot(fg) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_arg(text: str, what: str) -> int:
+    """``text`` read by ``int`` (so a sign is allowed); otherwise a
+    ``ValueError`` that names ``what``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _cmd_generate(args) -> int:
     params = {}
     for kv in args.params:
         if "=" not in kv:
             raise ValueError(f"parameters are k=v, got {kv!r}")
         key, val = kv.split("=", 1)
-        params[key] = int(val)
+        params[key] = _int_arg(val, f"parameter {key}")
     fg = generate(args.family, **params)
     if args.emit_tree and not fg.family.startswith("spider"):
         raise ValueError("--emit-tree only applies to spider families")
@@ -179,7 +188,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r}")
     numbers = None
     if args.criteria:
-        numbers = [int(x) for x in args.criteria.split(",")]
+        numbers = [_int_arg(x, "each --criteria entry") for x in args.criteria.split(",")]
     results = run_criteria(numbers, seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1

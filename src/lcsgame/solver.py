@@ -26,7 +26,7 @@ The static bound of Plain and Connected reads the components of G - blue
 from a cache keyed by blue: their order alone when G - blue is connected,
 otherwise their (mask, order) pairs.
 
-Five exact reductions cut the tree further, on no extra path:
+Six exact reductions cut the tree further, on no extra path:
 
 - Neighbour-count bound (Plain and Connected).  Let red be connected, k the
   number of uncoloured neighbours of red, and fa the number of moves Alice
@@ -67,28 +67,55 @@ Five exact reductions cut the tree further, on no extra path:
   C unable to beat lc whatever either player does, and under the cap it
   only cannot while Bob answers there, so an Alice move into C is a
   threat, not a pass.
-- Twin move skip (every variant).  Vertices u < v are twins when
-  N(u) - v == N(v) - u (equal open or equal closed neighbourhoods) and,
-  for TargetSet and SkipBudget, both or neither lie in x.  Swapping them is
-  an automorphism of the game that fixes every position in which both are
-  uncoloured, so the move v leads to the image of the move u and has the
-  same value: neither player's move v is searched while a lower twin is
-  uncoloured.  Twins are found once per core by grouping the neighbourhood
-  masks.  Both the lower twin and v are neighbours of red or neither is, so
-  the skip also keeps the Connected move rule and the near/far move order.
+- Better-move skip (every variant).  A vertex a dominates b when a != b,
+  N(b) lies in N[a] and, for TargetSet and SkipBudget, b in x implies a in
+  x.  Mutual domination is the twin relation: u < v are twins when
+  N(u) - v == N(v) - u (equal open or equal closed neighbourhoods) and both
+  or neither lie in x.  Swapping twins is an automorphism of the game that
+  fixes every position in which both are uncoloured, so the move v leads
+  to the image of the move u and has the same value.  A strict dominator a
+  of b (one that b does not dominate back) is at least as good a move as b
+  for either player under Plain, TargetSet and SkipBudget.  The mover plays
+  a, then follows their best line after b with a and b swapped.  On these
+  boards every uncoloured vertex is a legal move, so the swapped line stays
+  legal and a pass maps to a pass; each final colouring is the b-line's with
+  the colours of a and b exchanged.  So when they differ, Alice's line (she
+  played a) ends with a red a where the b-line has a red b, and the b-line
+  of Bob (he played b) ends with a red a where his line has a red b.  A red
+  a in place of a red b never lowers the score: b's red component keeps
+  its order, as a is adjacent to every other neighbour of b, and its
+  contact with x; other red components can only join it.  So the mover is
+  no worse off after a.  ``_better_moves`` lists, per vertex
+  b, its lower twins and, except under Connected, its strict dominators;
+  neither player's move b is searched while an entry of b is uncoloured.
+  Connected keeps the twins only: there the swap changes which moves are
+  legal and when play stops.  Twins are neighbours of red together, so the
+  Connected move rule holds for the twin that is searched.
 - Symmetric move skip (every variant).  An automorphism s of G that keeps
   membership in x and fixes every coloured vertex fixes the position, so
   the moves v and s(v) lead to images of each other and have the same
-  value; the move v is not searched when s(v) < v.  A twin swap or such an
-  automorphism maps each component of G - blue onto one of the same order
-  and red count, so the lower move is dead exactly when v is.  With every
-  skip at once, each skipped live move leads by a strictly decreasing chain
-  of equal-valued moves to a lower live one that is searched, and any set
-  of automorphisms is sound.  ``_automorphism_masks`` finds them (one per
-  coset of the twin swaps, a bounded number) once per core, when ``exact``
-  sees between two probes that the core has expanded ``_SYMMETRY_AFTER``
-  states; a small search never pays for them.  The table keys stay the
-  plain positions.
+  value; the move v is not searched when s(v) < v.  ``_automorphism_masks``
+  finds them (one per coset of the twin swaps, a bounded number) once per
+  core, when ``exact`` sees between two probes that the core has expanded
+  ``_SYMMETRY_AFTER`` states; a small search never pays for them.  The
+  table keys stay the plain positions.
+
+With every skip at once, each skipped move leads by a chain of uncoloured
+moves, each at least as good as the one before, to a searched one.  The key
+(degree, highest first; then membership in x first; then index) strictly
+falls along the chain: a twin or an automorphism keeps the degree and
+membership in x and lowers the index, and a strict dominator has the higher
+degree (deg(a) >= deg(b) for any dominator, with equality exactly for
+twins in G), or the same degree and lies in x where b does not.  So any set
+of automorphisms is sound.  The chain also stays live, so the dead-move
+drop never cuts it: a twin swap or an automorphism maps each component of
+G - blue onto one of the same order and red count, and a dominator of a
+live vertex is live.  For if b has a neighbour outside blue, it is a or a
+neighbour of a, and b lies in a's component of G - blue; otherwise b is
+alone in G - blue, with the bound min(1, fa), which is at most that of a's
+component, so b is dead when a's component is.  The better-move table is
+built once the core expands its second state: a search that settles in
+one state never pays for it.
 
 Move order.  Both players' move loops in ``search`` walk the neighbours of
 red first and then the other moves, each part in one static order that
@@ -101,8 +128,8 @@ alpha-beta cuts more when good moves come first (Knuth & Moore, 1975): the
 first tries his killer move (Akl & Newborn, 1977): the move of his last
 cutoff at the same move number, the count of blue, kept per core.  A
 refutation of one Alice move often refutes her siblings too, and is not
-found again at each of them; with it and the follow bound the 3x5 grid
-takes 13 653 states.  Alice has no killer slot: one at her nodes too cut
+found again at each of them; with it, the follow bound and the better-move
+skip the 3x5 grid takes 11 941 states.  Alice has no killer slot: one at her nodes too cut
 the solves of the seeded G(16, 56) draws a little more but grew their
 index-order PV re-searches (one draw from 259 to 1 803 states, the median
 solve plus PV from 629 to 738).  The order decides which children are
@@ -113,17 +140,19 @@ head's plain moves) come from one routine, ``_Core.best_move``: given the
 exact value t of a position, it returns the first legal move, by vertex
 index with Pass last, whose successor keeps t, deciding each successor with
 a null-window search (is it >= t after an Alice move, <= t after a Bob
-move) instead of solving it exactly.  It skips twin and symmetric moves as
-``search`` does: the lower twin or image of a value-keeping move keeps the
-value too and comes first, so the move chosen is the same.  It keeps the
+move) instead of solving it exactly.  It skips a move only for a legal
+entry of the better-move table with a lower index, and symmetric moves as
+``search`` does: that lower move is at least as good, so it keeps the value
+whenever the skipped move does, and it comes first; the move chosen is the
+same.  A dominator with a higher index is no reason to skip.  It keeps the
 moves into dead components, which may keep the value and come first.  It
 keeps index order and not the search's degree order: the first
 value-keeping move by index fixes the principal variations, the extracted
 strategies and the seeded benchmark digests, and another order would pick
 other optimal moves.  The price is search: the table holds what the solve
 visited in degree order, so the index-order children it never reached are
-searched afresh (the ``cartesian_grid(3, 4)`` line takes 1 572 states after
-a 1 402-state solve).
+searched afresh (the ``cartesian_grid(3, 4)`` line takes 1 371 states after
+a 1 412-state solve).
 
 The win/lose questions -- forcing a connected dominating set within r
 rounds, and the pseudo-spider head's compound-skip games -- are each one
@@ -197,24 +226,44 @@ def _variant_kind(variant: GameVariant) -> tuple[int, int]:
     raise TypeError(f"unknown variant {variant!r}")
 
 
-def _twin_lower(adj: list[int], x: int) -> tuple[tuple[int, int], ...]:
-    """``(bit, lower)`` for each vertex v that has twins below it: ``lower``
-    is the mask of the vertices u < v with N(u) - v == N(v) - u (equal open
-    neighbourhoods, or equal closed ones) that agree with v on membership in
-    ``x``.  Swapping u and v is then an automorphism that keeps the score."""
-    seen: dict[tuple[int, bool, bool], int] = {}
-    twins = []
-    for v, nbrs in enumerate(adj):
-        bit = 1 << v
-        in_x = bool(x & bit)
-        lower = 0
-        for key in ((nbrs, False, in_x), (nbrs | bit, True, in_x)):
-            mates = seen.get(key, 0)
-            lower |= mates
-            seen[key] = mates | bit
-        if lower:
-            twins.append((bit, lower))
-    return tuple(twins)
+def _better_moves(adj: list[int], x: int,
+                  strict: bool) -> tuple[tuple[int, int], ...]:
+    """``(bit, better)`` for each vertex b with moves at least as good as
+    its own: ``better`` masks the lower twins of b and, with ``strict``, the
+    vertices that strictly dominate b (see the module docstring).
+
+    Each a in ``better`` dominates b: a != b, N(b) is in N[a], and b in x
+    implies a in x; a is then adjacent to or equal to every neighbour of b.
+    Then deg(a) >= deg(b), with equality exactly when N(a) - b == N(b) - a.
+    So a dominator of equal degree that agrees with b on x is a twin of b,
+    kept when a < b, and every other dominator is strict."""
+    full = (1 << len(adj)) - 1
+    deg = [nbrs.bit_count() for nbrs in adj]
+    table = []
+    for b, nbrs in enumerate(adj):
+        bit = 1 << b
+        # the dominators of b: the closed neighbourhoods of its neighbours
+        # meet in them (bit loops inline: the table is built per core)
+        dom = full & ~bit
+        while nbrs and dom:
+            low = nbrs & -nbrs
+            dom &= adj[low.bit_length() - 1] | low
+            nbrs ^= low
+        if x & bit:
+            dom &= x
+        better = 0
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            a = low.bit_length() - 1
+            if deg[a] == deg[b] and (x >> a & 1) == (x >> b & 1):
+                if a < b:
+                    better |= low
+            elif strict:
+                better |= low
+        if better:
+            table.append((bit, better))
+    return tuple(table)
 
 
 def _automorphism_masks(g: Graph, x: int = 0) -> tuple[tuple[int, int], ...]:
@@ -225,7 +274,7 @@ def _automorphism_masks(g: Graph, x: int = 0) -> tuple[tuple[int, int], ...]:
     Backtracking maps the vertices in index order, each to an unused vertex
     of the same colour (degree, sorted neighbour degrees, membership in x)
     whose adjacency to the images so far matches.  The twin swaps are left to
-    the twin move skip: each vertex must map above the image of its next
+    the better-move skip: each vertex must map above the image of its next
     lower twin, so every coset of the twin swaps gives one map, the one that
     keeps twins in order.  The search stops after ``_SYMMETRY_MAPS`` maps or
     ``_SYMMETRY_STEPS`` candidate images, so it may return part of the
@@ -239,7 +288,7 @@ def _automorphism_masks(g: Graph, x: int = 0) -> tuple[tuple[int, int], ...]:
     for v, c in enumerate(colour):
         classes[c] = classes.get(c, 0) | 1 << v
     prev_twin = [-1] * n
-    for bit, lower in _twin_lower(adj, x):
+    for bit, lower in _better_moves(adj, x, False):
         prev_twin[bit.bit_length() - 1] = lower.bit_length() - 1
     image = [0] * n
     maps: list[tuple[int, int]] = []
@@ -306,7 +355,10 @@ class _Core:
         self._live: dict[int, int | tuple[tuple[int, int], ...]] = {}
         # lc of a disconnected red set after an adjacent Alice move, by red
         self._lc: dict[int, int] = {}
-        self._twins = _twin_lower(self.adj, self.x)
+        # the better-move table (see ``_better_moves``): strict dominators
+        # under every variant but Connected; None until the core expands its
+        # second state
+        self._better: tuple[tuple[int, int], ...] | None = None
         # the search's move order: by degree, highest first, ties by index
         self._order = [1 << v for v in sorted(range(g.n),
                                               key=lambda v: -self.adj[v].bit_count())]
@@ -345,12 +397,18 @@ class _Core:
 
     # -- terminal and move machinery -----------------------------------------
 
-    def _twin_free(self, uncolored: int) -> int:
-        """``uncolored`` without each vertex that has a lower uncoloured twin:
-        its move leads to the image of its twin's move under the swap."""
-        moves = uncolored
-        for bit, lower in self._twins:
-            if lower & uncolored:
+    def _better_free(self, avail: int, below: bool = False) -> int:
+        """``avail`` without each vertex that has an entry of the better-move
+        table in ``avail`` (with ``below``, a lower-index one): that entry is
+        a move at least as good."""
+        moves = avail
+        if below:
+            for bit, better in self._better:
+                if better & (bit - 1) & avail:
+                    moves &= ~bit
+            return moves
+        for bit, better in self._better:
+            if better & avail:
                 moves &= ~bit
         return moves
 
@@ -466,11 +524,15 @@ class _Core:
             return lb
         self.budget.tick()
 
-        # the moves, without those the dead components, twins and
-        # automorphisms make redundant; both loops walk the neighbours of red
-        # (near) and then the rest (far), each in the degree order, Bob's
-        # after his killer move (see the module docstring)
-        moves = self._twin_free(uncolored) if self._twins else uncolored
+        # the moves, without those the better-move table, the dead components
+        # and the automorphisms make redundant; both loops walk the
+        # neighbours of red (near) and then the rest (far), each in the degree
+        # order, Bob's after his killer move (see the module docstring)
+        better = self._better
+        if better is None and self.budget.spent - self._spent0 > 1:
+            better = self._better = _better_moves(self.adj, self.x,
+                                                  kind != _CONNECTED_K)
+        moves = self._better_free(uncolored) if better else uncolored
         if dead and (kind == _PLAIN_K or lc == rc):
             moves &= ~dead
         if self._syms:
@@ -589,9 +651,9 @@ class _Core:
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
         legal, pass_ok = _legal_masks(self.g, self.variant, red, blue, ask, bsk, alice)
-        # twins of a legal vertex are legal too (under Connected, a twin of a
-        # neighbour of red is one), so the twin skip may read the legal mask
-        cand = self._twin_free(legal)
+        # only a legal entry with a lower index skips: it keeps the value
+        # whenever the skipped move does, and it comes first
+        cand = self._better_free(legal, below=True) if self._better else legal
         if self._syms:
             cand = self._symmetric_free(red | blue, cand)
         moves: list[int | _PassType] = list(bits(cand))
@@ -709,7 +771,9 @@ def _cg(g: Graph, variant: GameVariant, budget: Budget,
         raise CapacityError(f"solver requires n <= {SOLVER_CAPACITY}, got {g.n}")
     initial.check(g)
     start = budget.spent
-    if isinstance(variant, Plain) and initial == GameConfig():
+    if isinstance(variant, Plain) and not (initial.red or initial.blue or
+                                           initial.alice_skips_used or
+                                           initial.bob_skips_used):
         comps = components(g)
         if len(comps) > 1:
             best = None

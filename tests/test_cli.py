@@ -37,6 +37,11 @@ class TestGenerate:
     def test_bad_params_exit_2(self, capsys):
         code, _, err = run(capsys, "generate", "cycle", "n=oops")
         assert code == 2
+        assert err == "error: parameter n must be an integer, got 'oops'\n"
+
+    def test_negative_seed_still_parses(self, capsys):
+        code, text, _ = run(capsys, "generate", "gnm", "n=5", "m=6", "seed=-3")
+        assert code == 0 and "n 5" in text
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "generate", "clique_chain", "d=1", "nchain=2")
@@ -219,6 +224,11 @@ class TestBench:
         assert code == 0
         assert "[PASS] criterion  1" in text
         assert "2/2 criteria passed" in text
+
+    def test_non_integer_criterion_exit_2(self, capsys):
+        code, text, err = run(capsys, "bench", "--criteria", "1,x")
+        assert code == 2 and "criteria passed" not in text
+        assert err == "error: each --criteria entry must be an integer, got 'x'\n"
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "bench", "--suite", "mountain")

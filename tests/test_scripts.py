@@ -35,10 +35,13 @@ def test_exhaustive_crosscheck_all_variants():
 
 def test_exhaustive_crosscheck_seeded_positions():
     # random non-empty positions of seeded G(n, m) with n = 8..10, under
-    # Plain and Connected, against oracles.naive_value
+    # Plain, Connected, TargetSet(x), SkipBudget(1, 1, x) and
+    # SkipBudget(1, 0, x) with a seeded x per position, against
+    # oracles.naive_value
     proc = _script("exhaustive_crosscheck.py", "--sample", "20")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "20 sampled graphs, 60 positions agree" in proc.stdout
+    assert ("20 sampled graphs, 60 positions agree under Plain, Connected, "
+            "TargetSet and both SkipBudgets") in proc.stdout
     assert "(14 with G - blue split," in proc.stdout
 
 

@@ -47,6 +47,7 @@ from lcsgame import solver
 from lcsgame.solver import (
     _SYMMETRY_MAPS,
     _automorphism_masks,
+    _better_moves,
     _CompoundSkipGame,
     _Core,
     analyze_head,
@@ -703,17 +704,81 @@ class TestSharedCoreQueries:
 
 
 class TestTwinClasses:
+    # the better-move table with its strict entries off holds the lower twins
     def test_false_twins_and_target_membership(self):
         star = complete_bipartite(1, 3).graph
         # leaves 1, 2, 3 share the open neighbourhood {0}
-        assert _Core(star, PLAIN)._twins == ((0b100, 0b10), (0b1000, 0b110))
+        assert _better_moves(star.adj, 0, False) == ((0b100, 0b10), (0b1000, 0b110))
         # leaf 2 is in x, leaves 1 and 3 are not
-        assert _Core(star, TargetSet(0b101))._twins == ((0b1000, 0b10),)
+        assert _better_moves(star.adj, 0b101, False) == ((0b1000, 0b10),)
 
     def test_true_twins(self):
         # each column of the two-row king's grid shares a closed neighbourhood
-        assert _Core(king2(3), PLAIN)._twins == ((0b10, 0b1), (0b1000, 0b100),
-                                                 (0b100000, 0b10000))
+        assert _better_moves(king2(3).adj, 0, False) == ((0b10, 0b1), (0b1000, 0b100),
+                                                         (0b100000, 0b10000))
+
+
+class TestBetterMoves:
+    def test_centre_of_star_dominates_every_leaf(self):
+        star = complete_bipartite(1, 3).graph
+        # each leaf: the centre, then its lower twins
+        assert _better_moves(star.adj, 0, True) == ((0b10, 0b1), (0b100, 0b11),
+                                                    (0b1000, 0b111))
+
+    def test_target_set_membership_is_one_way(self):
+        star = complete_bipartite(1, 3).graph
+        table = dict(_better_moves(star.adj, 0b101, True))
+        # leaf 2 is in x and leaf 1 is not: 2 dominates 1, not the other way
+        assert table[0b10] & 0b100
+        assert not table[0b100] & 0b10
+        assert table == {0b10: 0b101, 0b100: 0b1, 0b1000: 0b111}
+
+    def test_grid_corner_has_the_diagonal_vertex_as_dominator(self):
+        # 0's neighbours 1 and 5 are both neighbours of 6
+        table = dict(_better_moves(cartesian_grid(3, 5).graph.adj, 0, True))
+        assert table[0b1] == 1 << 6
+
+    def test_connected_core_keeps_twins_only(self):
+        # the corners of the 2x4 grid have dominators and no twins
+        g = cartesian_grid(2, 4).graph
+        twins = _better_moves(g.adj, 0, False)
+        assert twins == () and _better_moves(g.adj, 0, True)
+        core = _Core(g, CONNECTED)
+        core.exact(0, 0)
+        assert core.budget.spent > 1 and core._better == twins
+        core = _Core(g, PLAIN)
+        core.exact(0, 0)
+        assert core._better == _better_moves(g.adj, 0, True)
+
+    def test_one_state_solve_builds_no_table(self):
+        res = cg(path(3))
+        assert res.states_expanded == 1 and res._core._better is None
+        res = cg(cycle(6))
+        assert res.states_expanded > 1 and res._core._better is not None
+
+    def test_small_graphs_match_naive(self):
+        # every labelled graph with n <= 4 under all five variants, with the
+        # table built after each core's first expanded state: every value and
+        # principal variation must hold
+        strict = 0
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for em in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if em >> i & 1])
+                variants = [PLAIN, CONNECTED]
+                for x in range(1 << n):
+                    variants += [TargetSet(x), SkipBudget(1, 1, x), SkipBudget(1, 0, x)]
+                for variant in variants:
+                    res = cg(g, variant)
+                    assert res.value == naive_value(g, variant), (g.edges(), variant)
+                    cfg = GameConfig()
+                    for move in res.principal_variation:
+                        cfg = apply_move(cfg, cfg.mover(), move)
+                    assert score(g, variant, cfg.red) == res.value, (g.edges(), variant)
+                    core = res._core
+                    strict += bool(core._better) and \
+                        core._better != _better_moves(core.adj, core.x, False)
+        assert strict > 0
 
 
 class TestAutomorphismMasks:
