@@ -17,8 +17,9 @@ small graph: N connected G(n, m) with n = 8..10 and m <= n + 4, each with a
 few random non-empty positions (disjoint red and blue sets, Alice to move
 or Bob after her), solved from that position under Plain, Connected,
 TargetSet(x), SkipBudget(1, 1, x) and SkipBudget(1, 0, x) and compared with
-``naive_value`` there.  Each position's non-empty x comes from a second
-stream seeded by --seed, so the graphs and positions do not depend on it.
+``naive_value`` there.  Each position's non-empty x comes from its own
+stream seeded by --seed, so drawing it leaves the graphs and positions as
+they were.
 It reports how many positions have G - blue split, the case the
 per-component bounds of the search work on.
 
