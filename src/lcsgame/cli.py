@@ -42,7 +42,7 @@ from .reductions import (
 )
 from .solver import DEFAULT_MAX_STATES, cg
 from .strategies import builtin_strategy
-from .engine import verify_strategy_exhaustive
+from .engine import _verify_exhaustive
 
 
 def _read_vertex_set(path: str, n: int) -> int:
@@ -96,10 +96,10 @@ def _cmd_verify(args) -> int:
         side, name = Player.ALICE, args.alice
     else:
         side, name = Player.BOB, args.bob
-    strat = builtin_strategy(name, doc)
-    value = verify_strategy_exhaustive(doc.graph, variant, strat, side,
-                                       max_states=args.max_states,
-                                       time_limit=args.time_limit)
+    # one budget covers the strategy's set-up and the verification
+    budget = Budget(args.max_states, args.time_limit)
+    strat = builtin_strategy(name, doc, budget=budget)
+    value = _verify_exhaustive(doc.graph, variant, strat, side, budget)
     bound = "guarantees at least" if side is Player.ALICE else "concedes at most"
     print(f"{name} ({side.name.lower()}) {bound} {value}")
     return 0

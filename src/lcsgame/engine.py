@@ -574,6 +574,14 @@ def verify_strategy_exhaustive(
     and ``time_limit`` (seconds) covers the whole verification.  An
     ``objective``, given the packed final position, replaces ``score``.
     """
+    return _verify_exhaustive(g, variant, fixed, fixed_side,
+                              Budget(max_states, time_limit), objective)
+
+
+def _verify_exhaustive(g: Graph, variant: GameVariant, fixed: Strategy,
+                       fixed_side: Player, budget: Budget,
+                       objective: Callable[[Position], int] | None = None) -> int:
+    """``verify_strategy_exhaustive`` charging the caller's ``budget``."""
     alice_fixed = fixed_side is Player.ALICE
     minimise = alice_fixed
     # skipping the _legal_masks call on an open board takes about a tenth
@@ -581,7 +589,7 @@ def verify_strategy_exhaustive(
     open_board = isinstance(variant, _OPEN_BOARD)
     full = g.full_mask
     memo: dict[Hashable, int] = {}
-    tick = Budget(max_states, time_limit).tick
+    tick = budget.tick
     choose = fixed.choose
 
     def value(red: int, blue: int, ask: int, bsk: int, alice: bool,

@@ -69,6 +69,8 @@ def complete(n: int) -> FamilyGraph:
 
 
 def complete_bipartite(a: int, b: int) -> FamilyGraph:
+    if a < 0 or b < 0:
+        raise ValueError(f"a and b must be >= 0, got a={a}, b={b}")
     g = Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     roles = {v: ("left" if v < a else "right") for v in range(a + b)}
     return FamilyGraph(g, "complete_bipartite", {"a": a, "b": b}, roles)
@@ -342,6 +344,8 @@ def hex_patch(cells: int, cols: int = 1) -> FamilyGraph:
     """
     if cells < 1:
         raise ValueError("needs at least one cell")
+    if cols < 1:
+        raise ValueError(f"cols must be >= 1, got {cols}")
     rows = (cells + cols - 1) // cols
     chosen = []
     for idx in range(cells):

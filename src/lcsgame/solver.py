@@ -2,18 +2,23 @@
 
 Positions are pairs of packed vertex sets (plus skip counters where the
 variant allows passing); the mover is derived from turn counts, never
-stored, which keeps transposition keys small.  Alpha-beta pruning and
-admissible static bounds are used on the default path; an unpruned plain
-minimax is kept alongside so the no-effect-on-values invariant can be
-checked directly.
+stored, which keeps transposition keys small.  The default path answers
+only threshold questions, with cutoffs and admissible static bounds; an
+unpruned plain minimax is kept alongside so the no-effect-on-values
+invariant can be checked directly.
 
-``_Core.exact`` decides the value by fail-soft null-window probes from
-above, in the style of MTD(f): it starts at t = n + 1, asks whether the
-value is at least t, and, while the answer is no, moves t down to the upper
-bound the failed probe returned.  The first probe returns the root's static
-bound at once; the probes share one transposition table and one state
-count.  Each table entry is the small int ``value * 3 + flag``, and
-``search`` probes the table before it computes the static bound.
+``_Core.search`` is a memory-enhanced test, an MT call in the terms of
+Plaat, Schaeffer, Pijls & de Bruin ("Best-first fixed-depth minimax
+algorithms", AIJ 1996): a fail-soft alpha-beta search with the null window
+(t - 1, t), which answers "is the value at least t?" with a bound: a result
+r >= t proves value >= r, and r < t proves value <= r.  ``exact`` is their
+MTD(+inf): it starts at t = n + 1 and, while the answer is no, moves t down
+to the upper bound the failed test returned.  The first test returns the
+root's static bound at once; the tests share one transposition table and
+one state count.  Each table entry is the small int ``value * 2 + (value >=
+t)``, the low bit marking a lower bound, and a later test at t' reads it
+when that bound settles t'.  ``search`` probes the table before it computes
+the static bound.
 
 The pruned search carries two summaries of the red set down the recursion
 instead of recomputing them at every node: ``reach``, the union of the red
@@ -139,7 +144,7 @@ Optimal moves (principal variations, extracted strategies, a pseudo-spider
 head's plain moves) come from one routine, ``_Core.best_move``: given the
 exact value t of a position, it returns the first legal move, by vertex
 index with Pass last, whose successor keeps t, deciding each successor with
-a null-window search (is it >= t after an Alice move, <= t after a Bob
+a null-window test (is it >= t after an Alice move, <= t after a Bob
 move) instead of solving it exactly.  It skips a move only for a legal
 entry of the better-move table with a lower index, and symmetric moves as
 ``search`` does: that lower move is at least as good, so it keeps the value
@@ -202,8 +207,6 @@ from .graphs import (
 )
 
 DEFAULT_MAX_STATES = 500_000_000
-
-_EXACT, _LOWER, _UPPER = 0, 1, 2
 
 _PLAIN_K, _TARGET_K, _CONNECTED_K, _SKIP_K = 0, 1, 2, 3
 
@@ -348,7 +351,9 @@ class _Core:
         self.b_budget = variant.bob_budget if self.kind == _SKIP_K else 0
         self.use_pruning = use_pruning
         self.budget = Budget(DEFAULT_MAX_STATES) if budget is None else budget
-        # packed entries: value * 3 + flag
+        # ``search`` stores value * 2 + (value >= t), the low bit marking a
+        # lower bound; ``search_plain`` stores the value.  A core runs only
+        # one of the two (``use_pruning``), so they never share the table.
         self.tt: dict[int, int] = {}
         # the components of G - blue, by blue: the order alone when G - blue
         # is connected, otherwise a tuple of (mask, order) pairs
@@ -432,9 +437,11 @@ class _Core:
     # -- pruned search --------------------------------------------------------
 
     def search(self, red: int, blue: int, ask: int, bsk: int,
-               alpha: int, beta: int, reach: int, lc: int) -> int:
-        """Fail-soft alpha-beta value.  ``reach`` and ``lc`` summarise red as
-        ``_red_summary`` does; they are updated per move, never recomputed.
+               t: int, reach: int, lc: int) -> int:
+        """Fail-soft test of value >= t: a result r >= t proves value >= r,
+        and a result r < t proves value <= r.  ``reach`` and ``lc`` summarise
+        red as ``_red_summary`` does; they are updated per move, never
+        recomputed.
 
         After the terminal tests the transposition table is probed first;
         the counting cutoff (see the module docstring) and the static bounds
@@ -460,20 +467,8 @@ class _Core:
         else:
             key = (red << SOLVER_CAPACITY) | blue
         hit = self.tt.get(key)
-        if hit is not None:
-            v, flag = divmod(hit, 3)
-            if flag == _EXACT:
-                return v
-            if flag == _LOWER:
-                if v >= beta:
-                    return v
-                if v > alpha:
-                    alpha = v
-            else:
-                if v <= alpha:
-                    return v
-                if v < beta:
-                    beta = v
+        if hit is not None and hit & 1 == (hit >> 1 >= t):
+            return hit >> 1
 
         u = uncolored.bit_count()
         lb = lc
@@ -514,13 +509,11 @@ class _Core:
                             b = follow
                         if b > ub:
                             ub = b
-        if ub <= alpha:
+        if ub < t:
             return ub
-        if not self.tracks_lc and rc >= beta:
+        if not self.tracks_lc and rc >= t:
             lb = score(self.g, self.variant, red)
-        if lb >= beta:
-            return lb
-        if lb == ub:
+        if lb >= t:
             return lb
         self.budget.tick()
 
@@ -539,7 +532,6 @@ class _Core:
             moves = self._symmetric_free(red | blue, moves)
         near = reach & moves
         far = 0 if kind == _CONNECTED_K and alice and red else moves & ~near
-        a0, b0 = alpha, beta
         order = self._order
         if alice:
             adj = self.adj
@@ -548,19 +540,17 @@ class _Core:
                 for bit in order:
                     if not bit & part:
                         continue
-                    val = self.search(red | bit, blue, ask, bsk, alpha, beta,
+                    val = self.search(red | bit, blue, ask, bsk, t,
                                       reach | adj[bit.bit_length() - 1],
                                       self._grown_lc(red, bit, reach, lc))
                     if val > best:
                         best = val
-                        if best > alpha:
-                            alpha = best
-                            if alpha >= beta:
-                                break
-                if alpha >= beta:
+                        if best >= t:
+                            break
+                if best >= t:
                     break
-            if kind == _SKIP_K and ask < self.a_budget and alpha < beta:
-                val = self.search(red, blue, ask + 1, bsk, alpha, beta, reach, lc)
+            if kind == _SKIP_K and ask < self.a_budget and best < t:
+                val = self.search(red, blue, ask + 1, bsk, t, reach, lc)
                 if val > best:
                     best = val
         else:
@@ -570,27 +560,19 @@ class _Core:
                 for bit in order:
                     if not bit & part:
                         continue
-                    val = self.search(red, blue | bit, ask, bsk, alpha, beta,
-                                      reach, lc)
+                    val = self.search(red, blue | bit, ask, bsk, t, reach, lc)
                     if val < best:
                         best = val
-                        if best < beta:
-                            beta = best
-                            if alpha >= beta:
-                                self._killers[bc] = bit
-                                break
-                if alpha >= beta:
+                        if best < t:
+                            self._killers[bc] = bit
+                            break
+                if best < t:
                     break
-            if kind == _SKIP_K and bsk < self.b_budget and alpha < beta:
-                val = self.search(red, blue, ask, bsk + 1, alpha, beta, reach, lc)
+            if kind == _SKIP_K and bsk < self.b_budget and best >= t:
+                val = self.search(red, blue, ask, bsk + 1, t, reach, lc)
                 if val < best:
                     best = val
-        flag = _EXACT
-        if best <= a0:
-            flag = _UPPER
-        elif best >= b0:
-            flag = _LOWER
-        self.tt[key] = best * 3 + flag
+        self.tt[key] = best * 2 + (best >= t)
         return best
 
     # -- unpruned reference search ---------------------------------------------
@@ -604,7 +586,7 @@ class _Core:
             key = (red << SOLVER_CAPACITY) | blue
         hit = self.tt.get(key)
         if hit is not None:
-            return hit // 3
+            return hit
         alice = red.bit_count() + ask == blue.bit_count() + bsk
         moves, pass_ok = _legal_masks(self.g, self.variant, red, blue, ask, bsk, alice)
         if not (moves or pass_ok):
@@ -616,24 +598,20 @@ class _Core:
         if pass_ok:
             vals.append(self.search_plain(red, blue, ask + alice, bsk + (not alice)))
         best = max(vals) if alice else min(vals)
-        self.tt[key] = best * 3 + _EXACT
+        self.tt[key] = best
         return best
 
     # -- public helpers ----------------------------------------------------------
 
     def exact(self, red: int, blue: int, ask: int = 0, bsk: int = 0) -> int:
-        """Exact value of a position.  The pruned path probes from above with
-        null windows: with t = n + 1 at first, it asks ``search`` whether the
-        value is at least t; a probe that fails returns an upper bound r < t
-        (the first one, the root's static bound) and the next probe asks at
-        t = r, until one succeeds and the value is t.  The probes share the
-        table and the core's budget."""
+        """Exact value of a position; the pruned path runs the tests of
+        MTD(+inf) from t = n + 1 down (see the module docstring)."""
         if not self.use_pruning:
             return self.search_plain(red, blue, ask, bsk)
         reach, lc = self._red_summary(red)
         t = self.g.n + 1
         while True:
-            r = self.search(red, blue, ask, bsk, t - 1, t, reach, lc)
+            r = self.search(red, blue, ask, bsk, t, reach, lc)
             if r >= t:
                 return t
             t = r
@@ -645,9 +623,9 @@ class _Core:
                   t: int) -> int | _PassType | None:
         """First legal move, by vertex index with Pass last, whose successor
         keeps the position's exact value ``t`` (a vertex index or Pass; None
-        when there is no legal move).  A null-window search decides each
-        successor: an Alice move keeps ``t`` when it is worth at least ``t``,
-        a Bob move at most ``t``."""
+        when there is no legal move).  One test decides each successor: an
+        Alice move keeps ``t`` when it is worth at least ``t``, a Bob move
+        when it fails the test at ``t + 1``."""
         alice = (red.bit_count() + ask) == (blue.bit_count() + bsk)
         reach, lc = self._red_summary(red)
         legal, pass_ok = _legal_masks(self.g, self.variant, red, blue, ask, bsk, alice)
@@ -671,9 +649,9 @@ class _Core:
             if not self.use_pruning:
                 keep = self.search_plain(*child[:4]) == t
             elif alice:
-                keep = self.search(*child[:4], t - 1, t, *child[4:]) >= t
+                keep = self.search(*child[:4], t, *child[4:]) >= t
             else:
-                keep = self.search(*child[:4], t, t + 1, *child[4:]) <= t
+                keep = self.search(*child[:4], t + 1, *child[4:]) <= t
             if keep:
                 return move
         if moves:
@@ -794,11 +772,11 @@ def _cg(g: Graph, variant: GameVariant, budget: Budget,
 def is_a_perfect(g: Graph, *, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """True iff Alice can keep her whole colouring connected: value = ceil(n/2).
 
-    One null-window probe of the whole graph: ceil(n/2) is the static bound
-    of the empty board, so the question is whether the value reaches it."""
+    One test of the whole graph at ceil(n/2), the static bound of the empty
+    board."""
     t = (g.n + 1) // 2
     return _Core(g, Plain(), budget=Budget(max_states)).search(
-        0, 0, 0, 0, t - 1, t, 0, 0) >= t
+        0, 0, 0, 0, t, 0, 0) >= t
 
 
 # -- forcing a connected dominating set within r rounds -----------------------

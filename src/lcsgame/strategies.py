@@ -19,6 +19,7 @@ from typing import Hashable
 from .engine import (
     ARBITRARY,
     PASS,
+    Budget,
     Strategy,
     first_move_strategy,
     lowest_index_strategy,
@@ -281,11 +282,14 @@ def _group_triggers(doc) -> dict[int, tuple[int, ...]]:
             for grp in doc.meta.get("group", []) for v in grp}
 
 
-def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strategy:
+def builtin_strategy(name: str, doc, matching: Matching | None = None,
+                     budget: Budget | None = None) -> Strategy:
     """Instantiate a named proof strategy for a generated family instance.
 
     ``doc`` is a generated family graph (or a parsed graph document) whose
     role/meta annotations identify the vertex roles the strategy addresses.
+    ``cubic_bob`` with no ``matching`` charges its matching search to
+    ``budget`` (unbounded by default).
     """
     g = doc.graph
     if name in ("regular4_alice", "king_mirror_alice"):
@@ -309,7 +313,7 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
         return PairingStrategy(PairingPlan(triggers=triggers, name=name))
     if name == "cubic_bob":
         if matching is None:
-            matching = find_suitable_matching(g)
+            matching = find_suitable_matching(g, budget)
             if matching is None:
                 raise ValueError("graph admits no suitable matching")
         return CubicBob(g, matching)
@@ -338,15 +342,18 @@ def builtin_strategy(name: str, doc, matching: Matching | None = None) -> Strate
     if name == "lowest":
         return lowest_index_strategy()
     if name.startswith("first:"):
-        return first_move_strategy(
-            int_field(name[len("first:"):], None, "the vertex of first:<v>"))
+        v = int_field(name[len("first:"):], None, "the vertex of first:<v>")
+        if v >= g.n:
+            raise ValueError(
+                f"{name}: vertex {v} is not in the graph's range 0..{g.n - 1}")
+        return first_move_strategy(v)
     raise ValueError(f"unknown strategy name {name!r}")
 
 
 # -- suitable matchings ------------------------------------------------------------
 
 
-def find_suitable_matching(g: Graph) -> Matching | None:
+def find_suitable_matching(g: Graph, budget: Budget | None = None) -> Matching | None:
     """Search for a matching whose removal splits a connected cubic graph into
     exactly two supercycles.
 
@@ -354,7 +361,8 @@ def find_suitable_matching(g: Graph) -> Matching | None:
     bipartition (removing extra non-cut edges never helps: it only lowers
     degrees or disconnects), so the complete search enumerates bipartitions
     whose cut is a matching, both sides connected, and each side keeping a
-    degree-3 vertex.
+    degree-3 vertex.  Each bipartition examined charges one state to
+    ``budget`` (unbounded by default).
     """
     if g.n == 0 or any(g.degree(v) != 3 for v in range(g.n)):
         raise ValueError("suitable matchings are defined for cubic graphs")
@@ -363,8 +371,12 @@ def find_suitable_matching(g: Graph) -> Matching | None:
     full = g.full_mask
     adj = g.adj
     n = g.n
+    # no call per bipartition without a budget: the loop is the whole cost
+    tick = None if budget is None else budget.tick
     # vertex n-1 fixed on side B to kill the complement symmetry
     for bits_a in range(1, 1 << (n - 1)):
+        if tick:
+            tick()
         side_a = bits_a
         pc = side_a.bit_count()
         if pc < 4 or n - pc < 4:

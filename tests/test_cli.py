@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from lcsgame.cli import main
-from lcsgame.graphs import read_graph
+from lcsgame.graphs import Graph, read_graph, write_graph
 
 
 def run(capsys, *argv):
@@ -46,6 +46,15 @@ class TestGenerate:
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "generate", "clique_chain", "d=1", "nchain=2")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("params,message", [
+        (("hex_patch", "cells=2", "cols=0"), "cols must be >= 1, got 0"),
+        (("hex_patch", "cells=2", "cols=-1"), "cols must be >= 1, got -1"),
+        (("complete_bipartite", "a=-1", "b=2"), "a and b must be >= 0, got a=-1, b=2"),
+    ], ids=["hex_patch-cols-0", "hex_patch-cols-negative", "complete_bipartite-a-negative"])
+    def test_out_of_range_parameter_exit_2(self, capsys, params, message):
+        code, text, err = run(capsys, "generate", *params)
+        assert (code, text, err) == (2, "", f"error: {message}\n")
 
     def test_emit_tree(self, capsys, tmp_path):
         g = tmp_path / "sp.g"
@@ -140,6 +149,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--graph", str(f),
                            "--alice", "wizardry")
         assert code == 2
+
+    def test_first_vertex_outside_graph_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "p5.g"
+        run(capsys, "generate", "path", "n=5", "--out", str(f))
+        code, text, err = run(capsys, "verify", "--graph", str(f),
+                              "--alice", "first:99")
+        assert (code, text) == (2, "")
+        assert err == "error: first:99: vertex 99 is not in the graph's range 0..4\n"
+
+    def test_matching_search_charges_the_state_budget(self, capsys, tmp_path):
+        # a cubic graph whose matching search examines 395 bipartitions and
+        # whose verification then expands 315 states: 350 states cover the
+        # verification alone, but not the call
+        f = tmp_path / "cubic10.g"
+        write_graph(f, Graph.from_edges(10, [
+            (0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 8), (2, 4), (2, 5),
+            (2, 6), (3, 8), (4, 6), (5, 9), (6, 9), (7, 8), (7, 9)]))
+        argv = ["verify", "--graph", str(f), "--bob", "cubic_bob"]
+        code, text, err = run(capsys, *argv, "--max-states", "350")
+        assert (code, text) == (3, "") and "budget exceeded" in err
+        code, text, _ = run(capsys, *argv, "--max-states", str(395 + 315))
+        assert (code, text) == (0, "cubic_bob (bob) concedes at most 4\n")
 
 
 class TestQgraphCommand:

@@ -222,6 +222,22 @@ class TestEvaluation:
         assert core.exact(0, 0) == analyze_head(g3, 0b010).c_star
         assert verify_strategy_exhaustive(g, PLAIN, strat, Player.ALICE) == cg(g).value
 
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(0, 2), (2, 3)]),
+        (6, [(0, 1), (0, 2), (1, 2), (2, 4), (3, 4)]),
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        (7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),
+    ])
+    def test_disconnected_exact_leaf_played_from_a_fresh_core(self, n, edges):
+        # the leaf's solve is split by component, so play needs a core over
+        # the whole leaf; its guarantee is the leaf's value
+        g = Graph.from_edges(n, edges)
+        t = DecompositionTree(n, Leaf(g.full_mask))
+        strat = alice_strategy_qgraph(g, t)
+        assert strat._core.g.n == n and strat._core.budget.spent == 0
+        assert verify_strategy_exhaustive(g, PLAIN, strat, Player.ALICE) \
+            == cg_qgraph(g, t) == cg(g).value
+
     def test_disconnected_large_rest_pseudo_spider_rejected(self):
         # isolated S vertex: the large-rest rule requires a connected node
         edges = [(1, 2 + j) for j in range(5)]

@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lcsgame.engine import (
     ARBITRARY,
     PLAIN,
     Player,
+    Strategy,
     play_match,
     random_playouts,
     verify_strategy_exhaustive,
 )
-from lcsgame.graphs import Graph, Planarity, diameter, is_bipartite, planarity_check
+from lcsgame.graphs import Graph, Planarity, bits, diameter, is_bipartite, planarity_check
 from lcsgame.reductions import (
+    _A_HEX,
+    _A_HUB_S,
+    _A_HUB_T,
+    _A_LEAF_S,
+    _A_LEAF_T,
+    _A_OPEN_S,
+    _A_T,
+    _A_THIRD,
     CnfGameSolver,
     CnfInstance,
     HexGameSolver,
@@ -212,8 +223,6 @@ class TestLifts:
     def test_planar_alice_vs_hub_grabbing_bob(self):
         # a Bob that contests the pendant stars first pushes Alice into the
         # lifted hex line; she must still reach the threshold
-        from lcsgame.engine import Strategy
-
         hx = HexInstance(Graph.from_edges(3, [(0, 2), (2, 1)]), 0, 1)
         out = build_planar(hx)
         solver = HexGameSolver(out.source_hex)
@@ -342,6 +351,62 @@ class TestPlanarLiftsAdversarial:
         for bob in self._targeted_adversaries(out, Player.BOB):
             trace = play_match(out.g, PLAIN, alice, bob)
             assert trace.score >= out.k, bob.name
+
+
+class TestPlanarAlicePhases:
+    """Bobs that contest the pendant stars in the proof's order drive Alice's
+    planar lift through every phase of its opening protocol."""
+
+    class StarFirstBob(Strategy):
+        """Takes an s-hub, else a t-hub, else a hex vertex, three times in
+        four; otherwise any vertex.  Seeded by the position, so it is
+        deterministic."""
+
+        name = "star-first"
+
+        def __init__(self, out, seed):
+            self.seed = seed
+            self.classes = (out.s_group & ~(1 << out.s_vertex),
+                            out.t_group & ~(1 << out.t_vertex), out.hex_vertices)
+
+        def choose(self, g, variant, pos, state, last_opp):
+            free = g.full_mask & ~(pos[0] | pos[1])
+            rng = random.Random(f"{self.seed}/{pos[0]}/{pos[1]}")
+            pool = free
+            if rng.random() < 0.75:
+                pool = next(c & free for c in self.classes + (free,) if c & free)
+            return rng.choice(list(bits(pool))), None
+
+    class PhaseRecorder(Strategy):
+        def __init__(self, inner):
+            self.inner = inner
+            self.name = inner.name
+            self.phases = set()
+
+        def initial_state(self):
+            return self.inner.initial_state()
+
+        def choose(self, g, variant, pos, state, last_opp):
+            move, after = self.inner.choose(g, variant, pos, state, last_opp)
+            self.phases |= {state[0], after[0]}
+            return move, after
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 2), (2, 1)],
+        [(0, 2), (2, 1), (0, 3), (3, 1)],
+        [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1)],
+    ], ids=["path3", "two_paths4", "fork5"])
+    def test_every_phase_reached_and_threshold_kept(self, edges):
+        h = Graph.from_edges(max(max(e) for e in edges) + 1, edges)
+        out = build_planar(HexInstance(h, 0, 1))
+        solver = HexGameSolver(out.source_hex)
+        assert solver.winner is Player.ALICE
+        alice = self.PhaseRecorder(lift_strategy(out, Player.ALICE, solver))
+        for seed in range(40):
+            trace = play_match(out.g, PLAIN, alice, self.StarFirstBob(out, seed))
+            assert trace.score >= out.k, seed
+        assert alice.phases == {_A_OPEN_S, _A_HUB_S, _A_THIRD, _A_T, _A_HUB_T,
+                                _A_LEAF_S, _A_LEAF_T, _A_HEX}
 
 
 class TestSecondHexInstances:

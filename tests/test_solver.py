@@ -165,6 +165,15 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="time limit"):
             budget.tick()
 
+    def test_clock_rearmed_after_each_check(self):
+        # the 3x5 grid takes more than 2048 states, so a generous deadline
+        # is read and re-armed several times without changing the solve
+        g = cartesian_grid(3, 5).graph
+        timed, untimed = cg(g, time_limit=60), cg(g)
+        assert timed.states_expanded > 2 * 2048
+        assert (timed.value, timed.states_expanded) == \
+            (untimed.value, untimed.states_expanded)
+
     @pytest.mark.parametrize("limits", [{"max_states": -5},
                                         {"max_states": math.nan},
                                         {"time_limit": -1.0},
@@ -205,7 +214,7 @@ class TestFollowBound:
         # 18 states.
         core = _Core(path(9), PLAIN)
         reach, lc = core._red_summary(1)
-        assert core.search(1, 1 << 4, 0, 0, 3, 4, reach, lc) <= 3
+        assert core.search(1, 1 << 4, 0, 0, 4, reach, lc) <= 3
         assert core.budget.spent == 0
 
 
@@ -678,7 +687,7 @@ class TestSharedCoreQueries:
                         fresh = _Core(g, variant)
                         t = _neighbour_count_bound(g, cfg)
                         reach, lc = fresh._red_summary(cfg.red)
-                        assert fresh.search(*pos, t - 1, t, reach, lc) >= t, \
+                        assert fresh.search(*pos, t, reach, lc) >= t, \
                             (g.edges(), cfg)
                         assert fresh.budget.spent == 0, (g.edges(), cfg)
                         assert reference.search_plain(*pos) >= t, (g.edges(), cfg)

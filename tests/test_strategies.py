@@ -9,6 +9,8 @@ import pytest
 from lcsgame.engine import (
     ARBITRARY,
     PLAIN,
+    Budget,
+    BudgetExceededError,
     Player,
     _fixed_move_bit,
     verify_strategy_exhaustive,
@@ -24,7 +26,7 @@ from lcsgame.generators import (
     regular5_chain,
     spider,
 )
-from lcsgame.graphs import Graph, Matching, mask_of
+from lcsgame.graphs import Graph, Matching, format_graph, mask_of, parse_graph
 from lcsgame.solver import cg
 from lcsgame.strategies import (
     CubicBob,
@@ -185,6 +187,39 @@ class TestBuiltinStrategies:
         with pytest.raises(ValueError):
             builtin_strategy("king_mirror_alice", path_family(4))
 
+    @pytest.mark.parametrize("name,cls", [("alice_max_degree", MaxDegreeAlice),
+                                          ("alice_degree_sum", DegreeSumAlice)])
+    def test_degree_alices_by_name(self, name, cls):
+        doc = complete_bipartite(3, 4)
+        alice = builtin_strategy(name, doc)
+        assert type(alice) is cls
+        assert verify_strategy_exhaustive(doc.graph, PLAIN, alice, Player.ALICE) \
+            == verify_strategy_exhaustive(doc.graph, PLAIN, cls(doc.graph),
+                                          Player.ALICE)
+
+    def test_cubic_bob_finds_its_own_matching(self):
+        g = random_cubic(10, random.Random(0))
+        bob = builtin_strategy("cubic_bob", parse_graph(format_graph(g)))
+        assert type(bob) is CubicBob
+        v = verify_strategy_exhaustive(g, PLAIN, bob, Player.BOB)
+        assert v == verify_strategy_exhaustive(
+            g, PLAIN, CubicBob(g, find_suitable_matching(g)), Player.BOB)
+        assert v < (g.n + 1) // 2
+
+    def test_cubic_bob_without_a_matching_rejected(self):
+        with pytest.raises(ValueError, match="no suitable matching"):
+            builtin_strategy("cubic_bob", parse_graph(format_graph(petersen())))
+
+    def test_cubic_bob_matching_search_charges_the_budget(self):
+        doc = parse_graph(format_graph(petersen()))
+        with pytest.raises(BudgetExceededError):
+            builtin_strategy("cubic_bob", doc, budget=Budget(100))
+
+    @pytest.mark.parametrize("name", ["first:5", "first:99"])
+    def test_first_vertex_outside_graph_rejected(self, name):
+        with pytest.raises(ValueError, match=r"not in the graph's range 0\.\.4"):
+            builtin_strategy(name, parse_graph(format_graph(path(5))))
+
     def test_regular4_alice_guarantee(self):
         fg = regular4_chain(4)
         alice = builtin_strategy("regular4_alice", fg)
@@ -245,6 +280,17 @@ class TestBuiltinStrategies:
 class TestSuitableMatchings:
     def test_k4_has_none(self):
         assert find_suitable_matching(complete(4)) is None
+
+    @pytest.mark.parametrize("g,spent", [(complete(4), 7), (petersen(), 511)],
+                             ids=["k4", "petersen"])
+    def test_each_bipartition_charges_one_state(self, g, spent):
+        # neither graph has a suitable matching, so every one of the
+        # 2^(n-1) - 1 bipartitions is examined
+        budget = Budget(spent)
+        assert find_suitable_matching(g, budget) is None
+        assert budget.spent == spent
+        with pytest.raises(BudgetExceededError):
+            find_suitable_matching(g, Budget(spent - 1))
 
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError):
