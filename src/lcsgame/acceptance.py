@@ -34,7 +34,7 @@ from .generators import (
     regular5_chain,
     spider,
 )
-from .graphs import Graph, bits, is_connected
+from .graphs import Graph, Planarity, bits, is_connected, planarity_check
 from .qgraph import (
     DecompositionTree,
     JoinNode,
@@ -434,7 +434,6 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         n_pad = out.hex_vertices.bit_count()
         c.expect(out.k == n_pad + 5, "planar k formula")
         c.expect(out.g.n == 7 * n_pad + 30, "planar order formula")
-        from .graphs import Planarity, planarity_check
         c.expect(planarity_check(out.g) is not Planarity.NON_PLANAR,
                  "planar build must not be non-planar")
         hubs = sum(1 for r in out.role_map.values() if r.startswith(("s0", "t0")))

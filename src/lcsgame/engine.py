@@ -23,8 +23,12 @@ the verifier reads the uncoloured mask directly, and the playouts run a
 loop of their own in which every turn colours one vertex.
 
 ``AndOrSearch`` is the one memoised win/lose search; the source games of
-the reductions, the head analysis and CDS forcing each supply its
-``expand``.
+the reductions (through one shared shell), the head analysis and CDS
+forcing each supply its ``expand``.
+
+A strategy carried over from another game -- a lifted source-game strategy
+or a composed decomposition-tree strategy -- plays on a virtual board that
+ignores its own arbitrary moves; ``virtual_step`` plays one of its turns.
 
 ``Budget`` is the one state budget and deadline of a call: every search the
 call starts -- solver cores, AND/OR searches, the strategy verifier --
@@ -409,14 +413,41 @@ class FunctionStrategy(Strategy):
         return self._fn(g, variant, pos, last_opp), None
 
 
-def virtual_answer(pos: Position, w: int) -> int | None:
-    """Alice's real answer when her strategy wants ``w`` on a virtual board
-    that ignores her own arbitrary moves: ``w`` while it is uncoloured, None
-    (play arbitrarily) when it is already red, one of those arbitrary moves.
-    A blue ``w`` means the virtual board has lost track of the real one."""
-    if pos[1] >> w & 1:
+def virtual_answer(pos: Position, w: int, alice: bool = True) -> Answer:
+    """The real answer of a player (Alice unless ``alice`` is false) whose
+    strategy wants ``w`` on a virtual board that ignores the player's own
+    arbitrary moves: ``w`` while it is uncoloured, ``ARBITRARY`` when it has
+    the player's colour (one of those moves).  ``w`` in the opponent's
+    colour means the virtual board has lost track of the real one."""
+    own, opp = pos[0], pos[1]
+    if not alice:
+        own, opp = opp, own
+    if opp >> w & 1:
         raise InternalError("virtual board desynchronised from the real one")
-    return None if pos[0] >> w & 1 else w
+    return ARBITRARY if own >> w & 1 else w
+
+
+def virtual_step(pos: Position, alice: bool, vred: int, vblue: int,
+                 opp: int | None, pick: Callable[[int, int], int | None]
+                 ) -> tuple[Answer, int, int]:
+    """One turn of a strategy played on a virtual board ``(vred, vblue)``:
+    record the opponent's virtual move ``opp`` (None: nothing to record),
+    ask ``pick(vred, vblue)`` for the player's move (None: there is none, so
+    play arbitrarily), record that move, and return ``(answer, vred,
+    vblue)`` with the real answer read by ``virtual_answer``."""
+    if opp is not None:
+        if alice:
+            vblue |= 1 << opp
+        else:
+            vred |= 1 << opp
+    w = pick(vred, vblue)
+    if w is None:
+        return ARBITRARY, vred, vblue
+    if alice:
+        vred |= 1 << w
+    else:
+        vblue |= 1 << w
+    return virtual_answer(pos, w, alice), vred, vblue
 
 
 def lowest_index_strategy() -> Strategy:

@@ -245,6 +245,8 @@ def spider(flavor: str, k: int, r_graph: Graph | None = None,
         raise ValueError("flavor must be matched or antimatched")
     if k < 2:
         raise ValueError("needs |K| >= 2")
+    if r_size is not None and r_size < 0:
+        raise ValueError(f"r must be >= 0, got {r_size}")
     if r_graph is None:
         r_graph = Graph.from_edges(r_size or 0, [])
     r = r_graph.n
@@ -400,36 +402,37 @@ def hex_patch(cells: int, cols: int = 1) -> FamilyGraph:
 
 
 FAMILIES = {
-    "path": (path, ("n",)),
-    "cycle": (cycle, ("n",)),
-    "complete": (complete, ("n",)),
-    "complete_bipartite": (complete_bipartite, ("a", "b")),
-    "gnm": (gnm, ("n", "m", "seed")),
-    "subdivided_star": (subdivided_star, ("leaves",)),
-    "two_cliques_bridge": (two_cliques_bridge, ("d",)),
-    "clique_pendant_path": (clique_pendant_path, ("nn",)),
-    "clique_chain": (clique_chain, ("d", "nchain")),
-    "regular4_chain": (regular4_chain, ("nchain",)),
-    "regular5_chain": (regular5_chain, ("d", "nchain")),
-    "spider_matched": (lambda k, r=0: spider("matched", k, r_size=r), ("k", "r")),
-    "spider_antimatched": (lambda k, r=0: spider("antimatched", k, r_size=r), ("k", "r")),
-    "cartesian_grid": (cartesian_grid, ("rows", "cols")),
-    "king_grid_2rows": (king_grid_2rows, ("cols",)),
-    "hex_patch": (hex_patch, ("cells", "cols")),
+    "path": path,
+    "cycle": cycle,
+    "complete": complete,
+    "complete_bipartite": complete_bipartite,
+    "gnm": gnm,
+    "subdivided_star": subdivided_star,
+    "two_cliques_bridge": two_cliques_bridge,
+    "clique_pendant_path": clique_pendant_path,
+    "clique_chain": clique_chain,
+    "regular4_chain": regular4_chain,
+    "regular5_chain": regular5_chain,
+    "spider_matched": lambda k, r=0: spider("matched", k, r_size=r),
+    "spider_antimatched": lambda k, r=0: spider("antimatched", k, r_size=r),
+    "cartesian_grid": cartesian_grid,
+    "king_grid_2rows": king_grid_2rows,
+    "hex_patch": hex_patch,
 }
 
 
 def generate(family: str, **params: int) -> FamilyGraph:
-    """Build a named family instance; unknown names or bad params raise."""
-    entry = FAMILIES.get(family)
-    if entry is None:
+    """Build a named family instance; unknown names or bad params raise.
+    The parameters are those of the family's function."""
+    fn = FAMILIES.get(family)
+    if fn is None:
         raise ValueError(f"unknown family {family!r}")
-    fn, names = entry
+    names = inspect.signature(fn).parameters
     unknown = set(params) - set(names)
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)} for {family}")
-    missing = [p.name for p in inspect.signature(fn).parameters.values()
-               if p.default is p.empty and p.name not in params]
+    missing = [name for name, p in names.items()
+               if p.default is p.empty and name not in params]
     if missing:
         raise ValueError(f"missing parameters {missing} for {family}")
     return fn(**params)

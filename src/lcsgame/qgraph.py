@@ -23,11 +23,11 @@ from typing import NoReturn, Union as TUnion
 from .engine import (
     ARBITRARY,
     PASS,
-    Answer,
     Budget,
     Plain,
     Strategy,
     virtual_answer,
+    virtual_step,
 )
 from .graphs import (Graph, bits, induced, int_field, is_clique,
                      is_connected_within, is_independent, lowest_bit_index, mask_of)
@@ -332,11 +332,8 @@ def cg_qgraph(g: Graph, tree: DecompositionTree, *,
 # is an engine ``Strategy`` that opens in the node and answers only the Bob
 # moves inside its ``mask`` (elsewhere it plays ``ARBITRARY``), on a virtual
 # board (vred, vblue restricted to the node's vertices) that ignores her
-# arbitrary moves; ``engine.virtual_answer`` reads the real move from it.
-
-
-def _or_arbitrary(w: int | None) -> Answer:
-    return ARBITRARY if w is None else w
+# arbitrary moves: ``engine.virtual_step`` plays one turn on it, and
+# ``engine.virtual_answer`` reads the real move from it.
 
 
 class _WantStrategy(Strategy):
@@ -357,14 +354,13 @@ class _WantStrategy(Strategy):
 
     def choose(self, g, variant, pos, state, last_opp):
         vred, vblue, pending = state
+        opp = None
         if isinstance(last_opp, int) and self.mask >> last_opp & 1:
-            vblue, pending = vblue | 1 << last_opp, True
-        if not pending:
+            opp = last_opp
+        elif not pending:
             return ARBITRARY, state
-        w = self.want(vred, vblue)
-        if w is None:
-            return ARBITRARY, (vred, vblue, False)
-        return _or_arbitrary(virtual_answer(pos, w)), (vred | 1 << w, vblue, False)
+        answer, vred, vblue = virtual_step(pos, True, vred, vblue, opp, self.want)
+        return answer, (vred, vblue, False)
 
 
 class _JoinStrategy(_WantStrategy):
@@ -427,7 +423,7 @@ class _ExactStrategy(_WantStrategy):
         super().__init__(mask)
         self._back = back
         self._fwd = {orig: i for i, orig in enumerate(self._back)}
-        core.budget = Budget(core.budget.max_states)
+        core.own_budget()
         self._core = core
 
     def want(self, vred, vblue):
@@ -462,7 +458,7 @@ class _PseudoSpiderStrategy(Strategy):
         self.game: _CompoundSkipGame | None = head._game
         # the c* solve's core; play gets a budget of its own, as in
         # ``_ExactStrategy``
-        head._core.budget = Budget(head._core.budget.max_states)
+        head._core.own_budget()
         self.core = head._core
 
     def initial_state(self):
@@ -486,7 +482,7 @@ class _PseudoSpiderStrategy(Strategy):
                 or not self.head_graph.full_mask & ~vred & ~vblue:
             # not Alice's turn in the head game, or the head is full: keep
             # the head game frozen and mirror into R
-            return _or_arbitrary(lowest_bit_index(r_free)), state
+            return (lowest_bit_index(r_free) if r_free else ARBITRARY), state
         if self.mode == "plain":
             # nothing sets a pass in this mode, so the game is TargetSet(K)
             lv = self.core.best_move(vred, vblue, 0, 0, self.core.exact(vred, vblue))
@@ -505,7 +501,7 @@ class _PseudoSpiderStrategy(Strategy):
                                             prefer_pass=False)
                 if lv is PASS:
                     return ARBITRARY, state
-        return (_or_arbitrary(virtual_answer(pos, self._back[lv])),
+        return (virtual_answer(pos, self._back[lv]),
                 (vred | 1 << lv, vblue, a_p, b_p, first, False))
 
 

@@ -1,13 +1,16 @@
 """The three hardness constructions with brute-force source-game solvers.
 
 Each builder emits the reduction graph, the threshold k, and a total role
-map; the source games (POS CNF and Generalised Hex) are solved exactly at
-desk scale, each by one ``expand`` function over ``engine.AndOrSearch``, so
-winning strategies can be lifted onto the reduction graphs and checked
-against adversarial play.  ``lift_strategy`` is the one way to build a lift,
-and the one place that checks the source solver against the reduction.
-Lifted strategies keep a virtual source-game state that ignores their own
-arbitrary moves, the usual device for strategy transfer.
+map; the bipartite and split builds share one clause-gadget builder.  The
+source games (POS CNF and Generalised Hex) are solved exactly at desk
+scale by one solver shell over ``engine.AndOrSearch``, each game supplying
+only when a position is decided, so winning strategies can be lifted onto
+the reduction graphs and checked against adversarial play.
+``lift_strategy`` is the one way to build a lift, and the one place that
+checks the source solver against the reduction.  Lifted strategies play
+the source game on a virtual board that ignores their own arbitrary moves,
+the usual device for strategy transfer, one ``engine.virtual_step`` per
+turn.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .engine import (
     Player,
     Position,
     Strategy,
-    virtual_answer,
+    virtual_step,
 )
 from .graphs import (
     FormatError,
@@ -30,7 +33,12 @@ from .graphs import (
     Planarity,
     bits,
     component_of,
+    diameter,
+    format_graph,
     int_field,
+    is_bipartite,
+    is_clique,
+    is_independent,
     lowest_bit_index,
     mask_of,
     planarity_check,
@@ -104,67 +112,24 @@ class ReductionOutput:
 _MAX_VARS = 16  # the largest POS CNF the source solver takes
 _MAX_HEX_VERTICES = 18  # the largest Generalised Hex board it takes
 
-class CnfGameSolver:
-    """Memoised AND/OR search for POS CNF: Alice sets variables true, Bob false."""
 
-    def __init__(self, cnf: CnfInstance):
-        if cnf.variable_count > _MAX_VARS:
-            raise ValueError(f"too many variables (> {_MAX_VARS})")
-        self.cnf = cnf
-        self.clause_masks = [mask_of(c) for c in cnf.clauses]
-        self.full = (1 << cnf.variable_count) - 1
+class _SourceGame:
+    """The shell of a source-game solver: one memoised AND/OR search over
+    positions ``(red, blue)``, the masks of the ``free`` vertices each side
+    has taken (Alice red, first).  Each game supplies ``_decided(red,
+    blue)``: True or False once Alice has won or lost, else None."""
+
+    def __init__(self, free: int):
+        self.free = free
         self.search = AndOrSearch(self._expand)
 
     def _expand(self, pos: tuple[int, int]):
-        true_mask, false_mask = pos
-        if all(cm & true_mask for cm in self.clause_masks):
-            return True
-        if any(cm & ~false_mask == 0 for cm in self.clause_masks):
-            return False
-        # not decided, so some variable is still free
-        free = self.full & ~true_mask & ~false_mask
-        if true_mask.bit_count() == false_mask.bit_count():
-            return True, ((v, (true_mask | 1 << v, false_mask)) for v in bits(free))
-        return False, ((v, (true_mask, false_mask | 1 << v)) for v in bits(free))
-
-    @property
-    def winner(self) -> Player:
-        return Player.ALICE if self.search.wins((0, 0)) else Player.BOB
-
-    def best_variable(self, true_mask: int, false_mask: int) -> int:
-        """Mover's lowest outcome-preserving variable (winning when possible)."""
-        free = self.full & ~true_mask & ~false_mask
-        if not free:
-            raise ValueError("no free variable")
-        v = self.search.move((true_mask, false_mask))
-        return lowest_bit_index(free) if v is None else v
-
-
-class HexGameSolver:
-    """Memoised AND/OR search for Generalised Hex; s and t start red."""
-
-    def __init__(self, hx: HexInstance):
-        if hx.h.n > _MAX_HEX_VERTICES:
-            raise ValueError(f"hex instance too large (> {_MAX_HEX_VERTICES})")
-        self.hx = hx
-        self.g = hx.h
-        self.st = (1 << hx.s) | (1 << hx.t)
-        self.playable = self.g.full_mask & ~self.st
-        self.search = AndOrSearch(self._expand)
-
-    def _connected_st(self, within: int) -> bool:
-        comp = component_of(self.g.adj, 1 << self.hx.s, within)
-        return bool(comp >> self.hx.t & 1)
-
-    def _expand(self, pos: tuple[int, int]):
-        # red excludes s,t; they are permanently red
         red, blue = pos
-        if self._connected_st(red | self.st):
-            return True
-        if not self._connected_st(self.g.full_mask & ~blue):
-            return False
+        decided = self._decided(red, blue)
+        if decided is not None:
+            return decided
         # not decided, so some vertex is still free
-        free = self.playable & ~red & ~blue
+        free = self.free & ~red & ~blue
         if red.bit_count() == blue.bit_count():
             return True, ((v, (red | 1 << v, blue)) for v in bits(free))
         return False, ((v, (red, blue | 1 << v)) for v in bits(free))
@@ -173,82 +138,107 @@ class HexGameSolver:
     def winner(self) -> Player:
         return Player.ALICE if self.search.wins((0, 0)) else Player.BOB
 
-    def best_vertex(self, red: int, blue: int) -> int:
-        free = self.playable & ~red & ~blue
+    def best(self, red: int, blue: int) -> int | None:
+        """The mover's lowest outcome-preserving move (winning when
+        possible), else the lowest free vertex; None on a full board."""
+        free = self.free & ~red & ~blue
         if not free:
-            raise ValueError("no free vertex")
+            return None
         v = self.search.move((red, blue))
         return lowest_bit_index(free) if v is None else v
+
+
+class CnfGameSolver(_SourceGame):
+    """POS CNF: Alice sets variables true (red), Bob false (blue)."""
+
+    def __init__(self, cnf: CnfInstance):
+        if cnf.variable_count > _MAX_VARS:
+            raise ValueError(f"too many variables (> {_MAX_VARS})")
+        self.cnf = cnf
+        self.clause_masks = [mask_of(c) for c in cnf.clauses]
+        super().__init__((1 << cnf.variable_count) - 1)
+
+    def _decided(self, true_mask, false_mask):
+        if all(cm & true_mask for cm in self.clause_masks):
+            return True
+        if any(cm & ~false_mask == 0 for cm in self.clause_masks):
+            return False
+        return None
+
+
+class HexGameSolver(_SourceGame):
+    """Generalised Hex; s and t start red, so they are not free."""
+
+    def __init__(self, hx: HexInstance):
+        if hx.h.n > _MAX_HEX_VERTICES:
+            raise ValueError(f"hex instance too large (> {_MAX_HEX_VERTICES})")
+        self.hx = hx
+        self.g = hx.h
+        self.st = (1 << hx.s) | (1 << hx.t)
+        super().__init__(self.g.full_mask & ~self.st)
+
+    def _connected_st(self, within: int) -> bool:
+        comp = component_of(self.g.adj, 1 << self.hx.s, within)
+        return bool(comp >> self.hx.t & 1)
+
+    def _decided(self, red, blue):
+        if self._connected_st(red | self.st):
+            return True
+        if not self._connected_st(self.g.full_mask & ~blue):
+            return False
+        return None
 
 
 # -- builders -----------------------------------------------------------------------
 
 
-def _padded(cnf: CnfInstance) -> CnfInstance:
-    if cnf.variable_count % 2 == 0:
-        return cnf
-    return CnfInstance(cnf.variable_count + 1, cnf.clauses)
+def _cnf_build(cnf: CnfInstance, kind: str) -> ReductionOutput:
+    """The CNF reduction of ``kind``: variables, then two copies of each
+    clause vertex, each copy adjacent to the clause's variables.  The
+    bipartite build adds two hubs adjacent to every variable; the split
+    build makes the variables a clique instead.  An odd variable count gets
+    one unused variable, so k is half the (even) order."""
+    if cnf.variable_count % 2:
+        cnf = CnfInstance(cnf.variable_count + 1, cnf.clauses)
+    n, m = cnf.variable_count, len(cnf.clauses)
+    roles = {i: f"x{i}" for i in range(n)}
+    pair = {}
+    if kind == "bipartite":
+        u1, u2 = n + 2 * m, n + 2 * m + 1
+        edges = [(i, u) for i in range(n) for u in (u1, u2)]
+        roles[u1], roles[u2] = "u1", "u2"
+        pair[u1], pair[u2] = u2, u1
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for j, clause in enumerate(cnf.clauses):
+        c1, c2 = n + 2 * j, n + 2 * j + 1
+        roles[c1], roles[c2] = f"C{j}a", f"C{j}b"
+        pair[c1], pair[c2] = c2, c1
+        edges += [(v, c) for v in clause for c in (c1, c2)]
+    g = Graph.from_edges(len(roles), edges)
+    return ReductionOutput(kind, g, g.n // 2, roles,
+                           var_count=n, pair_partner=pair, source_cnf=cnf)
 
 
 def build_bipartite(cnf: CnfInstance) -> ReductionOutput:
     """Variables, duplicated clause vertices, and two universal-to-variables
     hubs; k is half the (even) order.  Output is bipartite with diameter <= 4."""
-    cnf = _padded(cnf)
-    n, m = cnf.variable_count, len(cnf.clauses)
-    total = n + 2 * m + 2
-    u1, u2 = n + 2 * m, n + 2 * m + 1
-    edges = []
-    roles = {i: f"x{i}" for i in range(n)}
-    pair = {u1: u2, u2: u1}
-    for j, clause in enumerate(cnf.clauses):
-        c1, c2 = n + 2 * j, n + 2 * j + 1
-        roles[c1] = f"C{j}a"
-        roles[c2] = f"C{j}b"
-        pair[c1] = c2
-        pair[c2] = c1
-        for v in clause:
-            edges.append((v, c1))
-            edges.append((v, c2))
-    roles[u1] = "u1"
-    roles[u2] = "u2"
-    for i in range(n):
-        edges.append((i, u1))
-        edges.append((i, u2))
-    g = Graph.from_edges(total, edges)
-    from .graphs import diameter, is_bipartite
-    ok, _ = is_bipartite(g)
-    if not ok or diameter(g) > 4:
+    out = _cnf_build(cnf, "bipartite")
+    ok, _ = is_bipartite(out.g)
+    if not ok or diameter(out.g) > 4:
         raise InternalError("reduction output must be bipartite of diameter <= 4")
-    return ReductionOutput("bipartite", g, total // 2, roles,
-                           var_count=n, pair_partner=pair, source_cnf=cnf)
+    return out
 
 
 def build_split(cnf: CnfInstance) -> ReductionOutput:
     """As the bipartite build, but the variables form a clique and the two
     hubs are dropped; output is a split graph with k = |V|/2."""
-    cnf = _padded(cnf)
-    n, m = cnf.variable_count, len(cnf.clauses)
-    total = n + 2 * m
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    roles = {i: f"x{i}" for i in range(n)}
-    pair = {}
-    for j, clause in enumerate(cnf.clauses):
-        c1, c2 = n + 2 * j, n + 2 * j + 1
-        roles[c1] = f"C{j}a"
-        roles[c2] = f"C{j}b"
-        pair[c1] = c2
-        pair[c2] = c1
-        for v in clause:
-            edges.append((v, c1))
-            edges.append((v, c2))
-    g = Graph.from_edges(total, edges)
-    from .graphs import is_clique, is_independent
-    clique_mask = mask_of(range(n))
-    if not is_clique(g, clique_mask) or \
-       not is_independent(g, g.full_mask & ~clique_mask):
+    out = _cnf_build(cnf, "split")
+    clique_mask = mask_of(range(out.var_count))
+    if not is_clique(out.g, clique_mask) or \
+       not is_independent(out.g, out.g.full_mask & ~clique_mask):
         raise InternalError("output must be a split graph")
-    return ReductionOutput("split", g, total // 2, roles,
-                           var_count=n, pair_partner=pair, source_cnf=cnf)
+    return out
 
 
 def build_planar(hx: HexInstance) -> ReductionOutput:
@@ -310,55 +300,36 @@ def build_planar(hx: HexInstance) -> ReductionOutput:
 class CnfLift(Strategy):
     """Translate a CNF winning strategy onto the bipartite or split graph.
 
-    Variable vertices forward to the source game (ignoring this side's own
-    arbitrary moves); hub and clause-copy moves are answered by pairing.
+    Variable vertices forward to the source game, played on a virtual board
+    (``engine.virtual_step``) that ignores this side's own arbitrary moves;
+    hub and clause-copy moves are answered by pairing.  Every opponent move
+    on a variable is recorded on that board, so the source game never picks
+    a variable the opponent holds, and the desynchronisation check of
+    ``engine.virtual_answer`` cannot fire, for Bob as for Alice.
     State: (true_mask, false_mask) of the virtual source game.
     """
 
     def __init__(self, red: ReductionOutput, side: Player, source: CnfGameSolver):
         self.red = red
-        self.side = side
+        self.alice = side is Player.ALICE
         self.source = source
-        self.name = f"lift_{red.kind}_{'alice' if side is Player.ALICE else 'bob'}"
+        self.name = f"lift_{red.kind}_{'alice' if self.alice else 'bob'}"
         self.var_mask = mask_of(range(red.var_count))
 
     def initial_state(self):
         return (0, 0)
 
-    def _respond_variable(self, state, opp_var: int | None):
-        true_mask, false_mask = state
-        if opp_var is not None:
-            if self.side is Player.ALICE:
-                false_mask |= 1 << opp_var
-            else:
-                true_mask |= 1 << opp_var
-        free = self.source.full & ~true_mask & ~false_mask
-        if not free:
-            return None, (true_mask, false_mask)
-        x = self.source.best_variable(true_mask, false_mask)
-        if self.side is Player.ALICE:
-            true_mask |= 1 << x
-        else:
-            false_mask |= 1 << x
-        return x, (true_mask, false_mask)
-
     def choose(self, g, variant, pos, state, last_opp):
-        colored = pos[0] | pos[1]
-        if last_opp is None:
-            # Alice's opening: her first variable of the winning strategy
-            x, state = self._respond_variable(state, None)
-            if x is not None and not (colored >> x & 1):
-                return x, state
-            return ARBITRARY, state
         if last_opp is PASS:
             return ARBITRARY, state
-        if self.var_mask >> last_opp & 1:
-            x, state = self._respond_variable(state, last_opp)
-            if x is not None and not (colored >> x & 1):
-                return x, state
-            return ARBITRARY, state
+        if last_opp is None or self.var_mask >> last_opp & 1:
+            # Alice's opening or a variable: the source game answers
+            true_mask, false_mask = state
+            answer, true_mask, false_mask = virtual_step(
+                pos, self.alice, true_mask, false_mask, last_opp, self.source.best)
+            return answer, (true_mask, false_mask)
         partner = self.red.pair_partner.get(last_opp)
-        if partner is not None and not (colored >> partner & 1):
+        if partner is not None and not ((pos[0] | pos[1]) >> partner & 1):
             return partner, state
         return ARBITRARY, state
 
@@ -370,7 +341,11 @@ class PlanarBobLift(Strategy):
     """Bob's hex-blocking strategy on the planar reduction.
 
     Answers inside the s-star and t-star by exhausting those stars, pairs
-    leaves hub-by-hub, and forwards hex moves to the source game.
+    leaves hub-by-hub, and forwards hex moves to the source game, played on
+    a virtual board (``engine.virtual_step``).  Every Alice move on the hex
+    board is recorded on that board, so the source game never picks a
+    vertex she holds, and the desynchronisation check of
+    ``engine.virtual_answer`` cannot fire.
     """
 
     def __init__(self, red: ReductionOutput, source: HexGameSolver):
@@ -396,13 +371,9 @@ class PlanarBobLift(Strategy):
         group = self._group[last_opp]
         if group == _HEX:
             hred, hblue = state
-            hred |= 1 << last_opp
-            if self.source.playable & ~hred & ~hblue:
-                w = self.source.best_vertex(hred, hblue)
-                hblue |= 1 << w
-                if not (colored >> w & 1):
-                    return w, (hred, hblue)
-            return ARBITRARY, (hred, hblue)
+            answer, hred, hblue = virtual_step(pos, False, hred, hblue, last_opp,
+                                               self.source.best)
+            return answer, (hred, hblue)
         w = lowest_bit_index(group & ~colored)
         return (ARBITRARY if w is None else w), state
 
@@ -413,7 +384,8 @@ _A_LEAF_S, _A_LEAF_T, _A_HEX = 10, 11, 12
 
 class PlanarAliceLift(Strategy):
     """Alice's opening protocol over the two pendant stars, falling back to
-    the lifted hex strategy when Bob contests both stars."""
+    the lifted hex strategy, played on a virtual board
+    (``engine.virtual_step``), when Bob contests both stars."""
 
     def __init__(self, red: ReductionOutput, source: HexGameSolver):
         self.red = red
@@ -431,17 +403,6 @@ class PlanarAliceLift(Strategy):
         for hub in bits(hubs & pos[0]):
             pool |= self.red.hub_leaves[hub]
         return lowest_bit_index(pool & ~(pos[0] | pos[1]))
-
-    def _hex_respond(self, state, opp_vertex: int | None, pos: Position):
-        phase, hred, hblue = state
-        if opp_vertex is not None:
-            hblue |= 1 << opp_vertex
-        free = self.source.playable & ~hred & ~hblue
-        if not free:
-            return None, (phase, hred, hblue)
-        w = self.source.best_vertex(hred, hblue)
-        hred |= 1 << w
-        return virtual_answer(pos, w), (phase, hred, hblue)
 
     def choose(self, g, variant, pos, state, last_opp):
         phase, hred, hblue = state
@@ -472,7 +433,9 @@ class PlanarAliceLift(Strategy):
                 state = (_A_LEAF_T, hred, hblue)
             else:
                 # Bob spent his first four moves on the hubs: play the hex game
-                w, state = self._hex_respond((_A_HEX, hred, hblue), None, pos)
+                w, hred, hblue = virtual_step(pos, True, hred, hblue, None,
+                                              self.source.best)
+                state = (_A_HEX, hred, hblue)
         elif phase == _A_LEAF_S:
             w = self._my_hub_leaves(self.s_hubs, pos)
         elif phase == _A_LEAF_T:
@@ -480,7 +443,9 @@ class PlanarAliceLift(Strategy):
         elif last_opp is not None and last_opp is not PASS:  # hex phase
             v = last_opp
             if r.hex_vertices >> v & 1 and v not in (r.s_vertex, r.t_vertex):
-                w, state = self._hex_respond(state, v, pos)
+                w, hred, hblue = virtual_step(pos, True, hred, hblue, v,
+                                              self.source.best)
+                state = (phase, hred, hblue)
             else:
                 for leaves in r.hub_leaves.values():
                     if leaves >> v & 1:
@@ -573,6 +538,5 @@ def hex_from_document(doc: GraphDocument) -> HexInstance:
 
 
 def format_hex(hx: HexInstance) -> str:
-    from .graphs import format_graph
     body = format_graph(hx.h)
     return body + f"s {hx.s}\nt {hx.t}\n"

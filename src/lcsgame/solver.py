@@ -374,6 +374,14 @@ class _Core:
         self._syms: tuple[tuple[int, int], ...] | None = None
         self._spent0 = self.budget.spent
 
+    def own_budget(self) -> None:
+        """Charge a fresh budget of the same ``max_states`` from now on, as
+        play does after the evaluation that built the core.  The count its
+        lazy builds read, ``budget.spent - _spent0``, runs on from here."""
+        spent = self.budget.spent - self._spent0
+        self.budget = Budget(self.budget.max_states)
+        self._spent0 = -spent
+
     # -- red-set summaries carried down the search ----------------------------
 
     def _red_summary(self, red: int) -> tuple[int, int]:

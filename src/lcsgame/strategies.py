@@ -163,19 +163,13 @@ class CubicBob(Strategy):
 
     Interior vertices (those on matching edges) are paired; the first
     exterior vertex Alice colours commits Bob to that side, whose exterior
-    vertices he then exhausts.  Private state: 0 = uncommitted, 1/2 = side.
-
-    The committed side's exterior vertices may be taken in any order; the
-    ``exterior_rule`` knob ("lowest" or "highest") exists so the guarantee
-    can be re-verified under a different resolution of that freedom.
+    vertices he then exhausts, lowest first (any order would do).
+    Private state: 0 = uncommitted, 1/2 = side.
     """
 
     name = "cubic_bob"
 
-    def __init__(self, g: Graph, matching: Matching, exterior_rule: str = "lowest"):
-        if exterior_rule not in ("lowest", "highest"):
-            raise ValueError("exterior_rule must be 'lowest' or 'highest'")
-        self.exterior_rule = exterior_rule
+    def __init__(self, g: Graph, matching: Matching):
         adj = list(g.adj)
         for u, v in matching.pairs:
             adj[u] &= ~(1 << v)
@@ -211,9 +205,7 @@ class CubicBob(Strategy):
             state = 1 if (self.sides[0] >> v & 1) else 2
         avail = self.exterior[state - 1] & ~colored
         if avail:
-            if self.exterior_rule == "lowest":
-                return (avail & -avail).bit_length() - 1, state
-            return avail.bit_length() - 1, state
+            return (avail & -avail).bit_length() - 1, state
         return ARBITRARY, state
 
 

@@ -184,7 +184,7 @@ def test_cnf_game_matches_reference(cnf):
     checked = 0
     for true, false in split_positions(list(range(n))):
         if playable_position(frozenset(range(n)), true, false):
-            got = solver.best_variable(to_mask(true), to_mask(false))
+            got = solver.best(to_mask(true), to_mask(false))
             assert got == ref_cnf_best(clauses, n, true, false), (true, false)
             checked += 1
     assert checked
@@ -250,7 +250,7 @@ def test_hex_game_matches_reference(hx):
     checked = 0
     for red, blue in split_positions(sorted(playable)):
         if playable_position(playable, red, blue):
-            got = solver.best_vertex(to_mask(red), to_mask(blue))
+            got = solver.best(to_mask(red), to_mask(blue))
             assert got == ref_hex_best(adj, hx.s, hx.t, playable, red, blue), (red, blue)
             checked += 1
     assert checked

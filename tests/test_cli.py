@@ -51,7 +51,10 @@ class TestGenerate:
         (("hex_patch", "cells=2", "cols=0"), "cols must be >= 1, got 0"),
         (("hex_patch", "cells=2", "cols=-1"), "cols must be >= 1, got -1"),
         (("complete_bipartite", "a=-1", "b=2"), "a and b must be >= 0, got a=-1, b=2"),
-    ], ids=["hex_patch-cols-0", "hex_patch-cols-negative", "complete_bipartite-a-negative"])
+        (("spider_matched", "k=3", "r=-1"), "r must be >= 0, got -1"),
+        (("spider_antimatched", "k=3", "r=-2"), "r must be >= 0, got -2"),
+    ], ids=["hex_patch-cols-0", "hex_patch-cols-negative", "complete_bipartite-a-negative",
+            "spider_matched-r-negative", "spider_antimatched-r-negative"])
     def test_out_of_range_parameter_exit_2(self, capsys, params, message):
         code, text, err = run(capsys, "generate", *params)
         assert (code, text, err) == (2, "", f"error: {message}\n")
@@ -451,8 +454,8 @@ class TestExitCodes:
 
     def test_failed_output_check_exit_4(self, capsys, tmp_path, monkeypatch):
         # a reduction whose own output check fails is an internal error
-        import lcsgame.graphs
-        monkeypatch.setattr(lcsgame.graphs, "diameter", lambda g: 5)
+        import lcsgame.reductions
+        monkeypatch.setattr(lcsgame.reductions, "diameter", lambda g: 5)
         f = tmp_path / "phi.cnf"
         f.write_text("p poscnf 2 1\n1 2 0\n")
         code, _, err = run(capsys, "reduce", "--kind", "bipartite", "--in", str(f))

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lcsgame.engine import (
+    ARBITRARY,
     CONNECTED,
     EMPTY_CONFIG,
     PASS,
@@ -17,6 +18,7 @@ from lcsgame.engine import (
     ColorVertex,
     GameConfig,
     IllegalMoveError,
+    InternalError,
     MatchTrace,
     Player,
     SkipBudget,
@@ -33,6 +35,7 @@ from lcsgame.engine import (
     random_playouts,
     score,
     verify_strategy_exhaustive,
+    virtual_step,
 )
 from lcsgame.graphs import Graph, mask_of
 from lcsgame.solver import cg
@@ -229,6 +232,44 @@ class TestPlayMatch:
         trace = play_match(path(5), CONNECTED,
                            first_move_strategy(3), lowest_index_strategy())
         assert format_trace(trace) == "A v3\nB v0\nA v2\nB v1\nA v4\nscore 3\n"
+
+
+class TestVirtualStep:
+    """One turn on a virtual board; ``alice`` says whose turn it is, and the
+    real position is (red, blue, 0, 0)."""
+
+    @pytest.mark.parametrize("alice,pos,asked,after", [
+        (True, (0, 0b10, 0, 0), (0b1000, 0b10010), (0b1100, 0b10010)),
+        (False, (0b10, 0, 0, 0), (0b1010, 0b10000), (0b1010, 0b10100)),
+    ], ids=["alice", "bob"])
+    def test_records_both_moves_and_answers_the_pick(self, alice, pos, asked, after):
+        # the opponent just coloured vertex 1, and the pick wants vertex 2
+        seen = []
+
+        def pick(vred, vblue):
+            seen.append((vred, vblue))
+            return 2
+
+        assert virtual_step(pos, alice, 0b1000, 0b10000, 1, pick) == (2, *after)
+        assert seen == [asked]
+
+    @pytest.mark.parametrize("alice", [True, False], ids=["alice", "bob"])
+    def test_no_opponent_move_and_no_pick(self, alice):
+        step = virtual_step((0, 0, 0, 0), alice, 0b1, 0b10, None, lambda r, b: None)
+        assert step == (ARBITRARY, 0b1, 0b10)
+
+    @pytest.mark.parametrize("alice", [True, False], ids=["alice", "bob"])
+    def test_own_colour_is_arbitrary(self, alice):
+        # vertex 3 is the player's own, taken by an arbitrary real move
+        pos = (0b1000, 0, 0, 0) if alice else (0, 0b1000, 0, 0)
+        answer, _, _ = virtual_step(pos, alice, 0, 0, None, lambda r, b: 3)
+        assert answer is ARBITRARY
+
+    @pytest.mark.parametrize("alice", [True, False], ids=["alice", "bob"])
+    def test_opponent_colour_is_a_desync(self, alice):
+        pos = (0, 0b1000, 0, 0) if alice else (0b1000, 0, 0, 0)
+        with pytest.raises(InternalError, match="desynchronised"):
+            virtual_step(pos, alice, 0, 0, None, lambda r, b: 3)
 
 
 class TestTraceFormat:

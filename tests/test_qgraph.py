@@ -189,6 +189,18 @@ class TestEvaluation:
         assert leaf._core.budget.max_states == 2 * one
         assert leaf._core.budget.spent < one // 10
 
+    def test_played_core_keeps_its_own_state_count(self):
+        # C12 then K5 under a union: the K5 leaf's core is built after the
+        # C12 solve charged the call's budget.  Play swaps in a fresh budget,
+        # and the count the core's lazy builds read stays its own states
+        c12 = [(i, (i + 1) % 12) for i in range(12)]
+        k5 = [(12 + a, 12 + b) for a in range(5) for b in range(a + 1, 5)]
+        g = Graph.from_edges(17, c12 + k5)
+        t = DecompositionTree(12, UnionNode(Leaf(0xFFF), Leaf(0b11111 << 12)))
+        core = alice_strategy_qgraph(g, t)._core
+        assert core.g.n == 5 and core.budget.spent == 0
+        assert core.budget.spent - core._spent0 == cg(complete(5)).states_expanded
+
     def test_head_analysis_draws_from_the_call_budget(self):
         # head: path 0-1-2 with K = {1}; seven rest vertices hang off 1
         edges = [(0, 1), (1, 2)] + [(1, 3 + j) for j in range(7)]

@@ -348,22 +348,21 @@ class TestSuitableMatchings:
 class TestCubicBobChoiceFreedom:
     def test_guarantee_holds_under_both_exterior_orders(self):
         # the committed side's exterior order is a free choice in the
-        # disconnection argument; both resolutions must force a split
+        # disconnection argument; both resolutions must force a split.  On
+        # the copy of g with reversed labels (v -> n-1-v), Bob's lowest-first
+        # order is g's highest-first order
         rng = random.Random(21)
         while True:
             g = random_cubic(10, rng)
             m = find_suitable_matching(g)
             if m is not None:
                 break
-        for rule in ("lowest", "highest"):
-            bob = CubicBob(g, m, exterior_rule=rule)
-            v = verify_strategy_exhaustive(g, PLAIN, bob, Player.BOB)
+        flip = g.n - 1
+        g_rev = Graph.from_edges(g.n, [(flip - u, flip - v) for u, v in g.edges()])
+        m_rev = Matching.of(g_rev, [(flip - u, flip - v) for u, v in m.pairs])
+        for h, matching in ((g, m), (g_rev, m_rev)):
+            v = verify_strategy_exhaustive(h, PLAIN, CubicBob(h, matching), Player.BOB)
             assert v < (g.n + 1) // 2
-
-    def test_bad_rule_rejected(self):
-        g = complete(4)
-        with pytest.raises(ValueError):
-            CubicBob(g, Matching.of(g, [(0, 1)]), exterior_rule="random")
 
 
 class TestSpiderExhaustFlavours:
